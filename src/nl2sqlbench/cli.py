@@ -26,7 +26,7 @@ from .diagnoser import classify_error, count_labels
 from .errors import ConfigError, IngestError, MetricError, RegistryError, SchemaError
 from .gateway import MockBackend, RemoteBackend
 from .metrics import assemble_report
-from .pipeline import EvalRecord, PipelineConfig, run_greedy, run_sql_d1
+from .pipeline import EvalRecord, PipelineConfig, run_sql_d1
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +50,6 @@ class RunConfig:
     workers: int = 1
     seed: int | None = None
     resume: bool = False
-    no_retrieval: bool = False
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
 
@@ -124,7 +123,9 @@ def manifest_text(manifest: dict) -> str:
 
 
 def manifest_hash(manifest: dict) -> str:
-    return hashlib.sha256(manifest_text(manifest).encode()).hexdigest()[:16]
+    """Identity of a run. ``workers`` is provenance only: records do not depend on it."""
+    keyed = {key: value for key, value in manifest.items() if key != "workers"}
+    return hashlib.sha256(manifest_text(keyed).encode()).hexdigest()[:16]
 
 
 def _make_backend(config: RunConfig):
@@ -183,8 +184,6 @@ def _evaluate_item(item: BenchmarkItem, config: RunConfig, cache: _DatabaseCache
             sample_values=schema.sample_values,
         )
 
-    if config.track == "greedy":
-        return run_greedy(item, ctx_builder(cfg.use_retriever), cfg, backend, db)
     return run_sql_d1(item, ctx_builder, cfg, backend, db)
 
 
@@ -505,7 +504,6 @@ def main(argv: list[str] | None = None) -> int:
                 workers=args.workers,
                 seed=args.seed,
                 resume=args.resume,
-                no_retrieval=args.no_retrieval,
                 pipeline=_pipeline_config(args),
             )
             config.pipeline.values_per_column = args.values_per_column

@@ -7,7 +7,6 @@ from .classify import (
     ErrorLabel,
     classify_error,
     count_labels,
-    error_distribution,
     schema_column_map,
 )
 from .sqlast import parse_sql, render_sql, walk
@@ -19,7 +18,6 @@ __all__ = [
     "ErrorLabel",
     "classify_error",
     "count_labels",
-    "error_distribution",
     "schema_column_map",
     "parse_sql",
     "render_sql",

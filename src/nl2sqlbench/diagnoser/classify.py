@@ -245,12 +245,12 @@ def _column_set_text(columns) -> str:
     return ", ".join(f"{t}.{c}" if t else c for t, c in sorted(columns)) or "(none)"
 
 
-def classify_error(pred_sql, gold_sql, schema, pred_outcome=None, gold_outcome=None) -> ErrorLabel:
+def classify_error(pred_sql, gold_sql, schema) -> ErrorLabel:
     """Assign the single highest-priority error label to an incorrect prediction.
 
-    Static AST + schema comparison; the execution outcomes are unused except
-    that absent/unparseable predictions short-circuit. Total on incorrect
-    records: some label is always returned.
+    Static AST + schema comparison, without executing anything. An absent or
+    unparseable query short-circuits to a structural label. Total on
+    incorrect records: some label is always returned.
     """
     if pred_sql is None or not str(pred_sql).strip():
         return _label("structural_error", "unparseable: no predicted SQL")
@@ -325,21 +325,6 @@ def classify_error(pred_sql, gold_sql, schema, pred_outcome=None, gold_outcome=N
             f"nesting shape differs (subqueries/set-ops/CTEs): {pred.shape} vs {gold.shape}",
         )
     return _label("structural_error", "incorrect result with no structural divergence found by rules")
-
-
-def error_distribution(records, schema_lookup) -> dict[str, int]:
-    """Count error categories over the incorrect records of a run.
-
-    ``schema_lookup(db_id)`` must return the SchemaContext for a database; all
-    categories are present in the result, zero-valued when unused.
-    """
-    counts = {category: 0 for category in CATEGORIES}
-    for record in records:
-        if record.correct:
-            continue
-        label = classify_error(record.final_sql, record.gold_sql, schema_lookup(record.db_id))
-        counts[label.category] += 1
-    return counts
 
 
 def count_labels(labels) -> dict[str, int]:

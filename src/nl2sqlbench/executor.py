@@ -232,8 +232,3 @@ def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> Result
             keys.sort()
         hasher.update(repr(keys).encode())
     return ResultSignature(hasher.digest())
-
-
-def database_digest(db: DatabaseHandle) -> str:
-    """Content hash of the database file, for mutation checks."""
-    return hashlib.sha256(db.path.read_bytes()).hexdigest()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import DIFFICULTIES, stratify
+from .corpus import stratify
 from .diagnoser import CATEGORIES
 from .errors import MetricError
 from .pipeline import EvalRecord, select_winner
@@ -197,7 +197,3 @@ def assemble_report(
         error_distribution={c: distribution.get(c, 0) for c in CATEGORIES},
         manifest=manifest or {},
     )
-
-
-# difficulty ordering re-exported for report consumers
-DIFFICULTY_ORDER = DIFFICULTIES

@@ -3,7 +3,8 @@
 Model-based track: greedy (temperature 0, one candidate) or sampled pools
 evaluated by majority voting. Agentic track: retrieval-grounded context,
 a candidate pool, per-candidate execution-feedback repair, and
-consistency-based selection over execution-result clusters. Stages toggle
+consistency-based selection over execution-result clusters. Both tracks are
+configurations of the one staged flow in ``run_sql_d1``; stages toggle
 independently so ablation configurations can be measured side by side.
 """
 
@@ -235,6 +236,13 @@ def run_generator(
     return candidates
 
 
+def _execute(db: DatabaseHandle, sql: str | None, cfg: PipelineConfig, memo: dict) -> ExecutionOutcome:
+    """Execute ``sql`` unless ``memo``, keyed by SQL text, already holds its outcome."""
+    if sql not in memo:
+        memo[sql] = execute_sql(db, sql, cfg.timeout_seconds)
+    return memo[sql]
+
+
 def run_verifier(
     candidate: Candidate,
     item: BenchmarkItem,
@@ -243,17 +251,20 @@ def run_verifier(
     backend,
     db: DatabaseHandle,
     trace: list | None = None,
+    memo: dict | None = None,
 ) -> Candidate:
     """Execution-feedback repair loop (at most cfg.verifier_max_iters regenerations).
 
     Repairs regenerate at temperature 0; latency and token counts accumulate
     onto the returned candidate. A candidate that still fails after the
-    budget is returned unchanged for selection to down-rank.
+    budget is returned unchanged for selection to down-rank. Outcomes are
+    looked up in, and added to, ``memo`` (see ``_execute``).
     """
     current = candidate
+    memo = {} if memo is None else memo
     base_prompt = build_prompt(item, ctx)
     for iteration in range(cfg.verifier_max_iters):
-        outcome = execute_sql(db, current.extracted_sql, cfg.timeout_seconds)
+        outcome = _execute(db, current.extracted_sql, cfg, memo)
         if outcome.ok:
             if trace is not None and iteration == 0:
                 trace.append(("verify", f"trajectory {current.trajectory_id}: ok, no repair"))
@@ -285,25 +296,32 @@ def evaluate_pool(
     cfg: PipelineConfig,
     gold_outcome: ExecutionOutcome | None = None,
     order_sensitive: bool = False,
+    memo: dict | None = None,
 ) -> list[PoolEntry]:
     """Execute every candidate and cluster-ready it.
 
+    Each distinct SQL string is executed (through ``memo``) and judged once.
     Clustering signatures use order-insensitive canonical forms; per-entry
     correctness (when gold is available) uses the gold query's own order
     sensitivity.
     """
+    memo = {} if memo is None else memo
+    judged: dict = {}
     entries = []
     for cand in candidates:
-        outcome = execute_sql(db, cand.extracted_sql, cfg.timeout_seconds)
-        signature = result_signature(outcome, order_sensitive=False)
-        correct = False
-        if gold_outcome is not None and gold_outcome.ok:
-            correct = compare_results(outcome, gold_outcome, order_sensitive)
+        sql = cand.extracted_sql
+        if sql not in judged:
+            outcome = _execute(db, sql, cfg, memo)
+            correct = gold_outcome is not None and gold_outcome.ok and compare_results(
+                outcome, gold_outcome, order_sensitive
+            )
+            judged[sql] = (outcome, result_signature(outcome, order_sensitive=False).hex, correct)
+        outcome, signature, correct = judged[sql]
         entries.append(
             PoolEntry(
                 trajectory_id=cand.trajectory_id,
-                sql=cand.extracted_sql,
-                signature=signature.hex,
+                sql=sql,
+                signature=signature,
                 failure=not outcome.ok,
                 correct=correct,
                 status=outcome.status,
@@ -335,81 +353,8 @@ def select_winner(entries: list[PoolEntry]) -> PoolEntry | None:
     return min(winner, key=lambda e: e.trajectory_id)
 
 
-def run_selector(
-    candidates: list[Candidate],
-    item: BenchmarkItem,
-    db: DatabaseHandle,
-    cfg: PipelineConfig,
-) -> str | None:
-    """Consistency-based selection: return the winning cluster's representative SQL."""
-    if not candidates:
-        raise ValueError("selector needs a non-empty candidate pool")
-    winner = select_winner(evaluate_pool(candidates, db, cfg))
-    return winner.sql if winner else None
-
-
 # ---------------------------------------------------------------------------
-# Tracks
-
-
-def _finish_record(
-    item: BenchmarkItem,
-    final_sql: str | None,
-    candidates: list[Candidate],
-    pool: list[PoolEntry],
-    gold_outcome: ExecutionOutcome,
-    order_sensitive: bool,
-    cfg: PipelineConfig,
-    db: DatabaseHandle,
-    trace: list,
-) -> EvalRecord:
-    outcome = execute_sql(db, final_sql, cfg.timeout_seconds)
-    trace.append(("execute", f"final status {outcome.status}"))
-    if gold_outcome.ok:
-        correct = compare_results(outcome, gold_outcome, order_sensitive)
-    else:
-        correct = False
-        trace.append(("execute", f"gold invalid: {gold_outcome.status}"))
-    trace.append(("compare", f"correct={correct}"))
-    return EvalRecord(
-        item_id=item.item_id,
-        db_id=item.db_id,
-        difficulty=item.difficulty,
-        question=item.question,
-        gold_sql=item.gold_sql,
-        final_sql=final_sql,
-        candidates=candidates,
-        outcome=outcome,
-        gold_outcome=gold_outcome,
-        correct=correct,
-        order_sensitive=order_sensitive,
-        per_stage_trace=trace,
-        total_latency_seconds=sum(c.latency_seconds for c in candidates),
-        total_tokens=sum(c.token_count for c in candidates),
-        pool=pool,
-    )
-
-
-def run_greedy(
-    item: BenchmarkItem,
-    ctx: SchemaContext,
-    cfg: PipelineConfig,
-    backend,
-    db: DatabaseHandle,
-) -> EvalRecord:
-    """Single deterministic generation at temperature 0, executed and compared."""
-    trace: list = []
-    prompt = build_prompt(item, ctx)
-    trace.append(("generate", f"prompt {_prompt_hash(prompt)} greedy"))
-    candidate = generate(_request(prompt, cfg, 0.0, 1), backend)[0]
-    if candidate.error:
-        trace.append(("generate", f"backend failure: {candidate.error}"))
-    order_sensitive = is_order_sensitive(item.gold_sql)
-    gold_outcome = execute_sql(db, item.gold_sql, cfg.timeout_seconds)
-    pool = evaluate_pool([candidate], db, cfg, gold_outcome, order_sensitive)
-    return _finish_record(
-        item, candidate.extracted_sql, [candidate], pool, gold_outcome, order_sensitive, cfg, db, trace
-    )
+# Track
 
 
 def run_sql_d1(
@@ -422,8 +367,10 @@ def run_sql_d1(
     """The four-stage agentic flow with stages toggled by the config.
 
     ``ctx_builder(use_retriever)`` must return the item's SchemaContext with
-    DDL rendered (value retrieval applied only when asked). With everything
-    switched off and one candidate this degenerates to the greedy track.
+    DDL rendered (value retrieval applied only when asked). With verifier and
+    selector off and one candidate at temperature 0 this is the greedy track.
+    Every distinct SQL string of the item, the gold query included, is
+    executed once: the verifier, the pool and the final record share one memo.
     """
     trace: list = []
     ctx = ctx_builder(cfg.use_retriever)
@@ -435,17 +382,20 @@ def run_sql_d1(
 
     candidates = run_generator(item, ctx, cfg, backend, trace)
 
-    if cfg.use_verifier:
-        candidates = [run_verifier(c, item, ctx, cfg, backend, db, trace) for c in candidates]
-
     order_sensitive = is_order_sensitive(item.gold_sql)
     gold_outcome = execute_sql(db, item.gold_sql, cfg.timeout_seconds)
-    pool = evaluate_pool(candidates, db, cfg, gold_outcome, order_sensitive)
+    memo = {item.gold_sql: gold_outcome}
 
+    if cfg.use_verifier:
+        candidates = [run_verifier(c, item, ctx, cfg, backend, db, trace, memo) for c in candidates]
+
+    pool = evaluate_pool(candidates, db, cfg, gold_outcome, order_sensitive, memo)
+
+    final = pool[0]
     if cfg.use_selector:
         winner = select_winner(pool)
-        final_sql = winner.sql if winner else None
         if winner:
+            final = winner
             cluster_size = sum(1 for e in pool if e.signature == winner.signature and e.sql is not None)
             trace.append(
                 ("select", f"trajectory {winner.trajectory_id} wins (cluster {cluster_size}/{len(pool)})")
@@ -453,7 +403,27 @@ def run_sql_d1(
         else:
             trace.append(("select", "no candidate produced SQL"))
     else:
-        final_sql = candidates[0].extracted_sql
         trace.append(("select", "disabled: single candidate"))
 
-    return _finish_record(item, final_sql, candidates, pool, gold_outcome, order_sensitive, cfg, db, trace)
+    outcome = memo[final.sql]
+    trace.append(("execute", f"final status {outcome.status}"))
+    if not gold_outcome.ok:
+        trace.append(("execute", f"gold invalid: {gold_outcome.status}"))
+    trace.append(("compare", f"correct={final.correct}"))
+    return EvalRecord(
+        item_id=item.item_id,
+        db_id=item.db_id,
+        difficulty=item.difficulty,
+        question=item.question,
+        gold_sql=item.gold_sql,
+        final_sql=final.sql,
+        candidates=candidates,
+        outcome=outcome,
+        gold_outcome=gold_outcome,
+        correct=final.correct,
+        order_sensitive=order_sensitive,
+        per_stage_trace=trace,
+        total_latency_seconds=sum(c.latency_seconds for c in candidates),
+        total_tokens=sum(c.token_count for c in candidates),
+        pool=pool,
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 from pathlib import Path
@@ -106,6 +107,11 @@ def db_factory(tmp_path):
         return build_db(tmp_path / db_id / f"{db_id}.sqlite", statements)
 
     return make
+
+
+def database_digest(db: DatabaseHandle) -> str:
+    """Content hash of the database file, for mutation checks."""
+    return hashlib.sha256(db.path.read_bytes()).hexdigest()
 
 
 def write_benchmark(path: Path, records: list[dict]) -> Path:

@@ -15,7 +15,7 @@ import pytest
 
 import ablation_suite
 from case_studies import CASES, EXPECTED_DISTRIBUTION
-from conftest import build_db, sql_reply, write_benchmark, GEMS_DB
+from conftest import build_db, database_digest, sql_reply, write_benchmark, GEMS_DB
 from test_executor import COMPARISON_PAIRS, MISC_DB, oracle_compare
 from test_gateway import EXTRACTION_FIXTURES
 from test_pipeline import SELECTOR_FIXTURE, _pool_candidates, make_ctx_builder
@@ -26,14 +26,13 @@ from nl2sqlbench.corpus import BenchmarkItem, dump_benchmark
 from nl2sqlbench.diagnoser import classify_error, count_labels
 from nl2sqlbench.executor import (
     STATUS_SQL_ERROR,
-    database_digest,
     execute_sql,
     compare_results,
     is_order_sensitive,
 )
 from nl2sqlbench.gateway import Candidate, MockBackend, MockRule, extract_sql
 from nl2sqlbench.metrics import assemble_report, pass_at_k
-from nl2sqlbench.pipeline import PipelineConfig, run_selector, run_sql_d1, run_verifier
+from nl2sqlbench.pipeline import PipelineConfig, evaluate_pool, run_sql_d1, run_verifier, select_winner
 
 from test_metrics import make_record
 
@@ -76,16 +75,15 @@ def test_c02_pass_at_k_exactness():
 def test_c03_selector_correctness(gems_db):
     """12 scripted pools match hand-computed plurality clusters."""
     assert len(SELECTOR_FIXTURE) == 12
-    item = BenchmarkItem(item_id="0", question="q", db_id="gems", gold_sql="SELECT 1")
     matched = 0
     for specs, winner_id in SELECTOR_FIXTURE:
         cfg = PipelineConfig(
             use_retriever=False, use_verifier=False, use_selector=True,
             num_candidates=max(2, len(specs)), timeout_seconds=10.0,
         )
-        chosen = run_selector(_pool_candidates(specs), item, gems_db, cfg)
+        winner = select_winner(evaluate_pool(_pool_candidates(specs), gems_db, cfg))
         expected = None if winner_id is None else specs[winner_id]
-        if chosen == expected:
+        if (winner.sql if winner else None) == expected:
             matched += 1
     assert matched == 12
 

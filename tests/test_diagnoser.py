@@ -13,7 +13,6 @@ from nl2sqlbench.diagnoser import (
     ErrorLabel,
     classify_error,
     count_labels,
-    error_distribution,
 )
 from nl2sqlbench.executor import compare_results, execute_sql, is_order_sensitive
 
@@ -195,6 +194,13 @@ class TestInvariants:
         assert label.rationale
 
 
+def _error_distribution(records, schemas):
+    """The classify command's loop: label every incorrect record, then count the labels."""
+    return count_labels(
+        classify_error(r.final_sql, r.gold_sql, schemas[r.db_id]) for r in records if not r.correct
+    )
+
+
 class TestErrorDistribution:
     def test_all_correct_run_is_all_zeros(self, schemas):
         class R:
@@ -203,7 +209,7 @@ class TestErrorDistribution:
             gold_sql = "SELECT 1"
             db_id = "stack"
 
-        counts = error_distribution([R(), R()], lambda db_id: schemas[db_id])
+        counts = _error_distribution([R(), R()], schemas)
         assert counts == {c: 0 for c in CATEGORIES}
 
     def test_synthetic_labelled_fixture(self, schemas):
@@ -221,5 +227,5 @@ class TestErrorDistribution:
             R("SELECT Score FROM comments", "SELECT MAX(Score) FROM comments"),  # Function
             R("gibberish", "SELECT 1"),  # Others
         ] * 2
-        counts = error_distribution(records, lambda db_id: schemas[db_id])
+        counts = _error_distribution(records, schemas)
         assert counts == {"Table": 2, "Value": 2, "Condition": 2, "Function": 2, "Others": 2}

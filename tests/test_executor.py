@@ -11,6 +11,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import database_digest
+
 from nl2sqlbench.executor import (
     STATUS_EMPTY,
     STATUS_OK,
@@ -18,7 +20,6 @@ from nl2sqlbench.executor import (
     STATUS_TIMEOUT,
     ExecutionOutcome,
     compare_results,
-    database_digest,
     execute_sql,
     is_order_sensitive,
     result_signature,

@@ -1,10 +1,11 @@
-"""Stage orchestration: greedy track, verifier repair loop, selector, ablations."""
+"""Stage orchestration: greedy config, verifier repair loop, selector, ablations, executions."""
 
 import pytest
 
 import ablation_suite
 from conftest import sql_reply
 
+from nl2sqlbench import pipeline
 from nl2sqlbench.context import SchemaContext, extract_schema, render_ddl, retrieve_values
 from nl2sqlbench.corpus import BenchmarkItem
 from nl2sqlbench.errors import ConfigError
@@ -14,8 +15,6 @@ from nl2sqlbench.pipeline import (
     EvalRecord,
     PipelineConfig,
     evaluate_pool,
-    run_greedy,
-    run_selector,
     run_sql_d1,
     run_verifier,
     select_winner,
@@ -71,11 +70,13 @@ class TestPipelineConfig:
 
 
 class TestRunGreedy:
+    """The greedy track is run_sql_d1 with every optional stage off, k=1 and T=0 (``_cfg()``)."""
+
     def test_oracle_model_is_correct(self, gems_db):
         item = _item()
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply(item.gold_sql))
-        record = run_greedy(item, make_ctx_builder(item, gems_db, cfg)(False), cfg, backend, gems_db)
+        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
         assert record.correct is True
         assert record.outcome.status == STATUS_OK
         assert any(tag == "generate" for tag, _ in record.per_stage_trace)
@@ -96,7 +97,7 @@ class TestRunGreedy:
         )
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply(broken))
-        record = run_greedy(item, make_ctx_builder(item, schools_db, cfg)(False), cfg, backend, schools_db)
+        record = run_sql_d1(item, make_ctx_builder(item, schools_db, cfg), cfg, backend, schools_db)
         assert record.correct is False
         assert record.outcome.status == STATUS_SQL_ERROR
 
@@ -104,7 +105,7 @@ class TestRunGreedy:
         item = _item(question="names", gold="SELECT name FROM gems")
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT name FROM gems ORDER BY name DESC"))
-        record = run_greedy(item, make_ctx_builder(item, gems_db, cfg)(False), cfg, backend, gems_db)
+        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
         assert record.correct is True  # gold has no ORDER BY
 
 
@@ -216,12 +217,11 @@ class TestRunSelector:
     @pytest.mark.parametrize("specs,winner_id", SELECTOR_FIXTURE, ids=range(len(SELECTOR_FIXTURE)))
     def test_hand_computed_plurality(self, gems_db, specs, winner_id):
         cfg = _cfg(use_selector=True, num_candidates=max(2, len(specs)))
-        candidates = _pool_candidates(specs)
-        chosen = run_selector(candidates, _item(), gems_db, cfg)
+        winner = select_winner(evaluate_pool(_pool_candidates(specs), gems_db, cfg))
         if winner_id is None:
-            assert chosen is None
+            assert winner is None
         else:
-            assert chosen == specs[winner_id]
+            assert winner.sql == specs[winner_id]
 
     def test_twelve_pools(self):
         assert len(SELECTOR_FIXTURE) == 12
@@ -234,10 +234,6 @@ class TestRunSelector:
         for rotation in range(3):
             rotated = entries[rotation:] + entries[:rotation]
             assert select_winner(rotated).signature == winner.signature
-
-    def test_empty_pool_rejected(self, gems_db):
-        with pytest.raises(ValueError):
-            run_selector([], _item(), gems_db, _cfg())
 
 
 def _mk_backend():
@@ -278,16 +274,6 @@ class TestAblation:
             < accuracy["retriever+verifier"]
             < accuracy["full"]
         )
-
-    def test_all_off_matches_greedy(self, gems_db):
-        cfg = _cfg()
-        backend = _mk_backend()
-        item = ablation_suite.build_items()[0]
-        builder = make_ctx_builder(item, gems_db, cfg)
-        agentic = run_sql_d1(item, builder, cfg, backend, gems_db)
-        greedy = run_greedy(item, builder(False), cfg, MockBackend(ablation_suite.build_rules()), gems_db)
-        assert agentic.final_sql == greedy.final_sql
-        assert agentic.correct == greedy.correct is True
 
     def test_every_backend_call_traced(self, gems_db):
         cfg = _cfg(use_retriever=True, use_verifier=True, use_selector=True, num_candidates=3, temperature=0.8)
@@ -338,3 +324,52 @@ class TestPoolEntry:
         assert [e.failure for e in entries] == [False, True]
         assert entries[0].status == STATUS_OK
         assert entries[1].status == STATUS_SQL_ERROR
+
+
+class TestExecutionsPerItem:
+    """Each distinct SQL string of an item, the gold query included, is executed once."""
+
+    @pytest.fixture()
+    def executed(self, monkeypatch):
+        calls = []
+        real = pipeline.execute_sql
+
+        def counting(db, sql, timeout_seconds):
+            calls.append(sql)
+            return real(db, sql, timeout_seconds)
+
+        monkeypatch.setattr(pipeline, "execute_sql", counting)
+        return calls
+
+    def test_pool_with_repair(self, gems_db, executed):
+        gold = "SELECT COUNT(*) FROM gems WHERE carat > 2"
+        broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
+        fixed = "SELECT COUNT(*) FROM gems WHERE carat > 2.0"
+        item = _item(question="Count gems heavier than two carats.", gold=gold)
+        replies = [broken] * 3 + [fixed] * 3 + ["SELECT 2"] * 2
+        rules = [MockRule(pattern=broken, reply=sql_reply(fixed))] + [
+            MockRule(pattern=item.question, trajectory_id=i, reply=sql_reply(sql)) for i, sql in enumerate(replies)
+        ]
+        cfg = _cfg(use_verifier=True, use_selector=True, num_candidates=8, temperature=0.8)
+        backend = MockBackend(rules)
+        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        assert len(backend.calls) == 8 + 3  # one repair per broken trajectory
+        assert [e.sql for e in record.pool] == [fixed] * 6 + ["SELECT 2"] * 2
+        assert record.final_sql == fixed and record.correct is True
+        assert sorted(executed) == sorted([gold, broken, fixed, "SELECT 2"])
+
+    def test_greedy(self, gems_db, executed):
+        item = _item()
+        cfg = _cfg()
+        backend = MockBackend(default_reply=sql_reply("SELECT COUNT(id) FROM gems"))
+        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        assert record.correct is True
+        assert sorted(executed) == sorted([item.gold_sql, "SELECT COUNT(id) FROM gems"])
+
+    def test_prediction_equal_to_gold_reuses_gold_outcome(self, gems_db, executed):
+        item = _item()
+        cfg = _cfg()
+        backend = MockBackend(default_reply=sql_reply(item.gold_sql))
+        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        assert record.correct is True
+        assert executed == [item.gold_sql]
