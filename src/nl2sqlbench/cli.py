@@ -17,11 +17,10 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import context as context_mod
-from .corpus import BenchmarkItem, load_benchmark, load_database
+from .corpus import load_benchmark, load_database
 from .diagnoser import classify_error, count_labels
 from .errors import ConfigError, IngestError, MetricError, RegistryError, SchemaError
 from .gateway import MockBackend, RemoteBackend
@@ -30,80 +29,54 @@ from .pipeline import EvalRecord, PipelineConfig, run_sql_d1
 
 logger = logging.getLogger(__name__)
 
-TRACKS = ("greedy", "sample", "maj", "sql-d1")
 ABLATION_STAGES = ("a_r", "a_g", "a_v", "a_s")
-
-
-@dataclass
-class RunConfig:
-    benchmark: Path
-    format: str
-    db_root: Path
-    out_dir: Path
-    track: str = "greedy"
-    backend: str = "mock"
-    mock_fixture: Path | None = None
-    mock_default_reply: str = ""
-    backend_url: str | None = None
-    backend_model: str | None = None
-    db_layout: str = "nested"
-    workers: int = 1
-    seed: int | None = None
-    resume: bool = False
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
+# each track's stages: the baselines are the sql-d1 flow with stages switched off
+TRACK_STAGES = {
+    "greedy": ("a_r", "a_g"),
+    "sample": ("a_r", "a_g"),
+    "maj": ("a_r", "a_g", "a_s"),
+    "sql-d1": ABLATION_STAGES,
+}
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    track = args.track
-    stages = set(ABLATION_STAGES)
-    if track == "sql-d1" and args.ablation:
+    """The run's config, from the track's stages narrowed by --ablation (sql-d1 only) and --no-retrieval."""
+    stages = set(TRACK_STAGES[args.track])
+    if args.ablation:
+        if args.track != "sql-d1":
+            raise ConfigError(f"--ablation applies to the sql-d1 track, not {args.track}")
         stages = {s.strip() for s in args.ablation.split(",") if s.strip()}
         unknown = stages - set(ABLATION_STAGES)
         if unknown:
             raise ConfigError(f"unknown ablation stages: {', '.join(sorted(unknown))}")
-    common = dict(
-        verifier_max_iters=args.verifier_iters,
-        timeout_seconds=args.timeout,
-        max_new_tokens=args.max_new_tokens,
-        backend_params=dict(args.backend_params),
-        seed=args.seed,
-    )
-    if track == "greedy":
-        return PipelineConfig(
-            use_retriever=not args.no_retrieval, use_verifier=False, use_selector=False,
-            num_candidates=1, temperature=0.0, **common,
-        )
-    if track == "sample":
-        return PipelineConfig(
-            use_retriever=not args.no_retrieval, use_verifier=False, use_selector=False,
-            num_candidates=1, temperature=args.temperature, **common,
-        )
-    if track == "maj":
-        return PipelineConfig(
-            use_retriever=not args.no_retrieval, use_verifier=False, use_selector=True,
-            num_candidates=args.k, temperature=args.temperature, **common,
-        )
+    if args.no_retrieval:
+        stages.discard("a_r")
     return PipelineConfig(
         use_retriever="a_r" in stages,
         use_verifier="a_v" in stages,
         use_selector="a_s" in stages,
         num_candidates=args.k if "a_s" in stages else 1,
-        temperature=args.temperature,
-        **common,
+        verifier_max_iters=args.verifier_iters,
+        timeout_seconds=args.timeout,
+        temperature=0.0 if args.track == "greedy" else args.temperature,
+        max_new_tokens=args.max_new_tokens,
+        backend_params=_parse_backend_params(args.backend_params_raw),
+        seed=args.seed,
+        values_per_column=args.values_per_column,
+        retrieval_top_k=args.top_k_values,
     )
 
 
-def _manifest(config: RunConfig) -> dict:
-    cfg = config.pipeline
+def _manifest(args, cfg: PipelineConfig) -> dict:
     return {
-        "benchmark": str(config.benchmark),
-        "format": config.format,
-        "db_root": str(config.db_root),
-        "db_layout": config.db_layout,
-        "track": config.track,
-        "backend": config.backend,
-        "backend_model": config.backend_model or "",
-        "mock_fixture": str(config.mock_fixture) if config.mock_fixture else "",
+        "benchmark": str(Path(args.benchmark)),
+        "format": args.format,
+        "db_root": str(Path(args.db_root)),
+        "db_layout": args.db_layout,
+        "track": args.track,
+        "backend": args.backend,
+        "backend_model": args.backend_model or "",
+        "mock_fixture": str(Path(args.mock_fixture)) if args.mock_fixture else "",
         "use_retriever": str(cfg.use_retriever),
         "use_verifier": str(cfg.use_verifier),
         "use_selector": str(cfg.use_selector),
@@ -113,8 +86,8 @@ def _manifest(config: RunConfig) -> dict:
         "temperature": str(cfg.temperature),
         "max_new_tokens": str(cfg.max_new_tokens),
         "backend_params": json.dumps(cfg.backend_params, sort_keys=True),
-        "seed": str(config.seed) if config.seed is not None else "",
-        "workers": str(config.workers),
+        "seed": str(cfg.seed) if cfg.seed is not None else "",
+        "workers": str(args.workers),
     }
 
 
@@ -128,12 +101,12 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(manifest_text(keyed).encode()).hexdigest()[:16]
 
 
-def _make_backend(config: RunConfig):
-    if config.backend == "mock":
-        if config.mock_fixture:
-            return MockBackend.from_file(config.mock_fixture, default_reply=config.mock_default_reply)
-        return MockBackend(default_reply=config.mock_default_reply)
-    return RemoteBackend(url=config.backend_url, model=config.backend_model)
+def _make_backend(args):
+    if args.backend == "mock":
+        if args.mock_fixture:
+            return MockBackend.from_file(args.mock_fixture, default_reply=args.mock_default_reply)
+        return MockBackend(default_reply=args.mock_default_reply)
+    return RemoteBackend(url=args.backend_url, model=args.backend_model)
 
 
 class _DatabaseCache:
@@ -161,32 +134,6 @@ class _DatabaseCache:
             return self._schemas[db_id]
 
 
-def _evaluate_item(item: BenchmarkItem, config: RunConfig, cache: _DatabaseCache, backend) -> EvalRecord:
-    cfg = config.pipeline
-    db = cache.handle(item.db_id)
-    base_schema = cache.schema(item.db_id)
-
-    def ctx_builder(use_retriever: bool):
-        schema = base_schema
-        if use_retriever:
-            question_text = item.question if not item.evidence else f"{item.question} {item.evidence}"
-            schema = context_mod.retrieve_values(question_text, db, schema, cfg.retrieval_top_k)
-            ddl = context_mod.render_ddl(
-                schema, include_values=True, values_per_column=cfg.values_per_column
-            )
-        else:
-            ddl = context_mod.render_ddl(schema, include_values=False)
-        return context_mod.SchemaContext(
-            db_id=schema.db_id,
-            tables=schema.tables,
-            ddl_text=ddl,
-            matched_values=schema.matched_values,
-            sample_values=schema.sample_values,
-        )
-
-    return run_sql_d1(item, ctx_builder, cfg, backend, db)
-
-
 def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, list[EvalRecord], list[str]]:
     """Parse a records file into (header, records, complete lines).
 
@@ -212,21 +159,23 @@ def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, l
     return header, records, complete
 
 
-def cmd_eval(config: RunConfig) -> int:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(config)
+def cmd_eval(args) -> int:
+    cfg = _pipeline_config(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _manifest(args, cfg)
     digest = manifest_hash(manifest)
     # the manifest lands on disk before any evaluation starts
-    (config.out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
+    (out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
 
-    items = load_benchmark(config.benchmark, config.format)
-    backend = _make_backend(config)
-    cache = _DatabaseCache(config.db_root, config.db_layout)
+    items = load_benchmark(args.benchmark, args.format)
+    backend = _make_backend(args)
+    cache = _DatabaseCache(Path(args.db_root), args.db_layout)
 
-    records_path = config.out_dir / "records.jsonl"
+    records_path = out_dir / "records.jsonl"
     done_ids: set[str] = set()
     resuming = False
-    if config.resume and records_path.exists():
+    if args.resume and records_path.exists():
         header, existing, complete_lines = _read_records_file(records_path, tolerate_tail=True)
         if header and header.get("manifest_hash") not in ("", digest):
             print("refusing to resume: records file belongs to a different run", file=sys.stderr)
@@ -243,13 +192,16 @@ def cmd_eval(config: RunConfig) -> int:
         {
             "type": "run_header",
             "manifest_hash": digest,
-            "benchmark": str(config.benchmark),
-            "format": config.format,
-            "strategy": config.track,
+            "benchmark": manifest["benchmark"],
+            "format": args.format,
+            "strategy": args.track,
             "manifest": manifest,
         },
         sort_keys=True,
     )
+
+    def evaluate(item):
+        return run_sql_d1(item, cache.schema(item.db_id), cfg, backend, cache.handle(item.db_id))
 
     records: list[EvalRecord] = []
     with open(records_path, "a" if resuming else "w", encoding="utf-8") as out:
@@ -257,10 +209,8 @@ def cmd_eval(config: RunConfig) -> int:
             out.write(header_line + "\n")
         out.flush()
         if pending:
-            with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-                for record in pool.map(
-                    lambda item: _evaluate_item(item, config, cache, backend), pending
-                ):
+            with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
+                for record in pool.map(evaluate, pending):
                     records.append(record)
                     out.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
                     out.flush()
@@ -269,8 +219,8 @@ def cmd_eval(config: RunConfig) -> int:
     if not all_records:
         print("no records produced", file=sys.stderr)
         return 2
-    report = assemble_report(all_records, strategy=config.track, manifest=manifest)
-    _write_report(config.out_dir, report, digest)
+    report = assemble_report(all_records, strategy=args.track, manifest=manifest)
+    _write_report(out_dir, report, digest)
     print(f"evaluated {len(all_records)} items: EX {report.to_json_dict()['ex_percent']}")
 
     transport_failures = sum(
@@ -446,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", required=True, choices=("spider", "bird"))
     run.add_argument("--db-root", required=True)
     run.add_argument("--db-layout", default="nested", choices=("nested", "flat"))
-    run.add_argument("--track", default="greedy", choices=TRACKS)
+    run.add_argument("--track", default="greedy", choices=tuple(TRACK_STAGES))
     run.add_argument("--k", type=int, default=8, help="candidate pool size for maj/sql-d1")
     run.add_argument("--ablation", default="", help="comma list of a_r,a_g,a_v,a_s (sql-d1 only)")
     run.add_argument("--verifier-iters", type=int, default=2)
@@ -488,27 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "eval":
-            args.backend_params = _parse_backend_params(args.backend_params_raw)
-            config = RunConfig(
-                benchmark=Path(args.benchmark),
-                format=args.format,
-                db_root=Path(args.db_root),
-                out_dir=Path(args.out),
-                track=args.track,
-                backend=args.backend,
-                mock_fixture=Path(args.mock_fixture) if args.mock_fixture else None,
-                mock_default_reply=args.mock_default_reply,
-                backend_url=args.backend_url,
-                backend_model=args.backend_model,
-                db_layout=args.db_layout,
-                workers=args.workers,
-                seed=args.seed,
-                resume=args.resume,
-                pipeline=_pipeline_config(args),
-            )
-            config.pipeline.values_per_column = args.values_per_column
-            config.pipeline.retrieval_top_k = args.top_k_values
-            return cmd_eval(config)
+            return cmd_eval(args)
         if args.command == "classify":
             if args.records:
                 return cmd_classify(args)

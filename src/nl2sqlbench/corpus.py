@@ -109,35 +109,6 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
     return items
 
 
-def dump_benchmark(items: list[BenchmarkItem], format: str) -> list[dict]:
-    """Serialize items back to their source record shape (inverse of load_benchmark)."""
-    if format not in ("spider", "bird"):
-        raise ConfigError(f"unknown benchmark format {format!r}")
-    records = []
-    for item in items:
-        if format == "bird":
-            records.append(
-                {
-                    "question_id": item.item_id,
-                    "question": item.question,
-                    "evidence": item.evidence or "",
-                    "db_id": item.db_id,
-                    "SQL": item.gold_sql,
-                    "difficulty": item.difficulty,
-                }
-            )
-        else:
-            records.append(
-                {
-                    "question_id": item.item_id,
-                    "question": item.question,
-                    "db_id": item.db_id,
-                    "query": item.gold_sql,
-                }
-            )
-    return records
-
-
 def load_database(db_id: str, root, layout: str = "nested") -> DatabaseHandle:
     """Register root/<db_id>/<db_id>.sqlite (or root/<db_id>.sqlite with layout="flat")."""
     root = Path(root)

@@ -10,6 +10,7 @@ results ("signatures") drive consistency clustering in the selector.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import sqlite3
 import time
@@ -160,11 +161,16 @@ def _is_number(cell) -> bool:
 
 
 def cells_equal(a, b) -> bool:
-    """Cell equality: ints exact, reals tolerant, text after trailing-space strip."""
+    """Cell equality: ints exact, finite reals tolerant, text after trailing-space strip.
+
+    A non-finite real equals only an identical value.
+    """
     if a is None or b is None:
         return a is None and b is None
     if _is_number(a) and _is_number(b):
         if isinstance(a, int) and isinstance(b, int):
+            return a == b
+        if not (math.isfinite(a) and math.isfinite(b)):
             return a == b
         return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
     if isinstance(a, str) and isinstance(b, str):
@@ -179,7 +185,11 @@ def _canonical_cell(cell):
     if cell is None:
         return (0, "")
     if _is_number(cell):
-        return (1, round(cell / REL_TOL))
+        grid = cell / REL_TOL
+        if math.isfinite(grid):
+            return (1, round(grid))
+        # off the tolerance grid (±inf, |x| above ~1.8e302): the exact value, own tag
+        return (4, cell)
     if isinstance(cell, str):
         return (2, cell.rstrip())
     return (3, cell.hex())
@@ -218,8 +228,9 @@ def compare_results(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensit
 def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> ResultSignature:
     """Digest of the canonical result form; distinct per failure status.
 
-    Numeric cells are rounded onto the tolerance grid before hashing, so equal
-    signatures imply compare_results agreement (up to hash collision).
+    Numeric cells are rounded onto the tolerance grid before hashing (reals
+    off the grid, such as ±inf, hash exactly), so equal signatures imply
+    compare_results agreement (up to hash collision).
     """
     hasher = hashlib.sha256()
     if outcome.status != STATUS_OK:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from . import context  # retrieval and DDL are looked up on the module, where bench/spans.py wraps them
 from .corpus import BenchmarkItem, DatabaseHandle
 from .context import SchemaContext, build_prompt
 from .errors import ConfigError
@@ -217,6 +218,16 @@ def _request(prompt: str, cfg: PipelineConfig, temperature: float, num_candidate
 # Stages
 
 
+def build_context(item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfig, db: DatabaseHandle) -> SchemaContext:
+    """``schema`` with the item's DDL rendered, after value retrieval on question plus evidence."""
+    if not cfg.use_retriever:
+        return replace(schema, ddl_text=context.render_ddl(schema, include_values=False))
+    question = f"{item.question} {item.evidence}" if item.evidence else item.question
+    schema = context.retrieve_values(question, db, schema, cfg.retrieval_top_k)
+    ddl = context.render_ddl(schema, include_values=True, values_per_column=cfg.values_per_column)
+    return replace(schema, ddl_text=ddl)
+
+
 def run_generator(
     item: BenchmarkItem,
     ctx: SchemaContext,
@@ -359,21 +370,21 @@ def select_winner(entries: list[PoolEntry]) -> PoolEntry | None:
 
 def run_sql_d1(
     item: BenchmarkItem,
-    ctx_builder,
+    schema: SchemaContext,
     cfg: PipelineConfig,
     backend,
     db: DatabaseHandle,
 ) -> EvalRecord:
     """The four-stage agentic flow with stages toggled by the config.
 
-    ``ctx_builder(use_retriever)`` must return the item's SchemaContext with
-    DDL rendered (value retrieval applied only when asked). With verifier and
-    selector off and one candidate at temperature 0 this is the greedy track.
-    Every distinct SQL string of the item, the gold query included, is
-    executed once: the verifier, the pool and the final record share one memo.
+    ``schema`` is the database's base context, before retrieval and DDL.
+    With verifier and selector off and one candidate at temperature 0 this is
+    the greedy track. Every distinct SQL string of the item, the gold query
+    included, is executed once: the verifier, the pool and the final record
+    share one memo.
     """
     trace: list = []
-    ctx = ctx_builder(cfg.use_retriever)
+    ctx = build_context(item, schema, cfg, db)
     if cfg.use_retriever:
         n_matches = sum(len(v) for v in ctx.matched_values.values())
         trace.append(("retrieve", f"{n_matches} matched values over {len(ctx.matched_values)} columns"))

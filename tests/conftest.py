@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nl2sqlbench.corpus import DatabaseHandle
+from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 
 
 def build_db(path: Path, statements: list[str]) -> DatabaseHandle:
@@ -118,6 +118,33 @@ def write_benchmark(path: Path, records: list[dict]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(records, indent=1), encoding="utf-8")
     return path
+
+
+def dump_benchmark(items: list[BenchmarkItem], format: str) -> list[dict]:
+    """Serialize items back to their source record shape (inverse of load_benchmark)."""
+    records = []
+    for item in items:
+        if format == "bird":
+            records.append(
+                {
+                    "question_id": item.item_id,
+                    "question": item.question,
+                    "evidence": item.evidence or "",
+                    "db_id": item.db_id,
+                    "SQL": item.gold_sql,
+                    "difficulty": item.difficulty,
+                }
+            )
+        else:
+            records.append(
+                {
+                    "question_id": item.item_id,
+                    "question": item.question,
+                    "db_id": item.db_id,
+                    "query": item.gold_sql,
+                }
+            )
+    return records
 
 
 def sql_reply(sql: str) -> str:

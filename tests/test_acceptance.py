@@ -15,14 +15,14 @@ import pytest
 
 import ablation_suite
 from case_studies import CASES, EXPECTED_DISTRIBUTION
-from conftest import build_db, database_digest, sql_reply, write_benchmark, GEMS_DB
+from conftest import build_db, database_digest, dump_benchmark, sql_reply, write_benchmark, GEMS_DB
 from test_executor import COMPARISON_PAIRS, MISC_DB, oracle_compare
 from test_gateway import EXTRACTION_FIXTURES
-from test_pipeline import SELECTOR_FIXTURE, _pool_candidates, make_ctx_builder
+from test_pipeline import SELECTOR_FIXTURE, _pool_candidates
 
 from nl2sqlbench.cli import main
 from nl2sqlbench.context import extract_schema
-from nl2sqlbench.corpus import BenchmarkItem, dump_benchmark
+from nl2sqlbench.corpus import BenchmarkItem
 from nl2sqlbench.diagnoser import classify_error, count_labels
 from nl2sqlbench.executor import (
     STATUS_SQL_ERROR,
@@ -32,7 +32,14 @@ from nl2sqlbench.executor import (
 )
 from nl2sqlbench.gateway import Candidate, MockBackend, MockRule, extract_sql
 from nl2sqlbench.metrics import assemble_report, pass_at_k
-from nl2sqlbench.pipeline import PipelineConfig, evaluate_pool, run_sql_d1, run_verifier, select_winner
+from nl2sqlbench.pipeline import (
+    PipelineConfig,
+    build_context,
+    evaluate_pool,
+    run_sql_d1,
+    run_verifier,
+    select_winner,
+)
 
 from test_metrics import make_record
 
@@ -43,8 +50,8 @@ def misc_db(tmp_path_factory):
 
 
 def test_c01_execution_comparison_oracle(misc_db):
-    """20 hand-built (pred, gold) pairs agree with the brute-force comparator."""
-    assert len(COMPARISON_PAIRS) == 20
+    """25 hand-built (pred, gold) pairs agree with the brute-force comparator."""
+    assert len(COMPARISON_PAIRS) == 25
     agreed = 0
     for pred_sql, gold_sql in COMPARISON_PAIRS:
         gold = execute_sql(misc_db, gold_sql)
@@ -52,7 +59,7 @@ def test_c01_execution_comparison_oracle(misc_db):
         sensitive = is_order_sensitive(gold_sql)
         if compare_results(pred, gold, sensitive) == oracle_compare(pred, gold, sensitive):
             agreed += 1
-    assert agreed == 20
+    assert agreed == 25
 
 
 def test_c02_pass_at_k_exactness():
@@ -100,7 +107,7 @@ def test_c04_verifier_loop(gems_db):
         use_retriever=False, use_verifier=True, use_selector=False,
         num_candidates=1, verifier_max_iters=2, temperature=0.0, timeout_seconds=10.0,
     )
-    ctx = make_ctx_builder(item, gems_db, cfg)(False)
+    ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
 
     backend = MockBackend([MockRule(pattern=broken, reply=sql_reply(fixed))])
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
@@ -122,12 +129,11 @@ def test_c05_ablation_monotonicity(gems_db):
     items = ablation_suite.build_items()
     assert len(items) == 20
 
+    schema = extract_schema(gems_db)
+
     def run(cfg):
         backend = MockBackend(backend_rules, default_reply="no idea")
-        records = [
-            run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
-            for item in items
-        ]
+        records = [run_sql_d1(item, schema, cfg, backend, gems_db) for item in items]
         return sum(1 for r in records if r.correct) / len(records)
 
     def cfg(**kwargs):

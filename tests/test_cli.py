@@ -1,14 +1,17 @@
 """End-to-end CLI runs: eval, classify, report, determinism, resume."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ablation_suite
-from conftest import build_db, write_benchmark, GEMS_DB
+from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB
 
 from nl2sqlbench.cli import main
-from nl2sqlbench.corpus import dump_benchmark
 
 
 @pytest.fixture()
@@ -104,6 +107,31 @@ class TestEval:
             outcomes.append([(r["item_id"], r["final_sql"], r["correct"]) for r in records])
         assert outcomes[0] == outcomes[1]
         assert sum(correct for _id, _sql, correct in outcomes[0]) == 8
+
+    def test_no_retrieval_applies_to_sql_d1(self, workspace):
+        code, out = run_eval(workspace, "run_nr", "--track", "sql-d1", "--k", "3", "--no-retrieval")
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text()
+        assert "use_retriever = False" in manifest
+        assert "use_verifier = True" in manifest and "use_selector = True" in manifest
+
+    def test_ablation_outside_sql_d1_rejected(self, workspace, capsys):
+        code, out = run_eval(workspace, "run_abl", "--track", "maj", "--ablation", "a_r")
+        assert code == 2
+        assert "--ablation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_result_costs_one_item(self, workspace):
+        # SELECT 1e999 returns inf, which lies off the comparison's tolerance grid
+        rules = [{"pattern": "How many gems are listed?", "reply": sql_reply("SELECT 1e999")}]
+        workspace["fixture"].write_text(json.dumps(rules + ablation_suite.rules_as_json()), encoding="utf-8")
+        code, out = run_eval(workspace, "run_inf", "--track", "greedy", "--no-retrieval")
+        assert code == 0
+        records = {r["item_id"]: r for r in map(json.loads, (out / "records.jsonl").read_text().splitlines()[1:])}
+        assert len(records) == 20
+        assert records["0"]["final_sql"] == "SELECT 1e999"
+        assert records["0"]["outcome"]["status"] == "ok" and records["0"]["correct"] is False
+        assert json.loads((out / "report.json").read_text())["ex_percent"] == "35.0"
 
     def test_bad_config_exits_nonzero(self, workspace):
         code = main(
@@ -341,3 +369,15 @@ class TestWorkers:
             serial_bytes = (serial / name).read_bytes()
             assert serial_bytes.count(b'"workers": "1"') == 1
             assert serial_bytes.replace(b'"workers": "1"', b'"workers": "4"') == (parallel / name).read_bytes()
+
+
+class TestBenchSpans:
+    def test_install_finds_every_wrapped_name(self):
+        # bench/spans.py wraps names where they are looked up; a moved name must fail here
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "bench"), str(root / "src")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import spans; spans.install()"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

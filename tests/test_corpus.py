@@ -5,11 +5,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import write_benchmark
+from conftest import dump_benchmark, write_benchmark
 
 from nl2sqlbench.corpus import (
     BenchmarkItem,
-    dump_benchmark,
     load_benchmark,
     load_database,
     stratify,

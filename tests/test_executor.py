@@ -19,6 +19,7 @@ from nl2sqlbench.executor import (
     STATUS_SQL_ERROR,
     STATUS_TIMEOUT,
     ExecutionOutcome,
+    cells_equal,
     compare_results,
     execute_sql,
     is_order_sensitive,
@@ -83,7 +84,7 @@ def oracle_compare(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensiti
 
 
 # (pred_sql, gold_sql) pairs covering permutations, duplicates, float division,
-# NULLs, ORDER BY, and extra columns
+# NULLs, ORDER BY, extra columns, and reals off the tolerance grid (±inf, 1e303)
 COMPARISON_PAIRS = [
     ("SELECT x FROM t_nums ORDER BY x", "SELECT x FROM t_nums ORDER BY x"),
     ("SELECT x FROM t_nums ORDER BY x DESC", "SELECT x FROM t_nums ORDER BY x"),
@@ -105,12 +106,17 @@ COMPARISON_PAIRS = [
     ("SELECT 1", "SELECT 1.0"),
     ("SELECT v FROM t_dup ORDER BY v DESC", "SELECT v FROM t_dup"),
     ("SELECT x FROM t_nums WHERE x < 0", "SELECT x FROM t_nums WHERE x > 1000"),
+    ("SELECT 1e999", "SELECT 1e999"),
+    ("SELECT -1e999", "SELECT 1e999"),
+    ("SELECT 1e999", "SELECT 5.0"),
+    ("SELECT 1.0000001e303", "SELECT 1e303"),
+    ("SELECT 1e999", "SELECT 1e303"),
 ]
 
 
 class TestCompareOracle:
     def test_twenty_pairs_agree_with_bruteforce(self, misc_db):
-        assert len(COMPARISON_PAIRS) == 20
+        assert len(COMPARISON_PAIRS) == 25
         agreements = 0
         for pred_sql, gold_sql in COMPARISON_PAIRS:
             gold = execute_sql(misc_db, gold_sql)
@@ -121,7 +127,7 @@ class TestCompareOracle:
             expected = oracle_compare(pred, gold, sensitive)
             assert got == expected, (pred_sql, gold_sql)
             agreements += 1
-        assert agreements == 20
+        assert agreements == 25
 
     def test_known_verdicts(self, misc_db):
         def verdict(pred_sql, gold_sql):
@@ -135,6 +141,14 @@ class TestCompareOracle:
         assert verdict("SELECT 0.33", "SELECT 1.0 / 3") is False
         assert verdict("SELECT x, y FROM t_nums", "SELECT x FROM t_nums") is False
         assert verdict("SELECT DISTINCT v FROM t_dup", "SELECT v FROM t_dup") is False
+
+    def test_non_finite_reals_equal_only_themselves(self):
+        inf = math.inf
+        assert cells_equal(inf, inf) and cells_equal(-inf, -inf)
+        assert not cells_equal(inf, -inf)
+        assert not cells_equal(inf, 5) and not cells_equal(5.0, inf)
+        assert not cells_equal(inf, 1e303)
+        assert cells_equal(1e303, 1.0000001e303)  # finite: within tolerance
 
 
 class TestExecuteSql:
@@ -254,7 +268,8 @@ class TestSignatures:
 _cell = st.one_of(
     st.none(),
     st.integers(min_value=-50, max_value=50),
-    st.sampled_from([0.0, 0.5, 1.25, -2.75, 100.0]),
+    # the last four are off the tolerance grid; the two finite ones are within tolerance
+    st.sampled_from([0.0, 0.5, 1.25, -2.75, 100.0, math.inf, -math.inf, 1e303, 1.0000001e303]),
     st.text(alphabet="abc ", max_size=4),
 )
 

@@ -6,7 +6,7 @@ import ablation_suite
 from conftest import sql_reply
 
 from nl2sqlbench import pipeline
-from nl2sqlbench.context import SchemaContext, extract_schema, render_ddl, retrieve_values
+from nl2sqlbench.context import extract_schema
 from nl2sqlbench.corpus import BenchmarkItem
 from nl2sqlbench.errors import ConfigError
 from nl2sqlbench.executor import STATUS_OK, STATUS_SQL_ERROR
@@ -14,32 +14,12 @@ from nl2sqlbench.gateway import Candidate, MockBackend, MockRule
 from nl2sqlbench.pipeline import (
     EvalRecord,
     PipelineConfig,
+    build_context,
     evaluate_pool,
     run_sql_d1,
     run_verifier,
     select_winner,
 )
-
-
-def make_ctx_builder(item, db, cfg):
-    base = extract_schema(db)
-
-    def ctx_builder(use_retriever: bool) -> SchemaContext:
-        schema = base
-        if use_retriever:
-            schema = retrieve_values(item.question, db, schema, cfg.retrieval_top_k)
-            ddl = render_ddl(schema, include_values=True, values_per_column=cfg.values_per_column)
-        else:
-            ddl = render_ddl(schema, include_values=False)
-        return SchemaContext(
-            db_id=schema.db_id,
-            tables=schema.tables,
-            ddl_text=ddl,
-            matched_values=schema.matched_values,
-            sample_values=schema.sample_values,
-        )
-
-    return ctx_builder
 
 
 def _item(question="How many gems are listed?", gold="SELECT COUNT(*) FROM gems"):
@@ -76,7 +56,7 @@ class TestRunGreedy:
         item = _item()
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply(item.gold_sql))
-        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         assert record.correct is True
         assert record.outcome.status == STATUS_OK
         assert any(tag == "generate" for tag, _ in record.per_stage_trace)
@@ -97,7 +77,7 @@ class TestRunGreedy:
         )
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply(broken))
-        record = run_sql_d1(item, make_ctx_builder(item, schools_db, cfg), cfg, backend, schools_db)
+        record = run_sql_d1(item, extract_schema(schools_db), cfg, backend, schools_db)
         assert record.correct is False
         assert record.outcome.status == STATUS_SQL_ERROR
 
@@ -105,8 +85,35 @@ class TestRunGreedy:
         item = _item(question="names", gold="SELECT name FROM gems")
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT name FROM gems ORDER BY name DESC"))
-        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         assert record.correct is True  # gold has no ORDER BY
+
+
+class TestBuildContext:
+    """run_sql_d1 builds the item's context; value retrieval scores the question plus evidence."""
+
+    def _item(self):
+        return BenchmarkItem(
+            item_id="0",
+            question="What is the carat of the gem named in the evidence?",
+            db_id="gems",
+            gold_sql="SELECT carat FROM gems WHERE name = 'Golden Citrine'",
+            evidence="the gem is Golden Citrine",
+        )
+
+    def test_evidence_literal_retrieved(self, gems_db):
+        ctx = build_context(self._item(), extract_schema(gems_db), _cfg(use_retriever=True), gems_db)
+        assert ctx.matched_values == {("gems", "name"): ["Golden Citrine"]}
+        assert "examples: 'Golden Citrine'" in ctx.ddl_text
+
+    def test_run_sql_d1_prompts_with_evidence_literal(self, gems_db):
+        item = self._item()
+        cfg = _cfg(use_retriever=True)
+        rules = [MockRule(pattern="examples: 'Golden Citrine'", reply=sql_reply(item.gold_sql))]
+        backend = MockBackend(rules, default_reply=sql_reply("SELECT 0"))
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        assert record.correct is True
+        assert ("retrieve", "1 matched values over 1 columns") in record.per_stage_trace
 
 
 class TestRunGenerator:
@@ -119,7 +126,7 @@ class TestRunGenerator:
             MockRule(pattern="gems", trajectory_id=i, reply=sql_reply(f"SELECT {i} FROM gems"))
             for i in range(8)
         ]
-        ctx = make_ctx_builder(item, gems_db, cfg)(False)
+        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
         pool = run_generator(item, ctx, cfg, MockBackend(rules))
         assert len(pool) == 8
         extracted = [c.extracted_sql for c in pool]
@@ -131,7 +138,7 @@ class TestRunGenerator:
 
         item = _item()
         cfg = _cfg(num_candidates=1, temperature=0.8)
-        ctx = make_ctx_builder(item, gems_db, cfg)(False)
+        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
         pool = run_generator(item, ctx, cfg, MockBackend(default_reply=sql_reply("SELECT 1")))
         assert len(pool) == 1
 
@@ -146,7 +153,7 @@ class TestRunVerifier:
     def test_ok_candidate_untouched_no_calls(self, gems_db):
         item, cfg, backend = self._setup([])
         candidate = Candidate(0, sql_reply("SELECT 1"), "SELECT 1", 0.0, 2)
-        ctx = make_ctx_builder(item, gems_db, cfg)(False)
+        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
         out = run_verifier(candidate, item, ctx, cfg, backend, gems_db)
         assert out is candidate
         assert backend.calls == []
@@ -156,7 +163,7 @@ class TestRunVerifier:
         fixed = "SELECT COUNT(*) FROM gems WHERE carat > 2"
         item, cfg, backend = self._setup([MockRule(pattern=broken, reply=sql_reply(fixed))])
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = make_ctx_builder(item, gems_db, cfg)(False)
+        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
         out = run_verifier(candidate, item, ctx, cfg, backend, gems_db)
         assert len(backend.calls) == 1  # exactly one repair generation
         assert out.extracted_sql == fixed
@@ -167,7 +174,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([], max_iters=2)
         backend.default_reply = sql_reply(broken)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = make_ctx_builder(item, gems_db, cfg)(False)
+        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
         out = run_verifier(candidate, item, ctx, cfg, backend, gems_db)
         assert len(backend.calls) == 2
         assert out.extracted_sql == broken
@@ -176,7 +183,7 @@ class TestRunVerifier:
         broken = "SELECT nope FROM nowhere"
         item, cfg, backend = self._setup([], max_iters=0)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = make_ctx_builder(item, gems_db, cfg)(False)
+        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
         assert run_verifier(candidate, item, ctx, cfg, backend, gems_db) is candidate
         assert backend.calls == []
 
@@ -184,7 +191,7 @@ class TestRunVerifier:
         broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
         item, cfg, backend = self._setup([], max_iters=1)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = make_ctx_builder(item, gems_db, cfg)(False)
+        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
         run_verifier(candidate, item, ctx, cfg, backend, gems_db)
         prompt = backend.calls[0][0]
         assert broken in prompt
@@ -242,11 +249,8 @@ def _mk_backend():
 
 def _run_suite(gems_db, cfg):
     backend = _mk_backend()
-    records = []
-    for item in ablation_suite.build_items():
-        builder = make_ctx_builder(item, gems_db, cfg)
-        records.append(run_sql_d1(item, builder, cfg, backend, gems_db))
-    return records
+    schema = extract_schema(gems_db)
+    return [run_sql_d1(item, schema, cfg, backend, gems_db) for item in ablation_suite.build_items()]
 
 
 class TestAblation:
@@ -279,8 +283,7 @@ class TestAblation:
         cfg = _cfg(use_retriever=True, use_verifier=True, use_selector=True, num_candidates=3, temperature=0.8)
         backend = _mk_backend()
         item = ablation_suite.build_items()[16]  # a verifier-repaired item
-        builder = make_ctx_builder(item, gems_db, cfg)
-        record = run_sql_d1(item, builder, cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         generate_lines = [d for tag, d in record.per_stage_trace if tag == "generate" and d.startswith("trajectory")]
         verify_lines = [d for tag, d in record.per_stage_trace if tag == "verify" and "iter" in d]
         assert len(generate_lines) + len(verify_lines) == len(backend.calls)
@@ -289,7 +292,7 @@ class TestAblation:
         cfg = _cfg(use_retriever=True, use_selector=True, num_candidates=3, temperature=0.8)
         backend = _mk_backend()
         item = ablation_suite.build_items()[18]  # selection-fixed item
-        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         assert len(record.pool) == 3
         assert [e.correct for e in record.pool] == [False, True, True]
         assert record.correct is True
@@ -300,7 +303,7 @@ class TestRecordSerialization:
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT COUNT(*) FROM gems"))
         item = _item()
-        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         data = record.to_dict()
         back = EvalRecord.from_dict(data)
         assert back.item_id == record.item_id
@@ -311,7 +314,7 @@ class TestRecordSerialization:
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT 1"))
         item = _item()
-        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         data = record.to_dict()
         assert "elapsed_seconds" not in data["outcome"]
         assert data["total_latency_seconds"] == 0.0  # scripted mock latency
@@ -352,7 +355,7 @@ class TestExecutionsPerItem:
         ]
         cfg = _cfg(use_verifier=True, use_selector=True, num_candidates=8, temperature=0.8)
         backend = MockBackend(rules)
-        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         assert len(backend.calls) == 8 + 3  # one repair per broken trajectory
         assert [e.sql for e in record.pool] == [fixed] * 6 + ["SELECT 2"] * 2
         assert record.final_sql == fixed and record.correct is True
@@ -362,7 +365,7 @@ class TestExecutionsPerItem:
         item = _item()
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT COUNT(id) FROM gems"))
-        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         assert record.correct is True
         assert sorted(executed) == sorted([item.gold_sql, "SELECT COUNT(id) FROM gems"])
 
@@ -370,6 +373,6 @@ class TestExecutionsPerItem:
         item = _item()
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply(item.gold_sql))
-        record = run_sql_d1(item, make_ctx_builder(item, gems_db, cfg), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
         assert record.correct is True
         assert executed == [item.gold_sql]
