@@ -17,6 +17,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import context as context_mod
@@ -37,6 +38,10 @@ TRACK_STAGES = {
     "maj": ("a_r", "a_g", "a_s"),
     "sql-d1": ABLATION_STAGES,
 }
+CSV_HEADER = ("strategy", "k", "metric", "value")
+# scatter.csv columns after the strategy, and the report.csv metric each one takes its value from
+SCATTER_HEADER = ("ex_percent", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
+SCATTER_METRICS = ("ex", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -238,11 +243,20 @@ def _write_report(out_dir: Path, report, digest: str) -> None:
     (out_dir / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    with open(out_dir / "report.csv", "w", newline="", encoding="utf-8") as handle:
+    _write_csv(out_dir / "report.csv", digest, CSV_HEADER, report.to_csv_rows())
+
+
+def _write_csv(path: Path, digest: str, header: tuple, rows) -> None:
+    """A CSV file whose first line names the manifest hash(es) of the runs it came from."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(f"# manifest {digest}\n")
         writer = csv.writer(handle)
-        writer.writerow(("strategy", "k", "metric", "value"))
-        writer.writerows(report.to_csv_rows())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _label_line(item_id: str, label) -> str:
+    return json.dumps({"item_id": item_id, **asdict(label)}, sort_keys=True)
 
 
 def cmd_classify(args) -> int:
@@ -260,17 +274,7 @@ def cmd_classify(args) -> int:
             continue
         label = classify_error(record.final_sql, record.gold_sql, cache.schema(record.db_id))
         labels.append(label)
-        lines.append(
-            json.dumps(
-                {
-                    "item_id": record.item_id,
-                    "category": label.category,
-                    "subtype": label.subtype,
-                    "rationale": label.rationale,
-                },
-                sort_keys=True,
-            )
-        )
+        lines.append(_label_line(record.item_id, label))
     out_dir = Path(args.out) if args.out else records_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     labels_path = out_dir / "labels.jsonl"
@@ -307,18 +311,7 @@ def cmd_classify_files(args) -> int:
     for item in items:
         pred_sql = predictions.get(item.item_id)
         label = classify_error(pred_sql, item.gold_sql, cache.schema(item.db_id))
-        out.write(
-            json.dumps(
-                {
-                    "item_id": item.item_id,
-                    "category": label.category,
-                    "subtype": label.subtype,
-                    "rationale": label.rationale,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        out.write(_label_line(item.item_id, label) + "\n")
     return 0
 
 
@@ -347,32 +340,14 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     hashes = ",".join(sorted({h for h, _ in runs if h}))
 
-    with open(out_dir / "curves.csv", "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# manifest {hashes}\n")
-        writer = csv.writer(handle)
-        writer.writerow(("strategy", "k", "metric", "value"))
-        for _hash, report in runs:
-            for k in sorted(report.pass_at_k_curve):
-                writer.writerow((report.strategy, k, "pass_at_k", f"{100.0 * report.pass_at_k_curve[k]:.1f}"))
-            for k in sorted(report.maj_at_k_curve):
-                writer.writerow((report.strategy, k, "maj_at_k", f"{100.0 * report.maj_at_k_curve[k]:.1f}"))
-
-    with open(out_dir / "scatter.csv", "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# manifest {hashes}\n")
-        writer = csv.writer(handle)
-        writer.writerow(
-            ("strategy", "ex_percent", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
-        )
-        for _hash, report in runs:
-            writer.writerow(
-                (
-                    report.strategy,
-                    f"{100.0 * report.ex_overall:.1f}",
-                    f"{report.mean_latency_seconds:.3f}",
-                    f"{report.single_pass_latency_seconds:.3f}",
-                    f"{report.mean_tokens:.1f}",
-                )
-            )
+    curves, scatter = [], []
+    for _hash, report in runs:
+        rows = report.to_csv_rows()
+        curves += [row for row in rows if row[2] in ("pass_at_k", "maj_at_k")]
+        values = {metric: value for _strategy, _k, metric, value in rows}
+        scatter.append((report.strategy, *(values[m] for m in SCATTER_METRICS)))
+    _write_csv(out_dir / "curves.csv", hashes, CSV_HEADER, curves)
+    _write_csv(out_dir / "scatter.csv", hashes, ("strategy", *SCATTER_HEADER), scatter)
     print(f"wrote curves.csv and scatter.csv for {len(runs)} run(s)")
     return 0
 

@@ -25,6 +25,8 @@ NGRAM_MAX_WORDS = 4
 MATCH_THRESHOLD = 0.6
 DISTINCT_SAMPLE_LIMIT = 2000
 MAX_LITERAL_LENGTH = 200
+# distinct values extract_schema samples per column as DDL annotations
+SAMPLE_VALUES_PER_COLUMN = 5
 
 _TEXT_TYPE = re.compile(r"CHAR|TEXT|CLOB|STRING", re.I)
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -96,11 +98,11 @@ class SchemaContext:
     sample_values: dict = field(default_factory=dict)
 
 
-def extract_schema(db: DatabaseHandle, descriptions: dict | None = None, sample_limit: int = 5) -> SchemaContext:
+def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> SchemaContext:
     """Read the live catalog into a SchemaContext (ddl_text left empty).
 
     ``descriptions`` optionally maps (table, column) to free-text descriptions
-    (see load_descriptions for the BIRD CSV layout). Up to ``sample_limit``
+    (see load_descriptions for the BIRD CSV layout). Up to SAMPLE_VALUES_PER_COLUMN
     distinct values per column are sampled as representative annotations.
     """
     descriptions = descriptions or {}
@@ -135,7 +137,7 @@ def extract_schema(db: DatabaseHandle, descriptions: dict | None = None, sample_
                     rows = conn.execute(
                         f"SELECT DISTINCT {_quote(col.name)} FROM {_quote(name)} "
                         f"WHERE {_quote(col.name)} IS NOT NULL ORDER BY 1 LIMIT ?",
-                        (sample_limit,),
+                        (SAMPLE_VALUES_PER_COLUMN,),
                     ).fetchall()
                 except sqlite3.Error:
                     continue  # virtual/odd columns: annotation is best-effort
@@ -201,7 +203,6 @@ def render_ddl(
     schema: SchemaContext,
     include_values: bool = True,
     values_per_column: int = 3,
-    include_descriptions: bool = True,
 ) -> str:
     """Render one annotated CREATE TABLE block per table, deterministically.
 
@@ -217,7 +218,7 @@ def render_ddl(
         for col in table.columns:
             decl = f"  {_ddl_ident(col.name)} {col.type}".rstrip()
             notes = []
-            if include_descriptions and col.description:
+            if col.description:
                 notes.append(col.description)
             if include_values and values_per_column > 0:
                 shown: list[str] = []

@@ -25,6 +25,10 @@ STATUS_EMPTY = "empty_prediction"
 
 # |x - y| <= REL_TOL * max(1, |x|, |y|) for real-valued cells
 REL_TOL = 1e-6
+# from 2^52 on, x / REL_TOL in floating point puts consecutive integers on one grid
+# point; such integers get their exact grid position, which keeps the numeric sort order
+EXACT_INT_FLOOR = 2**52
+_GRID_STEPS = round(1 / REL_TOL)
 # predictions returning more rows than this are treated as failed
 ROW_CAP = 100_000
 # VM instructions between progress-handler ticks
@@ -125,27 +129,21 @@ def _sanitize_cell(cell):
     return cell
 
 
+# string literals, quoted identifiers and comments: none of them can hold the outer ORDER BY
+_NOT_CLAUSE_TEXT = re.compile(
+    r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`|\[[^\]]*\]|--[^\n]*|/\*.*?\*/", re.S
+)
+
+
 def is_order_sensitive(gold_sql: str) -> bool:
     """True iff the outermost query carries an ORDER BY clause.
 
-    Parses via the diagnoser when possible; falls back to a textual scan for
-    ORDER BY at parenthesis depth zero, which never fails.
+    A textual scan for ORDER BY at parenthesis depth zero, outside literals,
+    quoted identifiers and comments; it never fails, even on text the
+    diagnoser's parser rejects.
     """
-    from .diagnoser import parse_sql  # deferred: the parser is only needed on this path
-
-    try:
-        ast = parse_sql(gold_sql)
-        return bool(ast.order_by)
-    except Exception:
-        return _order_by_textual(gold_sql)
-
-
-def _order_by_textual(sql: str) -> bool:
-    stripped = re.sub(r"'(?:[^']|'')*'", "''", sql)  # blank out string literals
-    stripped = re.sub(r"--[^\n]*", "", stripped)
-    stripped = re.sub(r"/\*.*?\*/", "", stripped, flags=re.S)
     depth = 0
-    for match in re.finditer(r"[()]|\bORDER\s+BY\b", stripped, flags=re.I):
+    for match in re.finditer(r"[()]|\bORDER\s+BY\b", _NOT_CLAUSE_TEXT.sub(" ", gold_sql), flags=re.I):
         tok = match.group(0)
         if tok == "(":
             depth += 1
@@ -185,6 +183,8 @@ def _canonical_cell(cell):
     if cell is None:
         return (0, "")
     if _is_number(cell):
+        if isinstance(cell, int) and abs(cell) >= EXACT_INT_FLOOR:
+            return (1, cell * _GRID_STEPS)
         grid = cell / REL_TOL
         if math.isfinite(grid):
             return (1, round(grid))
@@ -228,8 +228,9 @@ def compare_results(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensit
 def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> ResultSignature:
     """Digest of the canonical result form; distinct per failure status.
 
-    Numeric cells are rounded onto the tolerance grid before hashing (reals
-    off the grid, such as ±inf, hash exactly), so equal signatures imply
+    Numeric cells are rounded onto the tolerance grid before hashing
+    (integers from 2^52 on take their exact grid position; reals off the
+    grid, such as ±inf, hash exactly), so equal signatures imply
     compare_results agreement (up to hash collision).
     """
     hasher = hashlib.sha256()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import context  # retrieval and DDL are looked up on the module, where bench/spans.py wraps them
 from .corpus import BenchmarkItem, DatabaseHandle
@@ -92,91 +92,43 @@ class EvalRecord:
     pool: list[PoolEntry] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """Serializable form for the records file.
+        """Serializable form for the records file: one key per field.
 
         Result rows and measured SQL wall times are dropped: latency fields
         account for backend calls only, keeping mock-backend runs
         byte-reproducible.
         """
-        return {
-            "item_id": self.item_id,
-            "db_id": self.db_id,
-            "difficulty": self.difficulty,
-            "question": self.question,
-            "gold_sql": self.gold_sql,
-            "final_sql": self.final_sql,
-            "correct": self.correct,
-            "order_sensitive": self.order_sensitive,
-            "outcome": _outcome_dict(self.outcome),
-            "gold_outcome": _outcome_dict(self.gold_outcome),
-            "candidates": [
-                {
-                    "trajectory_id": c.trajectory_id,
-                    "raw_text": c.raw_text,
-                    "extracted_sql": c.extracted_sql,
-                    "latency_seconds": c.latency_seconds,
-                    "token_count": c.token_count,
-                    "tokens_approximate": c.tokens_approximate,
-                    "error": c.error,
-                }
-                for c in self.candidates
-            ],
-            "pool": [
-                {
-                    "trajectory_id": e.trajectory_id,
-                    "sql": e.sql,
-                    "signature": e.signature,
-                    "failure": e.failure,
-                    "correct": e.correct,
-                    "status": e.status,
-                }
-                for e in self.pool
-            ],
-            "per_stage_trace": [list(entry) for entry in self.per_stage_trace],
-            "total_latency_seconds": self.total_latency_seconds,
-            "total_tokens": self.total_tokens,
-        }
+        data = _field_values(self)
+        data.update(
+            outcome=_outcome_dict(self.outcome),
+            gold_outcome=_outcome_dict(self.gold_outcome),
+            candidates=[_field_values(c) for c in self.candidates],
+            pool=[_field_values(e) for e in self.pool],
+            per_stage_trace=[list(entry) for entry in self.per_stage_trace],
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalRecord":
-        return cls(
-            item_id=data["item_id"],
-            db_id=data["db_id"],
-            difficulty=data["difficulty"],
-            question=data["question"],
-            gold_sql=data["gold_sql"],
-            final_sql=data["final_sql"],
-            candidates=[
-                Candidate(
-                    trajectory_id=c["trajectory_id"],
-                    raw_text=c["raw_text"],
-                    extracted_sql=c["extracted_sql"],
-                    latency_seconds=c["latency_seconds"],
-                    token_count=c["token_count"],
-                    tokens_approximate=c.get("tokens_approximate", False),
-                    error=c.get("error"),
-                )
-                for c in data["candidates"]
-            ],
+        """Inverse of ``to_dict``; absent optional keys take the field defaults, unknown keys are ignored."""
+        record = _known_fields(cls, data)
+        record.update(
             outcome=_outcome_from_dict(data["outcome"]),
             gold_outcome=_outcome_from_dict(data["gold_outcome"]),
-            correct=data["correct"],
-            order_sensitive=data["order_sensitive"],
+            candidates=[Candidate(**_known_fields(Candidate, c)) for c in data["candidates"]],
+            pool=[PoolEntry(**_known_fields(PoolEntry, e)) for e in data.get("pool", [])],
             per_stage_trace=[tuple(entry) for entry in data["per_stage_trace"]],
-            total_latency_seconds=data["total_latency_seconds"],
-            total_tokens=data["total_tokens"],
-            pool=[
-                PoolEntry(
-                    trajectory_id=e["trajectory_id"],
-                    sql=e["sql"],
-                    signature=e["signature"],
-                    failure=e["failure"],
-                    correct=e["correct"],
-                    status=e.get("status", STATUS_EMPTY),
-                )
-                for e in data.get("pool", [])
-            ],
         )
+        return cls(**record)
+
+
+def _field_values(obj) -> dict:
+    """A dataclass instance's fields by name; values are not copied (``asdict`` deep-copies)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _known_fields(cls, data: dict) -> dict:
+    return {f.name: data[f.name] for f in fields(cls) if f.name in data}
 
 
 def _outcome_dict(outcome: ExecutionOutcome) -> dict:
@@ -228,22 +180,13 @@ def build_context(item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfi
     return replace(schema, ddl_text=ddl)
 
 
-def run_generator(
-    item: BenchmarkItem,
-    ctx: SchemaContext,
-    cfg: PipelineConfig,
-    backend,
-    trace: list | None = None,
-) -> list[Candidate]:
+def run_generator(prompt: str, cfg: PipelineConfig, backend, trace: list) -> list[Candidate]:
     """Populate a candidate pool of exactly cfg.num_candidates trajectories."""
-    prompt = build_prompt(item, ctx)
-    if trace is not None:
-        trace.append(("generate", f"prompt {_prompt_hash(prompt)} x{cfg.num_candidates}"))
+    trace.append(("generate", f"prompt {_prompt_hash(prompt)} x{cfg.num_candidates}"))
     candidates = generate(_request(prompt, cfg, cfg.temperature, cfg.num_candidates), backend)
-    if trace is not None:
-        for cand in candidates:
-            note = "failed" if cand.failed else f"{cand.token_count} tokens"
-            trace.append(("generate", f"trajectory {cand.trajectory_id}: {note}"))
+    for cand in candidates:
+        note = "failed" if cand.failed else f"{cand.token_count} tokens"
+        trace.append(("generate", f"trajectory {cand.trajectory_id}: {note}"))
     return candidates
 
 
@@ -256,36 +199,33 @@ def _execute(db: DatabaseHandle, sql: str | None, cfg: PipelineConfig, memo: dic
 
 def run_verifier(
     candidate: Candidate,
-    item: BenchmarkItem,
-    ctx: SchemaContext,
+    prompt: str,
     cfg: PipelineConfig,
     backend,
     db: DatabaseHandle,
-    trace: list | None = None,
-    memo: dict | None = None,
+    trace: list,
+    memo: dict,
 ) -> Candidate:
     """Execution-feedback repair loop (at most cfg.verifier_max_iters regenerations).
 
-    Repairs regenerate at temperature 0; latency and token counts accumulate
-    onto the returned candidate. A candidate that still fails after the
-    budget is returned unchanged for selection to down-rank. Outcomes are
-    looked up in, and added to, ``memo`` (see ``_execute``).
+    A repair prompt is the item's ``prompt`` followed by the failing SQL and
+    its error. Repairs regenerate at temperature 0; latency and token counts
+    accumulate onto the returned candidate. A candidate that still fails
+    after the budget is returned unchanged for selection to down-rank.
+    Outcomes are looked up in, and added to, ``memo`` (see ``_execute``).
     """
     current = candidate
-    memo = {} if memo is None else memo
-    base_prompt = build_prompt(item, ctx)
     for iteration in range(cfg.verifier_max_iters):
         outcome = _execute(db, current.extracted_sql, cfg, memo)
         if outcome.ok:
-            if trace is not None and iteration == 0:
+            if iteration == 0:
                 trace.append(("verify", f"trajectory {current.trajectory_id}: ok, no repair"))
             return current
         error_text = outcome.error_message or outcome.status
-        if trace is not None:
-            trace.append(
-                ("verify", f"trajectory {current.trajectory_id} iter {iteration + 1}: {outcome.status}: {error_text}")
-            )
-        repair_prompt = base_prompt + "\n" + REPAIR_TEMPLATE.format(
+        trace.append(
+            ("verify", f"trajectory {current.trajectory_id} iter {iteration + 1}: {outcome.status}: {error_text}")
+        )
+        repair_prompt = prompt + "\n" + REPAIR_TEMPLATE.format(
             sql=current.extracted_sql or "", error=error_text
         )
         repaired = generate(_request(repair_prompt, cfg, 0.0, 1), backend)[0]
@@ -305,27 +245,24 @@ def evaluate_pool(
     candidates: list[Candidate],
     db: DatabaseHandle,
     cfg: PipelineConfig,
-    gold_outcome: ExecutionOutcome | None = None,
-    order_sensitive: bool = False,
-    memo: dict | None = None,
+    gold_outcome: ExecutionOutcome,
+    order_sensitive: bool,
+    memo: dict,
 ) -> list[PoolEntry]:
     """Execute every candidate and cluster-ready it.
 
     Each distinct SQL string is executed (through ``memo``) and judged once.
     Clustering signatures use order-insensitive canonical forms; per-entry
-    correctness (when gold is available) uses the gold query's own order
-    sensitivity.
+    correctness uses the gold query's own order sensitivity and is false
+    whenever the gold query failed.
     """
-    memo = {} if memo is None else memo
     judged: dict = {}
     entries = []
     for cand in candidates:
         sql = cand.extracted_sql
         if sql not in judged:
             outcome = _execute(db, sql, cfg, memo)
-            correct = gold_outcome is not None and gold_outcome.ok and compare_results(
-                outcome, gold_outcome, order_sensitive
-            )
+            correct = gold_outcome.ok and compare_results(outcome, gold_outcome, order_sensitive)
             judged[sql] = (outcome, result_signature(outcome, order_sensitive=False).hex, correct)
         outcome, signature, correct = judged[sql]
         entries.append(
@@ -391,14 +328,15 @@ def run_sql_d1(
     else:
         trace.append(("retrieve", "disabled: schema DDL only"))
 
-    candidates = run_generator(item, ctx, cfg, backend, trace)
+    prompt = build_prompt(item, ctx)
+    candidates = run_generator(prompt, cfg, backend, trace)
 
     order_sensitive = is_order_sensitive(item.gold_sql)
     gold_outcome = execute_sql(db, item.gold_sql, cfg.timeout_seconds)
     memo = {item.gold_sql: gold_outcome}
 
     if cfg.use_verifier:
-        candidates = [run_verifier(c, item, ctx, cfg, backend, db, trace, memo) for c in candidates]
+        candidates = [run_verifier(c, prompt, cfg, backend, db, trace, memo) for c in candidates]
 
     pool = evaluate_pool(candidates, db, cfg, gold_outcome, order_sensitive, memo)
 

@@ -18,10 +18,10 @@ from case_studies import CASES, EXPECTED_DISTRIBUTION
 from conftest import build_db, database_digest, dump_benchmark, sql_reply, write_benchmark, GEMS_DB
 from test_executor import COMPARISON_PAIRS, MISC_DB, oracle_compare
 from test_gateway import EXTRACTION_FIXTURES
-from test_pipeline import SELECTOR_FIXTURE, _pool_candidates
+from test_pipeline import SELECTOR_FIXTURE, _evaluate_pool, _pool_candidates
 
 from nl2sqlbench.cli import main
-from nl2sqlbench.context import extract_schema
+from nl2sqlbench.context import build_prompt, extract_schema
 from nl2sqlbench.corpus import BenchmarkItem
 from nl2sqlbench.diagnoser import classify_error, count_labels
 from nl2sqlbench.executor import (
@@ -35,7 +35,6 @@ from nl2sqlbench.metrics import assemble_report, pass_at_k
 from nl2sqlbench.pipeline import (
     PipelineConfig,
     build_context,
-    evaluate_pool,
     run_sql_d1,
     run_verifier,
     select_winner,
@@ -50,8 +49,8 @@ def misc_db(tmp_path_factory):
 
 
 def test_c01_execution_comparison_oracle(misc_db):
-    """25 hand-built (pred, gold) pairs agree with the brute-force comparator."""
-    assert len(COMPARISON_PAIRS) == 25
+    """27 hand-built (pred, gold) pairs agree with the brute-force comparator."""
+    assert len(COMPARISON_PAIRS) == 27
     agreed = 0
     for pred_sql, gold_sql in COMPARISON_PAIRS:
         gold = execute_sql(misc_db, gold_sql)
@@ -59,7 +58,7 @@ def test_c01_execution_comparison_oracle(misc_db):
         sensitive = is_order_sensitive(gold_sql)
         if compare_results(pred, gold, sensitive) == oracle_compare(pred, gold, sensitive):
             agreed += 1
-    assert agreed == 25
+    assert agreed == 27
 
 
 def test_c02_pass_at_k_exactness():
@@ -88,7 +87,7 @@ def test_c03_selector_correctness(gems_db):
             use_retriever=False, use_verifier=False, use_selector=True,
             num_candidates=max(2, len(specs)), timeout_seconds=10.0,
         )
-        winner = select_winner(evaluate_pool(_pool_candidates(specs), gems_db, cfg))
+        winner = select_winner(_evaluate_pool(_pool_candidates(specs), gems_db, cfg))
         expected = None if winner_id is None else specs[winner_id]
         if (winner.sql if winner else None) == expected:
             matched += 1
@@ -107,11 +106,11 @@ def test_c04_verifier_loop(gems_db):
         use_retriever=False, use_verifier=True, use_selector=False,
         num_candidates=1, verifier_max_iters=2, temperature=0.0, timeout_seconds=10.0,
     )
-    ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
+    prompt = build_prompt(item, build_context(item, extract_schema(gems_db), cfg, gems_db))
 
     backend = MockBackend([MockRule(pattern=broken, reply=sql_reply(fixed))])
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
-    repaired = run_verifier(candidate, item, ctx, cfg, backend, gems_db)
+    repaired = run_verifier(candidate, prompt, cfg, backend, gems_db, [], {})
     assert len(backend.calls) == 1
     final = execute_sql(gems_db, repaired.extracted_sql, 10.0)
     gold = execute_sql(gems_db, item.gold_sql, 10.0)
@@ -119,7 +118,7 @@ def test_c04_verifier_loop(gems_db):
 
     stubborn = MockBackend(default_reply=sql_reply(broken))
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
-    run_verifier(candidate, item, ctx, cfg, stubborn, gems_db)
+    run_verifier(candidate, prompt, cfg, stubborn, gems_db, [], {})
     assert len(stubborn.calls) == 2
 
 

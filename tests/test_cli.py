@@ -147,36 +147,43 @@ class TestEval:
         assert code == 2
 
 
+def run_chain(workspace, name, *eval_args):
+    """eval -> classify -> report; the bytes of every output file, by file name."""
+    code, out = run_eval(workspace, name, *eval_args)
+    assert code == 0
+    code = main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])])
+    assert code == 0
+    rep_dir = workspace["root"] / f"{name}_rep"
+    code = main(["report", "--records", str(out / "records.jsonl"), "--out", str(rep_dir)])
+    assert code == 0
+    files = [out / n for n in ("records.jsonl", "report.json", "report.csv", "labels.jsonl")]
+    files += [rep_dir / n for n in ("curves.csv", "scatter.csv")]
+    return {path.name: path.read_bytes() for path in files}
+
+
 class TestDeterminism:
     def test_eval_classify_report_chain_byte_identical(self, workspace):
-        outputs = {}
-        for name in ("d1", "d2"):
-            code, out = run_eval(
-                workspace, name, "--track", "sql-d1", "--k", "3", "--seed", "7",
-            )
-            assert code == 0
-            code = main(
-                [
-                    "classify",
-                    "--records", str(out / "records.jsonl"),
-                    "--db-root", str(workspace["db_root"]),
-                ]
-            )
-            assert code == 0
-            rep_dir = workspace["root"] / f"{name}_rep"
-            code = main(
-                ["report", "--records", str(out / "records.jsonl"), "--out", str(rep_dir)]
-            )
-            assert code == 0
-            outputs[name] = {
-                "records": (out / "records.jsonl").read_bytes(),
-                "report": (out / "report.json").read_bytes(),
-                "csv": (out / "report.csv").read_bytes(),
-                "labels": (out / "labels.jsonl").read_bytes(),
-                "curves": (rep_dir / "curves.csv").read_bytes(),
-                "scatter": (rep_dir / "scatter.csv").read_bytes(),
-            }
+        outputs = {
+            name: run_chain(workspace, name, "--track", "sql-d1", "--k", "3", "--seed", "7")
+            for name in ("d1", "d2")
+        }
         assert outputs["d1"] == outputs["d2"]
+
+
+EXPECTED = Path(__file__).resolve().parent / "expected" / "sql_d1_k8"
+
+
+class TestCommittedOutputs:
+    """The sql-d1 k=8 chain reproduces committed output bytes, so a format drift fails."""
+
+    def test_sql_d1_k8_chain_matches_expected_files(self, workspace):
+        outputs = run_chain(workspace, "k8", "--track", "sql-d1", "--k", "8", "--seed", "7")
+        expected = sorted(p.name for p in EXPECTED.iterdir())
+        assert expected == ["curves.csv", "labels.jsonl", "records.jsonl", "report.csv", "scatter.csv"]
+        for name in expected:
+            # the first line of each file is a header that carries run paths or their hash
+            body = outputs[name].split(b"\n", 1)[1]
+            assert body == (EXPECTED / name).read_bytes(), name
 
 
 class TestResume:

@@ -70,8 +70,8 @@ class TestLoadDescriptions:
 class TestRenderDdl:
     def test_plain_ddl_byte_stable(self, stack_db):
         schema = extract_schema(stack_db)
-        first = render_ddl(schema, include_values=False, include_descriptions=False)
-        second = render_ddl(schema, include_values=False, include_descriptions=False)
+        first = render_ddl(schema, include_values=False)
+        second = render_ddl(schema, include_values=False)
         assert first == second
         assert first.count("CREATE TABLE") == 3
         assert "examples:" not in first

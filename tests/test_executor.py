@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import database_digest
+from test_sqlast import CORPUS
 
+from nl2sqlbench.diagnoser import parse_sql
 from nl2sqlbench.executor import (
     STATUS_EMPTY,
     STATUS_OK,
@@ -84,7 +86,8 @@ def oracle_compare(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensiti
 
 
 # (pred_sql, gold_sql) pairs covering permutations, duplicates, float division,
-# NULLs, ORDER BY, extra columns, and reals off the tolerance grid (±inf, 1e303)
+# NULLs, ORDER BY, extra columns, reals off the tolerance grid (±inf, 1e303) and
+# integers from 2^52 on, exact among themselves and tolerant against reals
 COMPARISON_PAIRS = [
     ("SELECT x FROM t_nums ORDER BY x", "SELECT x FROM t_nums ORDER BY x"),
     ("SELECT x FROM t_nums ORDER BY x DESC", "SELECT x FROM t_nums ORDER BY x"),
@@ -111,12 +114,14 @@ COMPARISON_PAIRS = [
     ("SELECT 1e999", "SELECT 5.0"),
     ("SELECT 1.0000001e303", "SELECT 1e303"),
     ("SELECT 1e999", "SELECT 1e303"),
+    ("SELECT 1152921504606846977", "SELECT 1152921504606846976"),  # 2^60 + 1 vs 2^60
+    ("SELECT 1152921504606846976 UNION ALL SELECT 'a'", "SELECT 1152921504606846976.0 UNION ALL SELECT 'a'"),
 ]
 
 
 class TestCompareOracle:
     def test_twenty_pairs_agree_with_bruteforce(self, misc_db):
-        assert len(COMPARISON_PAIRS) == 25
+        assert len(COMPARISON_PAIRS) == 27
         agreements = 0
         for pred_sql, gold_sql in COMPARISON_PAIRS:
             gold = execute_sql(misc_db, gold_sql)
@@ -127,7 +132,7 @@ class TestCompareOracle:
             expected = oracle_compare(pred, gold, sensitive)
             assert got == expected, (pred_sql, gold_sql)
             agreements += 1
-        assert agreements == 25
+        assert agreements == 27
 
     def test_known_verdicts(self, misc_db):
         def verdict(pred_sql, gold_sql):
@@ -213,6 +218,22 @@ class TestExecuteSql:
         assert isinstance(cell, bytes) and len(cell) == 16
 
 
+# ORDER BY, parentheses and comment markers inside literals, quoted identifiers and comments
+QUOTED_ORDER_BY = [
+    'SELECT "order by" FROM t',
+    "SELECT `order by` FROM t",
+    "SELECT [order by] FROM t",
+    'SELECT "x""order by" FROM t',
+    "SELECT 'order by' FROM t",
+    "SELECT a FROM t -- order by a",
+    "SELECT a FROM t /* ORDER BY a */",
+    "SELECT a FROM t ORDER/**/BY a",
+    'SELECT "(" FROM t ORDER BY a',
+    "SELECT [(] FROM t ORDER BY a",
+    "SELECT a FROM t -- (\nORDER BY a",
+]
+
+
 class TestOrderSensitivity:
     def test_plain_order_by(self):
         assert is_order_sensitive("SELECT a FROM t ORDER BY a") is True
@@ -226,6 +247,14 @@ class TestOrderSensitivity:
     def test_fallback_on_unparseable_text(self):
         assert is_order_sensitive("SELECT ?? garbled ORDER BY x") is True
         assert is_order_sensitive("?? (ORDER BY x)") is False
+
+    @pytest.mark.parametrize("query", QUOTED_ORDER_BY)
+    def test_quoted_text_is_not_a_clause(self, query):
+        assert is_order_sensitive(query) is bool(parse_sql(query).order_by)
+
+    def test_agrees_with_parser_on_corpus(self):
+        disagree = [q for q in CORPUS if is_order_sensitive(q) is not bool(parse_sql(q).order_by)]
+        assert len(CORPUS) >= 250 and disagree == []
 
 
 class TestSignatures:
@@ -241,6 +270,13 @@ class TestSignatures:
         empty = ExecutionOutcome(STATUS_EMPTY, None, 0, None, 0.0)
         digests = {result_signature(o, False).digest for o in (err, timeout, empty)}
         assert len(digests) == 3
+
+    def test_big_integers_one_apart_differ(self):
+        # 2^60 / REL_TOL and (2^60 + 1) / REL_TOL round to one float
+        a = ExecutionOutcome(STATUS_OK, [(2**60,)], 1, None, 0.0)
+        b = ExecutionOutcome(STATUS_OK, [(2**60 + 1,)], 1, None, 0.0)
+        assert not compare_results(a, b, False)
+        assert result_signature(a, False) != result_signature(b, False)
 
     def test_signature_agrees_with_compare_on_random_pairs(self):
         # randomized oracle cross-check: 1000 generated pairs, mixing exact
@@ -268,6 +304,7 @@ class TestSignatures:
 _cell = st.one_of(
     st.none(),
     st.integers(min_value=-50, max_value=50),
+    st.sampled_from([2**60, 2**60 + 1]),  # one grid point apart when divided as floats
     # the last four are off the tolerance grid; the two finite ones are within tolerance
     st.sampled_from([0.0, 0.5, 1.25, -2.75, 100.0, math.inf, -math.inf, 1e303, 1.0000001e303]),
     st.text(alphabet="abc ", max_size=4),

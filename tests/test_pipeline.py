@@ -6,10 +6,10 @@ import ablation_suite
 from conftest import sql_reply
 
 from nl2sqlbench import pipeline
-from nl2sqlbench.context import extract_schema
+from nl2sqlbench.context import build_prompt, extract_schema
 from nl2sqlbench.corpus import BenchmarkItem
 from nl2sqlbench.errors import ConfigError
-from nl2sqlbench.executor import STATUS_OK, STATUS_SQL_ERROR
+from nl2sqlbench.executor import STATUS_EMPTY, STATUS_OK, STATUS_SQL_ERROR, ExecutionOutcome
 from nl2sqlbench.gateway import Candidate, MockBackend, MockRule
 from nl2sqlbench.pipeline import (
     EvalRecord,
@@ -127,7 +127,7 @@ class TestRunGenerator:
             for i in range(8)
         ]
         ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
-        pool = run_generator(item, ctx, cfg, MockBackend(rules))
+        pool = run_generator(build_prompt(item, ctx), cfg, MockBackend(rules), [])
         assert len(pool) == 8
         extracted = [c.extracted_sql for c in pool]
         assert len(set(extracted)) == 8
@@ -139,7 +139,7 @@ class TestRunGenerator:
         item = _item()
         cfg = _cfg(num_candidates=1, temperature=0.8)
         ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
-        pool = run_generator(item, ctx, cfg, MockBackend(default_reply=sql_reply("SELECT 1")))
+        pool = run_generator(build_prompt(item, ctx), cfg, MockBackend(default_reply=sql_reply("SELECT 1")), [])
         assert len(pool) == 1
 
 
@@ -154,7 +154,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([])
         candidate = Candidate(0, sql_reply("SELECT 1"), "SELECT 1", 0.0, 2)
         ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
-        out = run_verifier(candidate, item, ctx, cfg, backend, gems_db)
+        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
         assert out is candidate
         assert backend.calls == []
 
@@ -164,7 +164,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([MockRule(pattern=broken, reply=sql_reply(fixed))])
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
-        out = run_verifier(candidate, item, ctx, cfg, backend, gems_db)
+        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
         assert len(backend.calls) == 1  # exactly one repair generation
         assert out.extracted_sql == fixed
         assert out.token_count > candidate.token_count  # accumulates
@@ -175,7 +175,7 @@ class TestRunVerifier:
         backend.default_reply = sql_reply(broken)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
-        out = run_verifier(candidate, item, ctx, cfg, backend, gems_db)
+        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
         assert len(backend.calls) == 2
         assert out.extracted_sql == broken
 
@@ -184,7 +184,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([], max_iters=0)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
-        assert run_verifier(candidate, item, ctx, cfg, backend, gems_db) is candidate
+        assert run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {}) is candidate
         assert backend.calls == []
 
     def test_repair_prompt_contains_sql_and_error(self, gems_db):
@@ -192,7 +192,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([], max_iters=1)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
-        run_verifier(candidate, item, ctx, cfg, backend, gems_db)
+        run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
         prompt = backend.calls[0][0]
         assert broken in prompt
         assert "no such table" in prompt
@@ -201,6 +201,12 @@ class TestRunVerifier:
 
 def _pool_candidates(specs):
     return [Candidate(i, sql_reply(sql) if sql else "", sql, 0.0, 1) for i, sql in enumerate(specs)]
+
+
+def _evaluate_pool(candidates, db, cfg):
+    """evaluate_pool without a gold result to judge against: every entry comes out incorrect."""
+    no_gold = ExecutionOutcome(STATUS_EMPTY, None, 0, "no gold query", 0.0)
+    return evaluate_pool(candidates, db, cfg, no_gold, False, {})
 
 
 # 12 scripted pools with hand-computed plurality winners (by trajectory id)
@@ -224,7 +230,7 @@ class TestRunSelector:
     @pytest.mark.parametrize("specs,winner_id", SELECTOR_FIXTURE, ids=range(len(SELECTOR_FIXTURE)))
     def test_hand_computed_plurality(self, gems_db, specs, winner_id):
         cfg = _cfg(use_selector=True, num_candidates=max(2, len(specs)))
-        winner = select_winner(evaluate_pool(_pool_candidates(specs), gems_db, cfg))
+        winner = select_winner(_evaluate_pool(_pool_candidates(specs), gems_db, cfg))
         if winner_id is None:
             assert winner is None
         else:
@@ -236,7 +242,7 @@ class TestRunSelector:
     def test_permutation_invariant_choice(self, gems_db):
         cfg = _cfg(use_selector=True, num_candidates=3)
         specs = ["SELECT 2", "SELECT 1", "SELECT 1"]
-        entries = evaluate_pool(_pool_candidates(specs), gems_db, cfg)
+        entries = _evaluate_pool(_pool_candidates(specs), gems_db, cfg)
         winner = select_winner(entries)
         for rotation in range(3):
             rotated = entries[rotation:] + entries[:rotation]
@@ -320,10 +326,29 @@ class TestRecordSerialization:
         assert data["total_latency_seconds"] == 0.0  # scripted mock latency
 
 
+    def test_absent_optional_keys_take_defaults_unknown_keys_ignored(self, gems_db):
+        cfg = _cfg(use_selector=True, num_candidates=2, temperature=0.8)
+        backend = MockBackend(default_reply=sql_reply("SELECT 1"))
+        data = run_sql_d1(_item(), extract_schema(gems_db), cfg, backend, gems_db).to_dict()
+        data["written_by"] = "an older or newer harness"
+        for candidate in data["candidates"]:
+            del candidate["tokens_approximate"], candidate["error"]
+            candidate["unknown"] = 1
+        for entry in data["pool"]:
+            del entry["status"]
+            entry["unknown"] = 1
+        back = EvalRecord.from_dict(data)
+        assert [(c.tokens_approximate, c.error) for c in back.candidates] == [(False, None)] * 2
+        assert [e.status for e in back.pool] == [STATUS_EMPTY] * 2
+        assert [e.signature for e in back.pool] == [e["signature"] for e in data["pool"]]
+        del data["pool"]
+        assert EvalRecord.from_dict(data).pool == []
+
+
 class TestPoolEntry:
     def test_failure_cluster_marking(self, gems_db):
         cfg = _cfg(use_selector=True, num_candidates=2)
-        entries = evaluate_pool(_pool_candidates(["SELECT 1", "SELECT broken FROM"]), gems_db, cfg)
+        entries = _evaluate_pool(_pool_candidates(["SELECT 1", "SELECT broken FROM"]), gems_db, cfg)
         assert [e.failure for e in entries] == [False, True]
         assert entries[0].status == STATUS_OK
         assert entries[1].status == STATUS_SQL_ERROR
