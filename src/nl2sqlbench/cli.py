@@ -17,7 +17,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import context as context_mod
@@ -82,18 +82,17 @@ def _manifest(args, cfg: PipelineConfig) -> dict:
         "backend": args.backend,
         "backend_model": args.backend_model or "",
         "mock_fixture": str(Path(args.mock_fixture)) if args.mock_fixture else "",
-        "use_retriever": str(cfg.use_retriever),
-        "use_verifier": str(cfg.use_verifier),
-        "use_selector": str(cfg.use_selector),
-        "num_candidates": str(cfg.num_candidates),
-        "verifier_max_iters": str(cfg.verifier_max_iters),
-        "timeout_seconds": str(cfg.timeout_seconds),
-        "temperature": str(cfg.temperature),
-        "max_new_tokens": str(cfg.max_new_tokens),
-        "backend_params": json.dumps(cfg.backend_params, sort_keys=True),
-        "seed": str(cfg.seed) if cfg.seed is not None else "",
+        **{f.name: _manifest_value(getattr(cfg, f.name)) for f in fields(PipelineConfig)},
         "workers": str(args.workers),
     }
+
+
+def _manifest_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return str(value)
 
 
 def manifest_text(manifest: dict) -> str:
@@ -143,24 +142,27 @@ def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, l
     """Parse a records file into (header, records, complete lines).
 
     With tolerate_tail a truncated final line (interrupted write) is dropped
-    instead of raising.
+    instead of raising. Any other line that is not valid JSON, or is not a
+    record, raises IngestError naming the file and the line number.
     """
     header: dict = {}
     records: list[EvalRecord] = []
     complete: list[str] = []
-    lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
-    for idx, line in enumerate(lines):
+    lines = [(n, l) for n, l in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if l.strip()]
+    for idx, (number, line) in enumerate(lines):
         try:
             data = json.loads(line)
-        except json.JSONDecodeError:
+            if data.get("type") == "run_header":
+                header = data
+            else:
+                records.append(EvalRecord.from_dict(data))
+        except json.JSONDecodeError as exc:
             if tolerate_tail and idx == len(lines) - 1:
                 break
-            raise
+            raise IngestError(f"{path} line {number}: not valid JSON: {exc}") from exc
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise IngestError(f"{path} line {number}: not a record: {exc!r}") from exc
         complete.append(line)
-        if data.get("type") == "run_header":
-            header = data
-        else:
-            records.append(EvalRecord.from_dict(data))
     return header, records, complete
 
 

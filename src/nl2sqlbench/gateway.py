@@ -5,6 +5,14 @@ model serving engines) and a table-driven mock scripted from a fixture file
 (for hermetic runs and tests). Extra backend parameters are forwarded into
 the request body untouched, so engine-specific knobs such as diffusion block
 or window sizes pass through without the harness interpreting them.
+
+Concurrency: eval items run on the CLI's ``--workers`` threads. A remote
+backend owns one bounded pool (``max_concurrency`` threads, 8 by default)
+that runs all of its calls, an item's k trajectories and its verifier repairs
+alike; the pool size is the cap on in-flight requests, and a call that is
+retrying keeps its slot through its backoff. A backend without a pool, the
+mock included, runs an item's trajectories inline in the item's thread, in
+trajectory order.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import re
 import threading
 import time
@@ -196,7 +205,7 @@ class MockBackend:
 
 
 class RemoteBackend:
-    """Chat-completions client with retries, backoff, and an in-flight cap."""
+    """Chat-completions client with retries, jittered backoff, and a call pool that caps requests in flight."""
 
     name = "remote"
 
@@ -209,6 +218,8 @@ class RemoteBackend:
         retries: int = DEFAULT_RETRIES,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
     ):
+        import requests  # only remote runs pay for the import
+
         self.url = url or os.environ.get("BACKEND_URL")
         self.api_key = api_key or os.environ.get("BACKEND_API_KEY")
         self.model = model or os.environ.get("BACKEND_MODEL")
@@ -216,7 +227,14 @@ class RemoteBackend:
             raise ConfigError("remote backend needs a URL (flag or BACKEND_URL)")
         self.timeout_seconds = timeout_seconds
         self.retries = retries
-        self._semaphore = threading.Semaphore(max_concurrency)
+        self.session = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_concurrency)
+        self.session.mount("http://", adapter)
+        self.session.mount("https://", adapter)
+        self._pool = ThreadPoolExecutor(max_workers=max_concurrency)
+
+    def map(self, fn, trajectory_ids):
+        return self._pool.map(fn, trajectory_ids)
 
     def build_body(self, request: GenerationRequest, trajectory_id: int) -> dict:
         body = {
@@ -232,8 +250,6 @@ class RemoteBackend:
         return body
 
     def complete(self, request: GenerationRequest, trajectory_id: int) -> BackendReply:
-        import requests
-
         body = self.build_body(request, trajectory_id)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -242,20 +258,22 @@ class RemoteBackend:
         for attempt in range(self.retries + 1):
             start = time.monotonic()
             try:
-                with self._semaphore:
-                    response = requests.post(
-                        self.url, json=body, headers=headers, timeout=self.timeout_seconds
-                    )
+                response = self.session.post(self.url, json=body, headers=headers, timeout=self.timeout_seconds)
+                if 400 <= response.status_code < 500 and response.status_code != 429:
+                    # the request itself is wrong: a retry cannot help
+                    raise BackendError(f"backend rejected the request: HTTP {response.status_code}")
                 response.raise_for_status()
                 payload = response.json()
                 text = payload["choices"][0]["message"]["content"]
                 usage = payload.get("usage") or {}
                 tokens = usage.get("completion_tokens", usage.get("total_tokens"))
                 return BackendReply(text or "", tokens, time.monotonic() - start)
-            except Exception as exc:  # noqa: BLE001 - transport errors vary by stack
+            except BackendError:
+                raise
+            except Exception as exc:  # noqa: BLE001 - transport errors vary by stack; also 429, 5xx, bad JSON
                 last_error = exc
-                if attempt < self.retries:
-                    time.sleep(2**attempt)
+            if attempt < self.retries:  # jittered exponential backoff; the call keeps its pool slot
+                time.sleep(2**attempt * random.uniform(0.5, 1.5))
         raise BackendError(f"backend unreachable after {self.retries} retries: {last_error}")
 
 
@@ -264,7 +282,8 @@ def generate(request: GenerationRequest, backend) -> list[Candidate]:
 
     Per-candidate transport failures become failed candidates (empty text, no
     extracted SQL, error message attached) so the pool length is always
-    num_candidates and the run continues.
+    num_candidates and the run continues. Trajectories run on the backend's
+    own pool when it has one (``backend.map``), else inline, in order.
     """
 
     def one(trajectory_id: int) -> Candidate:
@@ -290,7 +309,4 @@ def generate(request: GenerationRequest, backend) -> list[Candidate]:
             tokens_approximate=reply.usage_tokens is None,
         )
 
-    if request.num_candidates == 1:
-        return [one(0)]
-    with ThreadPoolExecutor(max_workers=min(request.num_candidates, DEFAULT_MAX_CONCURRENCY)) as pool:
-        return list(pool.map(one, range(request.num_candidates)))
+    return list(getattr(backend, "map", map)(one, range(request.num_candidates)))

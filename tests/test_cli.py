@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import ablation_suite
 from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB
 
 from nl2sqlbench.cli import main
+from nl2sqlbench.pipeline import PipelineConfig
 
 
 @pytest.fixture()
@@ -231,6 +233,64 @@ class TestResume:
         code, _ = run_eval(workspace, "other", "--track", "sql-d1", "--k", "3", "--resume")
         assert code == 2
 
+    def test_resume_refuses_other_values_per_column(self, workspace):
+        code, out = run_eval(workspace, "vpc", "--track", "greedy", "--values-per-column", "3")
+        assert code == 0
+        code, _ = run_eval(workspace, "vpc", "--track", "greedy", "--values-per-column", "0", "--resume")
+        assert code == 2
+
+    def test_manifest_records_every_config_field(self, workspace):
+        code, out = run_eval(workspace, "mf", "--track", "greedy", "--values-per-column", "2", "--top-k-values", "5")
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text()
+        for field in fields(PipelineConfig):
+            assert f"\n{field.name} = " in manifest
+        assert "values_per_column = 2\n" in manifest and "retrieval_top_k = 5\n" in manifest
+
+
+def _break_second_record(records_path: Path, defect: str) -> None:
+    """Damage the second record line (file line 3): drop a required key, or cut it short."""
+    lines = records_path.read_text().splitlines()
+    if defect == "missing_key":
+        record = json.loads(lines[2])
+        del record["item_id"]
+        lines[2] = json.dumps(record, sort_keys=True)
+    else:
+        lines[2] = lines[2][: len(lines[2]) // 2]
+    records_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+BAD_LINE = pytest.mark.parametrize("defect", ["missing_key", "invalid_json"])
+
+
+class TestBadRecordLines:
+    """A damaged line that is not a tolerated tail ends the command with `error: <path> line N` and exit 2."""
+
+    @BAD_LINE
+    def test_report(self, workspace, capsys, defect):
+        _code, out = run_eval(workspace, "bad_rep", "--track", "greedy", "--no-retrieval")
+        _break_second_record(out / "records.jsonl", defect)
+        code = main(["report", "--records", str(out / "records.jsonl"), "--out", str(out / "rep")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {out / 'records.jsonl'} line 3: ")
+
+    @BAD_LINE
+    def test_classify(self, workspace, capsys, defect):
+        _code, out = run_eval(workspace, "bad_cls", "--track", "greedy", "--no-retrieval")
+        _break_second_record(out / "records.jsonl", defect)
+        code = main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {out / 'records.jsonl'} line 3: ")
+
+    @BAD_LINE
+    def test_eval_resume(self, workspace, capsys, defect):
+        _code, out = run_eval(workspace, "bad_res", "--track", "greedy", "--no-retrieval")
+        _break_second_record(out / "records.jsonl", defect)
+        capsys.readouterr()
+        code, _ = run_eval(workspace, "bad_res", "--track", "greedy", "--no-retrieval", "--resume")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {out / 'records.jsonl'} line 3: ")
+
 
 class TestClassify:
     def test_labels_and_distribution(self, workspace):
@@ -370,12 +430,16 @@ class TestBackendFailure:
 class TestWorkers:
     def test_parallel_eval_matches_serial(self, workspace):
         # outputs match byte for byte, apart from the recorded worker count itself
-        _c1, serial = run_eval(workspace, "w1", "--track", "greedy", "--no-retrieval", "--workers", "1")
-        _c2, parallel = run_eval(workspace, "w4", "--track", "greedy", "--no-retrieval", "--workers", "4")
-        for name in ("records.jsonl", "report.json"):
-            serial_bytes = (serial / name).read_bytes()
-            assert serial_bytes.count(b'"workers": "1"') == 1
-            assert serial_bytes.replace(b'"workers": "1"', b'"workers": "4"') == (parallel / name).read_bytes()
+        for run, track in (
+            ("greedy", ("--track", "greedy", "--no-retrieval")),
+            ("k8", ("--track", "sql-d1", "--k", "8")),
+        ):
+            _c1, serial = run_eval(workspace, f"{run}_w1", *track, "--workers", "1")
+            _c2, parallel = run_eval(workspace, f"{run}_w4", *track, "--workers", "4")
+            for name in ("records.jsonl", "report.json"):
+                serial_bytes = (serial / name).read_bytes()
+                assert serial_bytes.count(b'"workers": "1"') == 1
+                assert serial_bytes.replace(b'"workers": "1"', b'"workers": "4"') == (parallel / name).read_bytes()
 
 
 class TestBenchSpans:

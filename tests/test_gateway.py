@@ -1,12 +1,20 @@
 """SQL extraction, token accounting, and the scripted/remote backends."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from conftest import sql_reply
 
+from nl2sqlbench import gateway
 from nl2sqlbench.errors import BackendError, ConfigError
 from nl2sqlbench.gateway import (
     Candidate,
@@ -191,6 +199,130 @@ class TestRemoteBackend:
         assert body["max_tokens"] == 64
         assert body["seed"] == 7  # base seed offset by trajectory
         assert body["messages"] == [{"role": "user", "content": "p"}]
+
+
+def _response(status: int, text: str = "") -> requests.Response:
+    response = requests.Response()
+    response.status_code = status
+    response._content = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+    return response
+
+
+class TestRemoteRetries:
+    """Retry policy, against a monkeypatched post and sleep: nothing leaves the process."""
+
+    @pytest.fixture()
+    def backend(self, monkeypatch):
+        backend = RemoteBackend(url="http://backend.test", model="m", retries=2, max_concurrency=5)
+        self.posts, self.sleeps, self.status = [], [], 200
+
+        def post(url, **kw):
+            self.posts.append(kw)
+            return _response(self.status, sql_reply("SELECT 1"))
+
+        monkeypatch.setattr(backend.session, "post", post)
+        monkeypatch.setattr(gateway.time, "sleep", self.sleeps.append)
+        return backend
+
+    def test_ok_reply_is_one_call(self, backend):
+        reply = backend.complete(GenerationRequest(prompt="p"), 0)
+        assert extract_sql(reply.text) == "SELECT 1"
+        assert len(self.posts) == 1 and self.sleeps == []
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_client_error_fails_without_retry(self, backend, status):
+        self.status = status
+        with pytest.raises(BackendError, match=f"HTTP {status}"):
+            backend.complete(GenerationRequest(prompt="p"), 0)
+        assert len(self.posts) == 1 and self.sleeps == []
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_throttling_and_server_errors_retry_with_jittered_backoff(self, backend, status):
+        self.status = status
+        with pytest.raises(BackendError, match="after 2 retries"):
+            backend.complete(GenerationRequest(prompt="p"), 0)
+        assert len(self.posts) == backend.retries + 1
+        assert len(self.sleeps) == backend.retries
+        for attempt, delay in enumerate(self.sleeps):
+            assert 0.5 * 2**attempt <= delay <= 1.5 * 2**attempt
+
+    def test_backoff_is_jittered(self, backend, monkeypatch):
+        self.status = 503
+        monkeypatch.setattr(gateway.random, "uniform", lambda low, high: low)
+        with pytest.raises(BackendError):
+            backend.complete(GenerationRequest(prompt="p"), 0)
+        assert self.sleeps == [0.5, 1.0]  # the lowest draw halves each exponential step
+
+    def test_transport_error_retries(self, backend, monkeypatch):
+        def refuse(url, **kw):
+            self.posts.append(kw)
+            raise requests.ConnectionError("refused")
+
+        monkeypatch.setattr(backend.session, "post", refuse)
+        with pytest.raises(BackendError, match="refused"):
+            backend.complete(GenerationRequest(prompt="p"), 0)
+        assert len(self.posts) == backend.retries + 1
+
+    def test_session_pool_matches_concurrency_cap(self, backend):
+        for scheme in ("http://", "https://"):
+            assert backend.session.get_adapter(scheme + "backend.test")._pool_maxsize == 5
+
+    def test_requests_imported_only_by_a_remote_backend(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; from nl2sqlbench import cli; assert 'requests' not in sys.modules; "
+            "cli.RemoteBackend(url='http://backend.test'); assert 'requests' in sys.modules"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+
+
+class TestConcurrency:
+    def test_remote_in_flight_capped_by_its_pool(self, monkeypatch):
+        backend = RemoteBackend(url="http://backend.test", max_concurrency=3)
+        lock, full = threading.Lock(), threading.Event()
+        in_flight, peak, callers = [0], [0], set()
+
+        def post(url, json, **kw):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+                callers.add(threading.current_thread())
+                if in_flight[0] == 3:
+                    full.set()
+            full.wait(timeout=2)
+            time.sleep(0.005)
+            with lock:
+                in_flight[0] -= 1
+            return _response(200, sql_reply(f"SELECT {json['seed']}"))
+
+        monkeypatch.setattr(backend.session, "post", post)
+        candidates = generate(GenerationRequest(prompt="p", num_candidates=16, seed=7), backend)
+        assert peak[0] == 3
+        assert [c.trajectory_id for c in candidates] == list(range(16))
+        assert [c.extracted_sql for c in candidates] == [f"SELECT {7 + i}" for i in range(16)]
+        assert threading.current_thread() not in callers
+
+    def test_single_remote_call_runs_on_the_pool(self, monkeypatch):
+        # verifier repairs are k=1 generate calls: they too count against the cap
+        backend = RemoteBackend(url="http://backend.test", max_concurrency=2)
+        callers = []
+        monkeypatch.setattr(
+            backend.session, "post",
+            lambda url, **kw: callers.append(threading.current_thread()) or _response(200, "SELECT 1"),
+        )
+        assert generate(GenerationRequest(prompt="p", temperature=0.0), backend)[0].extracted_sql == "SELECT 1"
+        assert callers and threading.current_thread() not in callers
+
+    def test_mock_runs_inline_without_threads(self, monkeypatch):
+        backend = MockBackend([MockRule(pattern="p", trajectory_id=i, reply=f"SELECT {i}") for i in range(8)])
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        candidates = generate(GenerationRequest(prompt="p", num_candidates=8), backend)
+        assert started == []
+        assert [c.extracted_sql for c in candidates] == [f"SELECT {i}" for i in range(8)]
+        assert backend.calls == [("p", i) for i in range(8)]  # trajectory order
 
 
 class TestCandidate:
