@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -114,7 +115,7 @@ def _make_backend(args):
 
 
 class _DatabaseCache:
-    """Per-run registry of database handles and base schema contexts."""
+    """Per-run registry of database handles, base schema contexts and text-column literals."""
 
     def __init__(self, root: Path, layout: str):
         self.root = root
@@ -122,6 +123,7 @@ class _DatabaseCache:
         self._lock = threading.Lock()
         self._handles: dict = {}
         self._schemas: dict = {}
+        self._literals: dict = {}
 
     def handle(self, db_id: str):
         with self._lock:
@@ -136,6 +138,14 @@ class _DatabaseCache:
                 descriptions = context_mod.load_descriptions(handle.path.parent)
                 self._schemas[db_id] = context_mod.extract_schema(handle, descriptions)
             return self._schemas[db_id]
+
+    def literals(self, db_id: str) -> dict:
+        """The database's ``context.read_literals`` mapping, read on the first call."""
+        handle, schema = self.handle(db_id), self.schema(db_id)
+        with self._lock:
+            if db_id not in self._literals:
+                self._literals[db_id] = context_mod.read_literals(handle, schema)
+            return self._literals[db_id]
 
 
 def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, list[EvalRecord], list[str]]:
@@ -172,8 +182,6 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, cfg)
     digest = manifest_hash(manifest)
-    # the manifest lands on disk before any evaluation starts
-    (out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
 
     items = load_benchmark(args.benchmark, args.format)
     backend = _make_backend(args)
@@ -193,6 +201,8 @@ def cmd_eval(args) -> int:
         if records_path.read_text(encoding="utf-8") != sanitized:
             # drop a truncated tail left by an interrupted write
             records_path.write_text(sanitized, encoding="utf-8")
+    # the manifest lands on disk before any evaluation starts, and only for a run that goes ahead
+    (out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
 
     pending = [item for item in items if item.item_id not in done_ids]
     header_line = json.dumps(
@@ -208,7 +218,9 @@ def cmd_eval(args) -> int:
     )
 
     def evaluate(item):
-        return run_sql_d1(item, cache.schema(item.db_id), cfg, backend, cache.handle(item.db_id))
+        db_id = item.db_id
+        literals = functools.partial(cache.literals, db_id)
+        return run_sql_d1(item, cache.schema(db_id), cfg, backend, cache.handle(db_id), literals)
 
     records: list[EvalRecord] = []
     with open(records_path, "a" if resuming else "w", encoding="utf-8") as out:

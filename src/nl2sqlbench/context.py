@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 import sqlite3
 from dataclasses import dataclass, field, replace
@@ -252,62 +253,14 @@ def render_ddl(
     return "\n\n".join(blocks)
 
 
-def _question_ngrams(question: str) -> list[str]:
-    words = re.findall(r"[^\s]+", question.lower())
-    grams = []
-    for n in range(1, NGRAM_MAX_WORDS + 1):
-        for i in range(len(words) - n + 1):
-            grams.append(" ".join(words[i : i + n]))
-    return grams
+def read_literals(db: DatabaseHandle, schema: SchemaContext) -> dict:
+    """Each text column's literals for retrieve_values: (table, column) -> ((lowercased, verbatim), ...).
 
-
-def longest_common_substring(a: str, b: str) -> int:
-    """Length of the longest common substring (classic DP, rolling row)."""
-    if not a or not b:
-        return 0
-    if len(a) > len(b):
-        a, b = b, a
-    previous = [0] * (len(a) + 1)
-    best = 0
-    for ch_b in b:
-        current = [0] * (len(a) + 1)
-        for i, ch_a in enumerate(a):
-            if ch_a == ch_b:
-                current[i + 1] = previous[i] + 1
-                if current[i + 1] > best:
-                    best = current[i + 1]
-        previous = current
-    return best
-
-
-def score_literal(literal: str, ngrams: list[str]) -> float:
-    """Best overlap of a column literal with any question n-gram, in [0, 1]."""
-    target = literal.lower()
-    if not target:
-        return 0.0
-    best = 0
-    for gram in ngrams:
-        if len(gram) * 4 < len(target):  # gram far too short to reach threshold
-            continue
-        best = max(best, longest_common_substring(target, gram))
-        if best == len(target):
-            break
-    return best / len(target)
-
-
-def retrieve_values(question: str, db: DatabaseHandle, schema: SchemaContext, top_k: int = 3) -> SchemaContext:
-    """Populate matched_values by scoring textual-column literals against the question.
-
-    Matches are verbatim column values scoring at least MATCH_THRESHOLD,
-    kept score-descending (ties: shorter literal, then lexicographic), at most
-    top_k per column. Sampling failures skip the column with a warning.
+    A column's literals are its first DISTINCT_SAMPLE_LIMIT distinct non-NULL
+    values, keeping the non-empty strings of at most MAX_LITERAL_LENGTH
+    characters. A column whose query fails has none, with a warning.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be at least 1")
-    ngrams = _question_ngrams(question)
-    if not ngrams:
-        return replace(schema, matched_values={})
-    matched: dict = {}
+    literals: dict = {}
     conn = db.connect()
     try:
         for table in schema.tables:
@@ -324,19 +277,83 @@ def retrieve_values(question: str, db: DatabaseHandle, schema: SchemaContext, to
                     logger.warning(
                         "value sampling failed for %s.%s: %s", table.name, col.name, exc
                     )
-                    continue
-                scored = []
-                for (value,) in rows:
-                    if not isinstance(value, str) or not value or len(value) > MAX_LITERAL_LENGTH:
-                        continue
-                    score = score_literal(value, ngrams)
-                    if score >= MATCH_THRESHOLD:
-                        scored.append((-score, len(value), value))
-                if scored:
-                    scored.sort()
-                    matched[(table.name, col.name)] = [v for _s, _l, v in scored[:top_k]]
+                    rows = []
+                literals[(table.name, col.name)] = tuple(
+                    (value.lower(), value)
+                    for (value,) in rows
+                    if isinstance(value, str) and value and len(value) <= MAX_LITERAL_LENGTH
+                )
     finally:
         conn.close()
+    return literals
+
+
+def _threshold_length(n: int) -> int:
+    """The smallest match length L with L / n >= MATCH_THRESHOLD, by the comparison retrieve_values makes."""
+    length = math.ceil(n * MATCH_THRESHOLD)
+    while length > 1 and (length - 1) / n >= MATCH_THRESHOLD:
+        length -= 1
+    while length / n < MATCH_THRESHOLD:
+        length += 1
+    return length
+
+
+def _occurs(target: str, length: int, question: str) -> bool:
+    """Whether a ``length``-character substring of target with fewer than NGRAM_MAX_WORDS spaces is in question."""
+    return any(
+        part in question and part.count(" ") < NGRAM_MAX_WORDS
+        for part in (target[i : i + length] for i in range(len(target) - length + 1))
+    )
+
+
+def score_literal(target: str, question: str) -> float:
+    """Overlap of a lowercased literal with the question, exact from MATCH_THRESHOLD up, else 0.0.
+
+    ``question`` is the lowercased question's words joined by single spaces.
+    The score is L / len(target), where L is the length of the longest
+    substring of target that occurs in question and spans at most
+    NGRAM_MAX_WORDS words (contains at most NGRAM_MAX_WORDS - 1 spaces): the
+    longest common substring of target with any run of up to NGRAM_MAX_WORDS
+    question words. Scores below MATCH_THRESHOLD read 0.0.
+    """
+    n = len(target)
+    if not n:
+        return 0.0
+    # a prefix of an occurring substring occurs too, so the lengths that occur are 1..L
+    low = _threshold_length(n)
+    if not _occurs(target, low, question):
+        return 0.0
+    high = n
+    while low < high:
+        mid = (low + high + 1) // 2
+        if _occurs(target, mid, question):
+            low = mid
+        else:
+            high = mid - 1
+    return low / n
+
+
+def retrieve_values(question: str, literals: dict, schema: SchemaContext, top_k: int = 3) -> SchemaContext:
+    """Populate matched_values by scoring each text column's literals against the question.
+
+    ``literals`` is read_literals' mapping for the schema's database. Matches
+    are verbatim column values scoring at least MATCH_THRESHOLD (see
+    score_literal), kept score-descending (ties: shorter literal, then
+    lexicographic), at most top_k per column.
+    """
+    if top_k < 1:
+        raise ValueError("top_k must be at least 1")
+    words = " ".join(question.lower().split())
+    matched: dict = {}
+    for column, column_literals in literals.items():
+        scored = []
+        for lowered, value in column_literals:
+            score = score_literal(lowered, words)
+            if score >= MATCH_THRESHOLD:
+                scored.append((-score, len(value), value))
+        if scored:
+            scored.sort()
+            matched[column] = [v for _s, _l, v in scored[:top_k]]
     return replace(schema, matched_values=matched)
 
 

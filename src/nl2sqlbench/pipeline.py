@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
 from . import context  # retrieval and DDL are looked up on the module, where bench/spans.py wraps them
@@ -170,12 +171,18 @@ def _request(prompt: str, cfg: PipelineConfig, temperature: float, num_candidate
 # Stages
 
 
-def build_context(item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfig, db: DatabaseHandle) -> SchemaContext:
-    """``schema`` with the item's DDL rendered, after value retrieval on question plus evidence."""
+def build_context(
+    item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfig, literals: Callable[[], dict]
+) -> SchemaContext:
+    """``schema`` with the item's DDL rendered, after value retrieval on question plus evidence.
+
+    ``literals`` returns the database's ``context.read_literals`` mapping; it
+    is called only when retrieval runs.
+    """
     if not cfg.use_retriever:
         return replace(schema, ddl_text=context.render_ddl(schema, include_values=False))
     question = f"{item.question} {item.evidence}" if item.evidence else item.question
-    schema = context.retrieve_values(question, db, schema, cfg.retrieval_top_k)
+    schema = context.retrieve_values(question, literals(), schema, cfg.retrieval_top_k)
     ddl = context.render_ddl(schema, include_values=True, values_per_column=cfg.values_per_column)
     return replace(schema, ddl_text=ddl)
 
@@ -311,17 +318,19 @@ def run_sql_d1(
     cfg: PipelineConfig,
     backend,
     db: DatabaseHandle,
+    literals: Callable[[], dict],
 ) -> EvalRecord:
     """The four-stage agentic flow with stages toggled by the config.
 
-    ``schema`` is the database's base context, before retrieval and DDL.
+    ``schema`` is the database's base context, before retrieval and DDL, and
+    ``literals`` returns its text-column literals (see ``build_context``).
     With verifier and selector off and one candidate at temperature 0 this is
     the greedy track. Every distinct SQL string of the item, the gold query
     included, is executed once: the verifier, the pool and the final record
     share one memo.
     """
     trace: list = []
-    ctx = build_context(item, schema, cfg, db)
+    ctx = build_context(item, schema, cfg, literals)
     if cfg.use_retriever:
         n_matches = sum(len(v) for v in ctx.matched_values.values())
         trace.append(("retrieve", f"{n_matches} matched values over {len(ctx.matched_values)} columns"))

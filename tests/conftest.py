@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nl2sqlbench.context import extract_schema, read_literals
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 
 
@@ -112,6 +113,12 @@ def db_factory(tmp_path):
 def database_digest(db: DatabaseHandle) -> str:
     """Content hash of the database file, for mutation checks."""
     return hashlib.sha256(db.path.read_bytes()).hexdigest()
+
+
+def literal_source(db: DatabaseHandle):
+    """The ``literals`` argument of run_sql_d1 and build_context: db's read_literals mapping, read once."""
+    literals = read_literals(db, extract_schema(db))
+    return lambda: literals
 
 
 def write_benchmark(path: Path, records: list[dict]) -> Path:

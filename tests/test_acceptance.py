@@ -15,7 +15,9 @@ import pytest
 
 import ablation_suite
 from case_studies import CASES, EXPECTED_DISTRIBUTION
-from conftest import build_db, database_digest, dump_benchmark, sql_reply, write_benchmark, GEMS_DB
+from conftest import (
+    build_db, database_digest, dump_benchmark, literal_source, sql_reply, write_benchmark, GEMS_DB,
+)
 from test_executor import COMPARISON_PAIRS, MISC_DB, oracle_compare
 from test_gateway import EXTRACTION_FIXTURES
 from test_pipeline import SELECTOR_FIXTURE, _evaluate_pool, _pool_candidates
@@ -106,7 +108,7 @@ def test_c04_verifier_loop(gems_db):
         use_retriever=False, use_verifier=True, use_selector=False,
         num_candidates=1, verifier_max_iters=2, temperature=0.0, timeout_seconds=10.0,
     )
-    prompt = build_prompt(item, build_context(item, extract_schema(gems_db), cfg, gems_db))
+    prompt = build_prompt(item, build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db)))
 
     backend = MockBackend([MockRule(pattern=broken, reply=sql_reply(fixed))])
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
@@ -128,11 +130,11 @@ def test_c05_ablation_monotonicity(gems_db):
     items = ablation_suite.build_items()
     assert len(items) == 20
 
-    schema = extract_schema(gems_db)
+    schema, literals = extract_schema(gems_db), literal_source(gems_db)
 
     def run(cfg):
         backend = MockBackend(backend_rules, default_reply="no idea")
-        records = [run_sql_d1(item, schema, cfg, backend, gems_db) for item in items]
+        records = [run_sql_d1(item, schema, cfg, backend, gems_db, literals) for item in items]
         return sum(1 for r in records if r.correct) / len(records)
 
     def cfg(**kwargs):

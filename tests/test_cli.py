@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +14,9 @@ import pytest
 import ablation_suite
 from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB
 
+from nl2sqlbench import context
 from nl2sqlbench.cli import main
+from nl2sqlbench.corpus import DatabaseHandle
 from nl2sqlbench.pipeline import PipelineConfig
 
 
@@ -233,6 +237,15 @@ class TestResume:
         code, _ = run_eval(workspace, "other", "--track", "sql-d1", "--k", "3", "--resume")
         assert code == 2
 
+    def test_refused_resume_keeps_the_old_manifest(self, workspace):
+        code, out = run_eval(workspace, "kept", "--track", "greedy", "--no-retrieval")
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text()
+        code, _ = run_eval(workspace, "kept", "--track", "sample", "--resume")
+        assert code == 2
+        assert (out / "manifest.txt").read_text() == manifest
+        assert "track = greedy\n" in manifest
+
     def test_resume_refuses_other_values_per_column(self, workspace):
         code, out = run_eval(workspace, "vpc", "--track", "greedy", "--values-per-column", "3")
         assert code == 0
@@ -278,7 +291,8 @@ class TestBadRecordLines:
     def test_classify(self, workspace, capsys, defect):
         _code, out = run_eval(workspace, "bad_cls", "--track", "greedy", "--no-retrieval")
         _break_second_record(out / "records.jsonl", defect)
-        code = main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])])
+        records = str(out / "records.jsonl")
+        code = main(["classify", "--records", records, "--db-root", str(workspace["db_root"])])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {out / 'records.jsonl'} line 3: ")
 
@@ -321,7 +335,8 @@ class TestClassify:
             ]
         )
         assert code == 0
-        code = main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])])
+        records = str(out / "records.jsonl")
+        code = main(["classify", "--records", records, "--db-root", str(workspace["db_root"])])
         assert code == 0
         labels = (out / "labels.jsonl").read_text().splitlines()
         assert len(labels) == 1  # header only
@@ -425,6 +440,47 @@ class TestBackendFailure:
         lines = (out / "records.jsonl").read_text().splitlines()
         assert len(lines) == 21  # header + every item recorded as failed
         assert all(not json.loads(l)["correct"] for l in lines[1:])
+
+
+# the query context.read_literals runs for each text column
+_LITERAL_QUERY = re.compile(r'SELECT DISTINCT "(.+)" FROM "(.+)" WHERE "\1" IS NOT NULL LIMIT \d+$')
+
+
+class TestLiteralCache:
+    """A run reads each text column's literals once per database, and only when retrieval runs."""
+
+    @pytest.fixture()
+    def literal_queries(self, monkeypatch):
+        """The (table, column) of every literal query run through a DatabaseHandle connection."""
+        statements = []
+        connect, read_literals = DatabaseHandle.connect, context.read_literals
+
+        def traced(handle):
+            conn = connect(handle)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        def slow_read(db, schema):
+            time.sleep(0.05)  # long enough for every worker to ask for the literals while they are read
+            return read_literals(db, schema)
+
+        monkeypatch.setattr(DatabaseHandle, "connect", traced)
+        monkeypatch.setattr(context, "read_literals", slow_read)
+        return lambda: [(m[2], m[1]) for m in map(_LITERAL_QUERY.match, statements) if m]
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_each_text_column_read_once_per_run(self, workspace, literal_queries, workers):
+        code, _out = run_eval(workspace, f"lit{workers}", "--track", "greedy", "--workers", workers)
+        assert code == 0
+        assert sorted(literal_queries()) == [("gems", "name"), ("gems", "origin")]
+
+    def test_no_retrieval_and_classify_read_none(self, workspace, literal_queries):
+        code, out = run_eval(workspace, "lit_off", "--track", "sql-d1", "--k", "3", "--no-retrieval")
+        assert code == 0
+        records = str(out / "records.jsonl")
+        code = main(["classify", "--records", records, "--db-root", str(workspace["db_root"])])
+        assert code == 0
+        assert literal_queries() == []
 
 
 class TestWorkers:

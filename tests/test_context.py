@@ -1,20 +1,28 @@
 """Schema extraction, DDL rendering, value retrieval, and prompt assembly."""
 
 import difflib
+import importlib
+import re
 import sqlite3
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nl2sqlbench import context
 from nl2sqlbench.context import (
+    MATCH_THRESHOLD,
+    MAX_LITERAL_LENGTH,
+    NGRAM_MAX_WORDS,
     build_prompt,
     extract_schema,
     load_descriptions,
+    read_literals,
     render_ddl,
     retrieve_values,
     score_literal,
-    _question_ngrams,
 )
-from nl2sqlbench.corpus import BenchmarkItem
+from nl2sqlbench.corpus import BenchmarkItem, load_benchmark, load_database
 from nl2sqlbench.errors import SchemaError
 
 
@@ -90,7 +98,7 @@ class TestRenderDdl:
 
     def test_matched_value_listed_first(self, stack_db):
         schema = extract_schema(stack_db)
-        schema = retrieve_values("posts by Neil McGuigan", stack_db, schema, top_k=3)
+        schema = retrieve_values("posts by Neil McGuigan", read_literals(stack_db, schema), schema, top_k=3)
         text = render_ddl(schema, include_values=True, values_per_column=3)
         display_line = next(l for l in text.splitlines() if "DisplayName" in l)
         assert "examples: 'Neil McGuigan'" in display_line
@@ -105,6 +113,97 @@ class TestRenderDdl:
         db = db_factory([])
         with pytest.raises(SchemaError):
             render_ddl(extract_schema(db))
+
+
+class TestReadLiterals:
+    def test_text_columns_lowercased_and_filtered(self, db_factory):
+        db = db_factory(
+            [
+                "CREATE TABLE t (id INTEGER, s TEXT, n VARCHAR(10), untyped, x BLOB)",
+                "INSERT INTO t VALUES (1, 'İzmir Port', 7, 'Aa', X'00'), (2, '', 'B', NULL, 'y'), "
+                f"(3, '{'z' * MAX_LITERAL_LENGTH}', 'B', 3.5, 'y'), "
+                f"(4, '{'w' * (MAX_LITERAL_LENGTH + 1)}', NULL, 'Aa', 'y')",
+            ]
+        )
+        literals = read_literals(db, extract_schema(db))
+        assert literals == {
+            ("t", "s"): (("i\u0307zmir port", "İzmir Port"), ("z" * MAX_LITERAL_LENGTH,) * 2),
+            ("t", "n"): (("7", "7"), ("b", "B")),  # TEXT affinity stores 7 as a string
+            ("t", "untyped"): (("aa", "Aa"),),
+        }
+
+    def test_failing_column_has_none_with_a_warning(self, tmp_path, caplog):
+        # a column whose collation this connection lacks cannot be read
+        path = tmp_path / "odd" / "odd.sqlite"
+        path.parent.mkdir()
+        conn = sqlite3.connect(path)
+        conn.create_collation("backwards", lambda a, b: (a < b) - (a > b))
+        conn.execute("CREATE TABLE t (a TEXT, b TEXT COLLATE backwards)")
+        conn.execute("INSERT INTO t VALUES ('x', 'y')")
+        conn.commit()
+        conn.close()
+        db = load_database("odd", tmp_path)
+        literals = read_literals(db, extract_schema(db))
+        assert literals == {("t", "a"): (("x", "x"),), ("t", "b"): ()}
+        assert [r.getMessage() for r in caplog.records] == [
+            "value sampling failed for t.b: no such collation sequence: backwards"
+        ]
+
+
+def _question_ngrams(question: str) -> list[str]:
+    words = re.findall(r"[^\s]+", question.lower())
+    grams = []
+    for n in range(1, NGRAM_MAX_WORDS + 1):
+        for i in range(len(words) - n + 1):
+            grams.append(" ".join(words[i : i + n]))
+    return grams
+
+
+def longest_common_substring(a: str, b: str) -> int:
+    """Length of the longest common substring (classic DP, rolling row)."""
+    if not a or not b:
+        return 0
+    if len(a) > len(b):
+        a, b = b, a
+    previous = [0] * (len(a) + 1)
+    best = 0
+    for ch_b in b:
+        current = [0] * (len(a) + 1)
+        for i, ch_a in enumerate(a):
+            if ch_a == ch_b:
+                current[i + 1] = previous[i] + 1
+                if current[i + 1] > best:
+                    best = current[i + 1]
+        previous = current
+    return best
+
+
+def dp_score(literal: str, question: str) -> float:
+    """Reference scorer: the best DP longest common substring of the literal with any question n-gram."""
+    target = literal.lower()
+    if not target:
+        return 0.0
+    best = 0
+    for gram in _question_ngrams(question):
+        if len(gram) * 4 < len(target):  # gram far too short to reach threshold
+            continue
+        best = max(best, longest_common_substring(target, gram))
+        if best == len(target):
+            break
+    return best / len(target)
+
+
+def _normalized(question: str) -> str:
+    """The question as retrieve_values hands it to score_literal."""
+    return " ".join(question.lower().split())
+
+
+def _disagrees(literal: str, question: str) -> bool:
+    """score_literal differs from the DP where either reaches the threshold, or is not 0.0 below it."""
+    dp, mine = dp_score(literal, question), score_literal(literal.lower(), _normalized(question))
+    if dp >= MATCH_THRESHOLD or mine >= MATCH_THRESHOLD:
+        return mine != dp
+    return mine != 0.0
 
 
 def oracle_score(literal: str, question: str) -> float:
@@ -123,7 +222,7 @@ class TestRetrieveValues:
 
     def test_case_race_name_top_match(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values(self.QUESTION, f1_db, schema, top_k=3)
+        out = retrieve_values(self.QUESTION, read_literals(f1_db, schema), schema, top_k=3)
         matches = out.matched_values[("races", "name")]
         assert matches[0] == "European Grand Prix"
 
@@ -145,17 +244,25 @@ class TestRetrieveValues:
         assert expected == ["European Grand Prix", "Monaco Grand Prix", "Australian Grand Prix"]
 
         schema = extract_schema(f1_db)
-        out = retrieve_values(self.QUESTION, f1_db, schema, top_k=3)
+        out = retrieve_values(self.QUESTION, read_literals(f1_db, schema), schema, top_k=3)
         assert out.matched_values[("races", "name")] == expected
 
     def test_scores_match_oracle_on_all_race_names(self, f1_db):
         for name in ["European Grand Prix", "Monaco Grand Prix", "Australian Grand Prix"]:
-            mine = score_literal(name, _question_ngrams(self.QUESTION))
+            mine = score_literal(name.lower(), _normalized(self.QUESTION))
             assert mine == pytest.approx(oracle_score(name, self.QUESTION))
+
+    def test_question_case_and_whitespace_runs_ignored(self, f1_db):
+        schema = extract_schema(f1_db)
+        literals = read_literals(f1_db, schema)
+        shouted = "\t" + self.QUESTION.upper().replace(" ", " \n  ") + "\n"
+        out = retrieve_values(shouted, literals, schema, top_k=3)
+        assert out.matched_values == retrieve_values(self.QUESTION, literals, schema, top_k=3).matched_values
+        assert out.matched_values[("races", "name")][0] == "European Grand Prix"
 
     def test_no_overlap_question_matches_nothing(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values("zzz qqq xyzzy", f1_db, schema, top_k=3)
+        out = retrieve_values("zzz qqq xyzzy", read_literals(f1_db, schema), schema, top_k=3)
         assert out.matched_values == {}
 
     def test_matches_exist_verbatim_in_column(self, f1_db, stack_db):
@@ -164,7 +271,7 @@ class TestRetrieveValues:
             (stack_db, "How many comments did Neil McGuigan write?"),
         ):
             schema = extract_schema(db)
-            out = retrieve_values(question, db, schema, top_k=3)
+            out = retrieve_values(question, read_literals(db, schema), schema, top_k=3)
             conn = db.connect()
             try:
                 for (table, column), values in out.matched_values.items():
@@ -178,12 +285,87 @@ class TestRetrieveValues:
 
     def test_numeric_columns_untouched(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values("1999 1950 1952", f1_db, schema, top_k=3)
+        out = retrieve_values("1999 1950 1952", read_literals(f1_db, schema), schema, top_k=3)
         assert ("races", "year") not in out.matched_values
 
     def test_bad_top_k(self, f1_db):
+        schema = extract_schema(f1_db)
         with pytest.raises(ValueError):
-            retrieve_values("q", f1_db, extract_schema(f1_db), top_k=0)
+            retrieve_values("q", read_literals(f1_db, schema), schema, top_k=0)
+
+
+# pieces with repeated characters, whitespace runs and characters whose lowercase changes length
+_PIECES = ("a", "b", "ab", "aab", "aaaa", "A", "İ", "i\u0307", "ß", "ss", "ﬁ", "fi", "ς", "σ", "1",
+           " ", "  ", "\t", "\n", " \t\n ")
+_text = st.lists(st.sampled_from(_PIECES), max_size=14).map("".join)
+_letters = [piece for piece in _PIECES if not piece.isspace()]
+_word = st.lists(st.sampled_from(_letters), min_size=1, max_size=3).map("".join)
+_space = st.sampled_from([" ", "  ", "\t", "\n", " \n\t"])
+
+
+@st.composite
+def _short_question(draw):
+    """Fewer than NGRAM_MAX_WORDS words, apart by runs of any whitespace."""
+    words = draw(st.lists(_word, max_size=NGRAM_MAX_WORDS - 1))
+    return "".join(draw(_space) + word for word in words) + draw(_space)
+
+
+_question = st.one_of(_text, _short_question())
+
+
+@st.composite
+def _long_literal(draw):
+    """A question, and a literal longer than it: the question with more text on both sides."""
+    question = draw(_question)
+    return draw(_text) + question + draw(_word), question
+
+
+@st.composite
+def _word_run_literal(draw):
+    """A question of up to 8 words, and a literal holding a run of them, possibly over NGRAM_MAX_WORDS long."""
+    words = draw(st.lists(_word, min_size=1, max_size=8))
+    question = "".join(draw(_space) + word for word in words)
+    start = draw(st.integers(0, len(words) - 1))
+    end = draw(st.integers(start + 1, len(words)))
+    return draw(_text) + " ".join(words[start:end]) + draw(_text), question
+
+
+class TestScoreLiteral:
+    """score_literal against the DP it replaced, wherever either side reaches MATCH_THRESHOLD."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_text, _question)
+    def test_agrees_with_dp(self, literal, question):
+        assert not _disagrees(literal, question)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(_long_literal(), _word_run_literal()))
+    def test_agrees_with_dp_on_literals_built_from_the_question(self, pair):
+        assert not _disagrees(*pair)
+
+    # n * threshold is inexact in floating point: ceil overshoots at 0.55 (n = 100) and falls short at
+    # 0.0509... (n = 216), so the float comparison retrieval makes decides
+    @pytest.mark.parametrize("threshold", [MATCH_THRESHOLD, 0.55, 0.05092592592592593])
+    def test_threshold_length_is_the_smallest_passing_length(self, threshold, monkeypatch):
+        monkeypatch.setattr(context, "MATCH_THRESHOLD", threshold)
+        for n in range(1, 2 * MAX_LITERAL_LENGTH + 1):
+            assert context._threshold_length(n) == min(L for L in range(1, n + 1) if L / n >= threshold)
+
+    @pytest.mark.parametrize("workload", ["values-greedy", "multidb-maj"])
+    def test_agrees_with_dp_on_every_bench_pair(self, workload, tmp_path, monkeypatch):
+        # every literal/question pair retrieval scores on the benchmark's inputs at seed 3
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        paths = importlib.import_module("generate").generate(workload, 3, tmp_path)
+        pairs = []
+        for item in load_benchmark(paths["benchmark"], "bird"):
+            db = load_database(item.db_id, paths["db_root"])
+            question = f"{item.question} {item.evidence}" if item.evidence else item.question
+            for column in read_literals(db, extract_schema(db)).values():
+                pairs += [(value, question) for _lowered, value in column]
+        disagreements = [pair for pair in pairs if _disagrees(*pair)]
+        assert disagreements == []
+        assert len(pairs) > 1000
+        assert any(dp_score(*pair) >= MATCH_THRESHOLD for pair in pairs)
 
 
 class TestBuildPrompt:

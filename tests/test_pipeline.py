@@ -3,7 +3,7 @@
 import pytest
 
 import ablation_suite
-from conftest import sql_reply
+from conftest import literal_source, sql_reply
 
 from nl2sqlbench import pipeline
 from nl2sqlbench.context import build_prompt, extract_schema
@@ -56,7 +56,7 @@ class TestRunGreedy:
         item = _item()
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply(item.gold_sql))
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert record.outcome.status == STATUS_OK
         assert any(tag == "generate" for tag, _ in record.per_stage_trace)
@@ -77,7 +77,9 @@ class TestRunGreedy:
         )
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply(broken))
-        record = run_sql_d1(item, extract_schema(schools_db), cfg, backend, schools_db)
+        record = run_sql_d1(
+            item, extract_schema(schools_db), cfg, backend, schools_db, literal_source(schools_db)
+        )
         assert record.correct is False
         assert record.outcome.status == STATUS_SQL_ERROR
 
@@ -85,7 +87,7 @@ class TestRunGreedy:
         item = _item(question="names", gold="SELECT name FROM gems")
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT name FROM gems ORDER BY name DESC"))
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True  # gold has no ORDER BY
 
 
@@ -102,7 +104,8 @@ class TestBuildContext:
         )
 
     def test_evidence_literal_retrieved(self, gems_db):
-        ctx = build_context(self._item(), extract_schema(gems_db), _cfg(use_retriever=True), gems_db)
+        cfg = _cfg(use_retriever=True)
+        ctx = build_context(self._item(), extract_schema(gems_db), cfg, literal_source(gems_db))
         assert ctx.matched_values == {("gems", "name"): ["Golden Citrine"]}
         assert "examples: 'Golden Citrine'" in ctx.ddl_text
 
@@ -111,7 +114,7 @@ class TestBuildContext:
         cfg = _cfg(use_retriever=True)
         rules = [MockRule(pattern="examples: 'Golden Citrine'", reply=sql_reply(item.gold_sql))]
         backend = MockBackend(rules, default_reply=sql_reply("SELECT 0"))
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert ("retrieve", "1 matched values over 1 columns") in record.per_stage_trace
 
@@ -126,7 +129,7 @@ class TestRunGenerator:
             MockRule(pattern="gems", trajectory_id=i, reply=sql_reply(f"SELECT {i} FROM gems"))
             for i in range(8)
         ]
-        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
+        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         pool = run_generator(build_prompt(item, ctx), cfg, MockBackend(rules), [])
         assert len(pool) == 8
         extracted = [c.extracted_sql for c in pool]
@@ -138,7 +141,7 @@ class TestRunGenerator:
 
         item = _item()
         cfg = _cfg(num_candidates=1, temperature=0.8)
-        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
+        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         pool = run_generator(build_prompt(item, ctx), cfg, MockBackend(default_reply=sql_reply("SELECT 1")), [])
         assert len(pool) == 1
 
@@ -153,7 +156,7 @@ class TestRunVerifier:
     def test_ok_candidate_untouched_no_calls(self, gems_db):
         item, cfg, backend = self._setup([])
         candidate = Candidate(0, sql_reply("SELECT 1"), "SELECT 1", 0.0, 2)
-        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
+        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
         assert out is candidate
         assert backend.calls == []
@@ -163,7 +166,7 @@ class TestRunVerifier:
         fixed = "SELECT COUNT(*) FROM gems WHERE carat > 2"
         item, cfg, backend = self._setup([MockRule(pattern=broken, reply=sql_reply(fixed))])
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
+        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
         assert len(backend.calls) == 1  # exactly one repair generation
         assert out.extracted_sql == fixed
@@ -174,7 +177,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([], max_iters=2)
         backend.default_reply = sql_reply(broken)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
+        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
         assert len(backend.calls) == 2
         assert out.extracted_sql == broken
@@ -183,7 +186,7 @@ class TestRunVerifier:
         broken = "SELECT nope FROM nowhere"
         item, cfg, backend = self._setup([], max_iters=0)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
+        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         assert run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {}) is candidate
         assert backend.calls == []
 
@@ -191,7 +194,7 @@ class TestRunVerifier:
         broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
         item, cfg, backend = self._setup([], max_iters=1)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = build_context(item, extract_schema(gems_db), cfg, gems_db)
+        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
         prompt = backend.calls[0][0]
         assert broken in prompt
@@ -255,8 +258,9 @@ def _mk_backend():
 
 def _run_suite(gems_db, cfg):
     backend = _mk_backend()
-    schema = extract_schema(gems_db)
-    return [run_sql_d1(item, schema, cfg, backend, gems_db) for item in ablation_suite.build_items()]
+    schema, literals = extract_schema(gems_db), literal_source(gems_db)
+    items = ablation_suite.build_items()
+    return [run_sql_d1(item, schema, cfg, backend, gems_db, literals) for item in items]
 
 
 class TestAblation:
@@ -289,7 +293,7 @@ class TestAblation:
         cfg = _cfg(use_retriever=True, use_verifier=True, use_selector=True, num_candidates=3, temperature=0.8)
         backend = _mk_backend()
         item = ablation_suite.build_items()[16]  # a verifier-repaired item
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         generate_lines = [d for tag, d in record.per_stage_trace if tag == "generate" and d.startswith("trajectory")]
         verify_lines = [d for tag, d in record.per_stage_trace if tag == "verify" and "iter" in d]
         assert len(generate_lines) + len(verify_lines) == len(backend.calls)
@@ -298,7 +302,7 @@ class TestAblation:
         cfg = _cfg(use_retriever=True, use_selector=True, num_candidates=3, temperature=0.8)
         backend = _mk_backend()
         item = ablation_suite.build_items()[18]  # selection-fixed item
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert len(record.pool) == 3
         assert [e.correct for e in record.pool] == [False, True, True]
         assert record.correct is True
@@ -309,7 +313,7 @@ class TestRecordSerialization:
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT COUNT(*) FROM gems"))
         item = _item()
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         data = record.to_dict()
         back = EvalRecord.from_dict(data)
         assert back.item_id == record.item_id
@@ -320,7 +324,7 @@ class TestRecordSerialization:
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT 1"))
         item = _item()
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         data = record.to_dict()
         assert "elapsed_seconds" not in data["outcome"]
         assert data["total_latency_seconds"] == 0.0  # scripted mock latency
@@ -329,7 +333,8 @@ class TestRecordSerialization:
     def test_absent_optional_keys_take_defaults_unknown_keys_ignored(self, gems_db):
         cfg = _cfg(use_selector=True, num_candidates=2, temperature=0.8)
         backend = MockBackend(default_reply=sql_reply("SELECT 1"))
-        data = run_sql_d1(_item(), extract_schema(gems_db), cfg, backend, gems_db).to_dict()
+        record = run_sql_d1(_item(), extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
+        data = record.to_dict()
         data["written_by"] = "an older or newer harness"
         for candidate in data["candidates"]:
             del candidate["tokens_approximate"], candidate["error"]
@@ -380,7 +385,7 @@ class TestExecutionsPerItem:
         ]
         cfg = _cfg(use_verifier=True, use_selector=True, num_candidates=8, temperature=0.8)
         backend = MockBackend(rules)
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert len(backend.calls) == 8 + 3  # one repair per broken trajectory
         assert [e.sql for e in record.pool] == [fixed] * 6 + ["SELECT 2"] * 2
         assert record.final_sql == fixed and record.correct is True
@@ -390,7 +395,7 @@ class TestExecutionsPerItem:
         item = _item()
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply("SELECT COUNT(id) FROM gems"))
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert sorted(executed) == sorted([item.gold_sql, "SELECT COUNT(id) FROM gems"])
 
@@ -398,6 +403,6 @@ class TestExecutionsPerItem:
         item = _item()
         cfg = _cfg()
         backend = MockBackend(default_reply=sql_reply(item.gold_sql))
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert executed == [item.gold_sql]
