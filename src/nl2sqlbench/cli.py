@@ -222,7 +222,8 @@ def cmd_eval(args) -> int:
         literals = functools.partial(cache.literals, db_id)
         return run_sql_d1(item, cache.schema(db_id), cfg, backend, cache.handle(db_id), literals)
 
-    records: list[EvalRecord] = []
+    # items whose candidates all failed in transport, counted as the records stream so none is kept
+    transport_failures = 0
     with open(records_path, "a" if resuming else "w", encoding="utf-8") as out:
         if not resuming:
             out.write(header_line + "\n")
@@ -230,7 +231,7 @@ def cmd_eval(args) -> int:
         if pending:
             with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
                 for record in pool.map(evaluate, pending):
-                    records.append(record)
+                    transport_failures += bool(record.candidates) and all(c.error for c in record.candidates)
                     out.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
                     out.flush()
 
@@ -242,9 +243,6 @@ def cmd_eval(args) -> int:
     _write_report(out_dir, report, digest)
     print(f"evaluated {len(all_records)} items: EX {report.to_json_dict()['ex_percent']}")
 
-    transport_failures = sum(
-        1 for r in records if r.candidates and all(c.error for c in r.candidates)
-    )
     if pending and transport_failures == len(pending):
         print("backend unreachable for every item; partial records kept", file=sys.stderr)
         return 3

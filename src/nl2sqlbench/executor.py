@@ -3,8 +3,15 @@
 Queries run on fresh read-only connections with a wall-clock limit enforced
 through SQLite's progress handler. Results are compared positionally, as row
 sequences when the gold query orders its output and as row multisets
-otherwise; numeric cells use a relative tolerance. Canonical digests of
-results ("signatures") drive consistency clustering in the selector.
+otherwise; numeric cells use a relative tolerance.
+
+A result's signature is the sha256 of its canonical form: ``ok:<column
+count>:`` followed by the repr of the list of its row keys, where a row key is
+the tuple of its cells' ``(type tag, value)`` keys and numbers sit on the
+tolerance grid. The selector clusters on, and records store, the
+order-insensitive form, whose row keys are sorted. The form is built a column
+at a time but its bytes are those of that repr, so signatures match the ones
+earlier runs recorded. A failed execution hashes its status instead.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import re
 import sqlite3
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
+from operator import truediv
 
 from .corpus import DatabaseHandle
 
@@ -112,7 +121,8 @@ def execute_sql(db: DatabaseHandle, sql: str | None, timeout_seconds: float = DE
                 time.monotonic() - start,
             )
         column_count = len(cursor.description) if cursor.description else 0
-        rows = [tuple(_sanitize_cell(c) for c in row) for row in rows]
+        if not _BLOB_TYPES.isdisjoint(map(type, chain.from_iterable(rows))):
+            rows = [tuple(map(_sanitize_cell, row)) for row in rows]
         return ExecutionOutcome(STATUS_OK, rows, column_count, None, time.monotonic() - start)
     except (sqlite3.Error, sqlite3.Warning, OverflowError, ValueError) as exc:
         elapsed = time.monotonic() - start
@@ -121,6 +131,9 @@ def execute_sql(db: DatabaseHandle, sql: str | None, timeout_seconds: float = DE
         return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc), elapsed)
     finally:
         conn.close()
+
+
+_BLOB_TYPES = frozenset((bytes, memoryview))
 
 
 def _sanitize_cell(cell):
@@ -195,8 +208,43 @@ def _canonical_cell(cell):
     return (3, cell.hex())
 
 
-def _row_key(row):
-    return tuple(_canonical_cell(c) for c in row)
+def _column_form(column: tuple) -> tuple[str, map]:
+    """Format field and sort values of one result column.
+
+    The field formats a sort value as repr(_canonical_cell(cell)). In a column
+    of one kind the type tag is constant, so the bare values sort like the
+    tagged keys; any other column keeps the tagged keys.
+    """
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        if -EXACT_INT_FLOOR < min(column) and max(column) < EXACT_INT_FLOOR:
+            return "(1, {})", map(round, map(truediv, column, repeat(REL_TOL)))
+    elif kinds == {float}:
+        grid = list(map(truediv, column, repeat(REL_TOL)))
+        if all(map(math.isfinite, grid)):
+            return "(1, {})", map(round, grid)
+    elif kinds == {str}:
+        return "(2, {!r})", map(str.rstrip, column)
+    return "{!r}", map(_canonical_cell, column)
+
+
+def _canonical_form(rows: list[tuple]) -> tuple[str, list[tuple]]:
+    """Row template and per-row sort keys of a result, built a column at a time.
+
+    Keys order rows as the tuples of their cells' canonical keys do, and
+    template.format(*key) is the repr of that tuple.
+    """
+    if not rows or not rows[0]:
+        return "()", [()] * len(rows)
+    fields, values = zip(*map(_column_form, zip(*rows)))
+    template = "(" + ", ".join(fields) + ("," if len(fields) == 1 else "") + ")"
+    return template, list(zip(*values))
+
+
+def _sorted_rows(rows: list[tuple]) -> list[tuple]:
+    """Rows in canonical order; a stable sort, so ties keep their input order."""
+    keys = _canonical_form(rows)[1]
+    return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
 
 
 def _rows_equal(a, b) -> bool:
@@ -220,8 +268,8 @@ def compare_results(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensit
         return False
     pred_rows, gold_rows = pred.rows, gold.rows
     if not order_sensitive:
-        pred_rows = sorted(pred_rows, key=_row_key)
-        gold_rows = sorted(gold_rows, key=_row_key)
+        pred_rows = _sorted_rows(pred_rows)
+        gold_rows = _sorted_rows(gold_rows)
     return all(_rows_equal(p, g) for p, g in zip(pred_rows, gold_rows))
 
 
@@ -239,8 +287,8 @@ def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> Result
     else:
         assert outcome.rows is not None
         hasher.update(f"ok:{outcome.column_count}:".encode())
-        keys = [_row_key(r) for r in outcome.rows]
+        template, keys = _canonical_form(outcome.rows)
         if not order_sensitive:
             keys.sort()
-        hasher.update(repr(keys).encode())
+        hasher.update(("[" + ", ".join(starmap(template.format, keys)) + "]").encode())
     return ResultSignature(hasher.digest())

@@ -5,6 +5,7 @@ cell equality via math.isclose and multiset matching via greedy O(n^2)
 pairing, against the implementation's canonical-sort approach.
 """
 
+import hashlib
 import math
 import random
 
@@ -21,6 +22,8 @@ from nl2sqlbench.executor import (
     STATUS_SQL_ERROR,
     STATUS_TIMEOUT,
     ExecutionOutcome,
+    _canonical_cell,
+    _sorted_rows,
     cells_equal,
     compare_results,
     execute_sql,
@@ -59,6 +62,11 @@ def oracle_cells_equal(a, b) -> bool:
     if isinstance(a, str) and isinstance(b, str):
         return a.rstrip() == b.rstrip()
     return a == b
+
+
+def _row_key(row):
+    """Reference canonical key of a row: the tuple of its cells' canonical keys."""
+    return tuple(_canonical_cell(c) for c in row)
 
 
 def oracle_rows_equal(a, b) -> bool:
@@ -212,10 +220,15 @@ class TestExecuteSql:
         assert "too large" in outcome.error_message
 
     def test_blobs_digested(self, misc_db):
-        outcome = execute_sql(misc_db, "SELECT x'00ff'")
+        outcome = execute_sql(misc_db, "SELECT x'00ff' UNION ALL SELECT 1")
         assert outcome.status == STATUS_OK
-        cell = outcome.rows[0][0]
-        assert isinstance(cell, bytes) and len(cell) == 16
+        assert outcome.rows == [(hashlib.sha256(b"\x00\xff").digest()[:16],), (1,)]
+        assert type(outcome.rows[1][0]) is int
+
+    def test_cells_without_blobs_come_back_unchanged(self, misc_db):
+        outcome = execute_sql(misc_db, "SELECT x, y, 'a ', NULL FROM t_nums ORDER BY x")
+        assert outcome.rows == [(1, 1.5, "a ", None), (2, 2.5, "a ", None), (3, 3.5, "a ", None)]
+        assert [type(c) for c in outcome.rows[0]] == [int, float, str, type(None)]
 
 
 # ORDER BY, parentheses and comment markers inside literals, quoted identifiers and comments
@@ -345,3 +358,109 @@ class TestComparisonProperties:
         for sensitive in (False, True):
             if result_signature(a, sensitive) == result_signature(b, sensitive):
                 assert compare_results(a, b, sensitive)
+
+
+# digests computed by the cell-at-a-time canonical form that preceded the column-wise one;
+# a change to any of them changes every recorded pool signature
+_BLOB_A = bytes(range(16))
+_BLOB_B = bytes(range(255, 239, -1))
+PINNED_SIGNATURES = {
+    "int": (
+        [(3,), (-1,), (2**52 - 1,), (0,), (3,)],
+        "a05eac54a643bb2c89c30a3af979a192ab3236acbf5834f2f8e7e1490d71a34b",
+        "da314b78bba6dbd7b05dd2b8d92d82f76a4fd85e554258cf9a06ef2de11fadbc",
+    ),
+    "real": (
+        [(0.5,), (-0.0,), (1.25,), (3.3333333,), (1e-7,)],
+        "2fec99ab3f5fb18c74ac1e91a3c8fb485e8ab302db7f4d2bb789a8fbb7d4cf05",
+        "096a84b8f26ae380865ee7d52d6af29ae999b7e9460b14fa24e1f4b7876bfa2f",
+    ),
+    "text": (
+        [("b ",), ("a'\"\\",), ("é",), ("",)],
+        "1bf0ef01c3223d5de4ce869f13cdb93e930884375720f4de3d752b93c52ea698",
+        "370eb4384c39934c3b80db0fac80d68401ecb2608f28f29424e7201464ad4627",
+    ),
+    "null_and_blob": (
+        [(None, _BLOB_B), (None, _BLOB_A)],
+        "f872dd3d4896fa6c4fb837332caf346f1b8963458f9e7f03498484cf7026cce1",
+        "1e8065317c75609d2eb0172a3d0605c2278177dc9c088b6d4f9f32300ff6d573",
+    ),
+    "int_beyond_2_52": (
+        [(2**60 + 1,), (2**52,), (-(2**52),), (2**60,)],
+        "33ade901affa56c24bf0dceccdd55baa5a4cdb9473598cd835e9c5804d62f650",
+        "a864de898095f9266468e0dc7c8ce0183aa98b7e14c1b436a82633b4405e1372",
+    ),
+    "off_grid_real": (
+        [(math.inf,), (1e303,), (-math.inf,)],
+        "a40f86a4ad80b48a3c4c756e3bfd35c7033d34fde63d6f95326fc45c29dfabe4",
+        "cd6847bf80d4f57e3af6b36484d0ce2e64d486d5ed56b8576ae5f2468974048d",
+    ),
+    "mixed": (
+        [(1,), (0.5,), ("a ",), (None,), (2**60,), (math.inf,), (_BLOB_A,)],
+        "0ec7f38fa709bf9af5c2edbb95b03ce5cb4f5ddfd088290f3abf32f837c087db",
+        "aab6f9dce3b6772e32df87cb2d3288b6d3fe7b40374f97c54c6870d60e182185",
+    ),
+    "three_columns": (
+        [(2, 0.25, "x"), (1, 0.5, "y "), (2, 0.25, "x")],
+        "bea60434ae6ed7f218d19c6121f8235c2970e8d15e1b220332ec4a0f5eb987c5",
+        "87adb6a308ad5862b1ce8e6a1ab685fcc8fd1b5229e608459e4d9195260e2c91",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SIGNATURES)
+def test_pinned_signatures(name):
+    rows, unordered_hex, ordered_hex = PINNED_SIGNATURES[name]
+    outcome = _outcome_from_rows(rows, len(rows[0]))
+    assert result_signature(outcome, False).hex == unordered_hex
+    assert result_signature(outcome, True).hex == ordered_hex
+
+
+_BOUNDARY_INTS = [2**52 - 1, -(2**52 - 1), 2**52, -(2**52), 2**60, 2**60 + 1]
+_KIND_CELLS = {
+    "int": st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from(_BOUNDARY_INTS),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    ),
+    "real": st.one_of(
+        st.sampled_from([0.5, 0.0, -0.0, 1e303, 1.0000001e303, math.inf, -math.inf, math.nan]),
+        st.floats(),
+    ),
+    "text": st.text(alphabet="ab '\"\\é", max_size=4),
+    "null": st.none(),
+    "blob": st.binary(min_size=16, max_size=16),
+}
+_any_kind_cell = st.one_of(*_KIND_CELLS.values())
+
+
+@st.composite
+def _kinded_outcomes(draw):
+    """Results whose columns each hold one kind of cell or a mix; zero rows and zero-width rows too."""
+    n_cols = draw(st.integers(min_value=0, max_value=3))
+    n_rows = draw(st.integers(min_value=0, max_value=6))
+    columns = [
+        draw(st.lists(draw(st.sampled_from([*_KIND_CELLS.values(), _any_kind_cell])), min_size=n_rows, max_size=n_rows))
+        for _ in range(n_cols)
+    ]
+    rows = list(zip(*columns)) if n_cols else [()] * n_rows
+    return _outcome_from_rows(rows, n_cols)
+
+
+class TestColumnWiseCanonicalForm:
+    @settings(max_examples=400)
+    @given(_kinded_outcomes())
+    def test_signature_hashes_the_reference_form(self, outcome):
+        for order_sensitive in (False, True):
+            keys = [_row_key(r) for r in outcome.rows]
+            if not order_sensitive:
+                keys.sort()
+            expected = hashlib.sha256((f"ok:{outcome.column_count}:" + repr(keys)).encode()).digest()
+            assert result_signature(outcome, order_sensitive).digest == expected
+
+    @settings(max_examples=400)
+    @given(_kinded_outcomes())
+    def test_sort_is_the_reference_permutation(self, outcome):
+        # compared by identity: rows holding NaN are not == to themselves
+        expected = sorted(outcome.rows, key=_row_key)
+        assert list(map(id, _sorted_rows(outcome.rows))) == list(map(id, expected))
