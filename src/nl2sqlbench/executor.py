@@ -137,7 +137,7 @@ _BLOB_TYPES = frozenset((bytes, memoryview))
 
 
 def _sanitize_cell(cell):
-    if isinstance(cell, (bytes, memoryview)):
+    if type(cell) in _BLOB_TYPES:
         return hashlib.sha256(bytes(cell)).digest()[:16]
     return cell
 
@@ -211,9 +211,10 @@ def _canonical_cell(cell):
 def _column_form(column: tuple) -> tuple[str, map]:
     """Format field and sort values of one result column.
 
-    The field formats a sort value as repr(_canonical_cell(cell)). In a column
-    of one kind the type tag is constant, so the bare values sort like the
-    tagged keys; any other column keeps the tagged keys.
+    The field formats a sort value as repr(_canonical_cell(cell)). In a
+    numeric column on the tolerance grid the type tag is constant, so the bare
+    grid values sort like the tagged keys; any other column keeps the tagged
+    keys.
     """
     kinds = set(map(type, column))
     if kinds == {int}:
@@ -223,8 +224,6 @@ def _column_form(column: tuple) -> tuple[str, map]:
         grid = list(map(truediv, column, repeat(REL_TOL)))
         if all(map(math.isfinite, grid)):
             return "(1, {})", map(round, grid)
-    elif kinds == {str}:
-        return "(2, {!r})", map(str.rstrip, column)
     return "{!r}", map(_canonical_cell, column)
 
 

@@ -376,9 +376,9 @@ PINNED_SIGNATURES = {
         "096a84b8f26ae380865ee7d52d6af29ae999b7e9460b14fa24e1f4b7876bfa2f",
     ),
     "text": (
-        [("b ",), ("a'\"\\",), ("é",), ("",)],
-        "1bf0ef01c3223d5de4ce869f13cdb93e930884375720f4de3d752b93c52ea698",
-        "370eb4384c39934c3b80db0fac80d68401ecb2608f28f29424e7201464ad4627",
+        [("b ",), ("a'\"\\",), ("é",), ("",), (" a",)],
+        "c0fb4a6de2d905d40a15969ec6b56319551f7b745c07023fae6a0cfe82940cb6",
+        "f862eaa76d0cff09ac21f45afaf7a3263f046c2daa40a5b77ab00ce459063a87",
     ),
     "null_and_blob": (
         [(None, _BLOB_B), (None, _BLOB_A)],
