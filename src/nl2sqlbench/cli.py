@@ -115,37 +115,50 @@ def _make_backend(args):
 
 
 class _DatabaseCache:
-    """Per-run registry of database handles, base schema contexts and text-column literals."""
+    """Per-run registry of database handles, catalogs, base schema contexts and literal indexes.
+
+    Each value is made once, under a lock of its own, so reading one
+    database never holds up a thread that asks for another.
+    """
 
     def __init__(self, root: Path, layout: str):
         self.root = root
         self.layout = layout
-        self._lock = threading.Lock()
-        self._handles: dict = {}
-        self._schemas: dict = {}
-        self._literals: dict = {}
+        self._lock = threading.Lock()  # guards _locks
+        self._locks: dict = {}
+        self._values: dict = {}
+
+    def _once(self, kind: str, db_id: str, make):
+        key = (kind, db_id)
+        with self._lock:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in self._values:
+                self._values[key] = make()
+            return self._values[key]
 
     def handle(self, db_id: str):
-        with self._lock:
-            if db_id not in self._handles:
-                self._handles[db_id] = load_database(db_id, self.root, layout=self.layout)
-            return self._handles[db_id]
+        return self._once("handle", db_id, lambda: load_database(db_id, self.root, layout=self.layout))
+
+    def catalog(self, db_id: str):
+        """The database's ``context.read_catalog`` context: names and keys, no sampled values."""
+        handle = self.handle(db_id)
+        return self._once("catalog", db_id, lambda: context_mod.read_catalog(handle))
 
     def schema(self, db_id: str):
         handle = self.handle(db_id)
-        with self._lock:
-            if db_id not in self._schemas:
-                descriptions = context_mod.load_descriptions(handle.path.parent)
-                self._schemas[db_id] = context_mod.extract_schema(handle, descriptions)
-            return self._schemas[db_id]
 
-    def literals(self, db_id: str) -> dict:
-        """The database's ``context.read_literals`` mapping, read on the first call."""
+        def make():
+            return context_mod.extract_schema(handle, context_mod.load_descriptions(handle.path.parent))
+
+        return self._once("schema", db_id, make)
+
+    def literals(self, db_id: str):
+        """The database's ``context.index_literals`` index, read and built on the first call."""
         handle, schema = self.handle(db_id), self.schema(db_id)
-        with self._lock:
-            if db_id not in self._literals:
-                self._literals[db_id] = context_mod.read_literals(handle, schema)
-            return self._literals[db_id]
+        return self._once(
+            "literals", db_id, lambda: context_mod.index_literals(context_mod.read_literals(handle, schema))
+        )
 
 
 def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, list[EvalRecord], list[str]]:
@@ -284,7 +297,7 @@ def cmd_classify(args) -> int:
     for record in records:
         if record.correct:
             continue
-        label = classify_error(record.final_sql, record.gold_sql, cache.schema(record.db_id))
+        label = classify_error(record.final_sql, record.gold_sql, cache.catalog(record.db_id))
         labels.append(label)
         lines.append(_label_line(record.item_id, label))
     out_dir = Path(args.out) if args.out else records_path.parent
@@ -322,7 +335,7 @@ def cmd_classify_files(args) -> int:
     out = sys.stdout
     for item in items:
         pred_sql = predictions.get(item.item_id)
-        label = classify_error(pred_sql, item.gold_sql, cache.schema(item.db_id))
+        label = classify_error(pred_sql, item.gold_sql, cache.catalog(item.db_id))
         out.write(_label_line(item.item_id, label) + "\n")
     return 0
 

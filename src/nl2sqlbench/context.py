@@ -1,9 +1,10 @@
 """Database-aware context construction: schema, annotated DDL, value retrieval, prompt.
 
 The retrieval stage grounds generation in the concrete database: it inspects
-the catalog, samples representative column values, scores column literals
-against question n-grams to surface the values a query will need, and renders
-everything into an annotated DDL block inside the generation prompt.
+the catalog, samples representative column values, scores the column literals
+that share an indexed gram with the question to surface the values a query
+will need, and renders everything into an annotated DDL block inside the
+generation prompt.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ NGRAM_MAX_WORDS = 4
 MATCH_THRESHOLD = 0.6
 DISTINCT_SAMPLE_LIMIT = 2000
 MAX_LITERAL_LENGTH = 200
+# characters per gram of the literal index: see index_literals
+GRAM_LENGTH = 4
 # distinct values extract_schema samples per column as DDL annotations
 SAMPLE_VALUES_PER_COLUMN = 5
 
@@ -99,6 +102,15 @@ class SchemaContext:
     sample_values: dict = field(default_factory=dict)
 
 
+def read_catalog(db: DatabaseHandle) -> SchemaContext:
+    """Read the live catalog into a SchemaContext: tables, columns and keys; no descriptions or samples."""
+    conn = _connect(db)
+    try:
+        return _catalog(conn, db.db_id, {})
+    finally:
+        conn.close()
+
+
 def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> SchemaContext:
     """Read the live catalog into a SchemaContext (ddl_text left empty).
 
@@ -106,13 +118,37 @@ def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> Sche
     (see load_descriptions for the BIRD CSV layout). Up to SAMPLE_VALUES_PER_COLUMN
     distinct values per column are sampled as representative annotations.
     """
-    descriptions = descriptions or {}
-    tables: list[TableInfo] = []
-    samples: dict = {}
+    conn = _connect(db)
     try:
-        conn = db.connect()
+        schema = _catalog(conn, db.db_id, descriptions or {})
+        samples: dict = {}
+        for table in schema.tables:
+            for col in table.columns:
+                try:
+                    rows = conn.execute(
+                        f"SELECT DISTINCT {_quote(col.name)} FROM {_quote(table.name)} "
+                        f"WHERE {_quote(col.name)} IS NOT NULL ORDER BY 1 LIMIT ?",
+                        (SAMPLE_VALUES_PER_COLUMN,),
+                    ).fetchall()
+                except sqlite3.Error:
+                    continue  # virtual/odd columns: annotation is best-effort
+                values = [v for (v,) in rows if not isinstance(v, bytes)]
+                if values:
+                    samples[(table.name, col.name)] = values
+    finally:
+        conn.close()
+    return replace(schema, sample_values=samples)
+
+
+def _connect(db: DatabaseHandle) -> sqlite3.Connection:
+    try:
+        return db.connect()
     except sqlite3.Error as exc:
         raise SchemaError(f"{db.db_id}: cannot open database: {exc}") from exc
+
+
+def _catalog(conn: sqlite3.Connection, db_id: str, descriptions: dict) -> SchemaContext:
+    tables: list[TableInfo] = []
     try:
         names = [
             row[0]
@@ -133,22 +169,8 @@ def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> Sche
                 _id, _seq, ref_table, local, ref_col = row[0], row[1], row[2], row[3], row[4]
                 fks.append((local, ref_table, ref_col or ""))
             tables.append(TableInfo(name, tuple(columns), primary_key, tuple(fks)))
-            for col in columns:
-                try:
-                    rows = conn.execute(
-                        f"SELECT DISTINCT {_quote(col.name)} FROM {_quote(name)} "
-                        f"WHERE {_quote(col.name)} IS NOT NULL ORDER BY 1 LIMIT ?",
-                        (SAMPLE_VALUES_PER_COLUMN,),
-                    ).fetchall()
-                except sqlite3.Error:
-                    continue  # virtual/odd columns: annotation is best-effort
-                values = [v for (v,) in rows if not isinstance(v, bytes)]
-                if values:
-                    samples[(name, col.name)] = values
     except sqlite3.Error as exc:
-        raise SchemaError(f"{db.db_id}: catalog query failed: {exc}") from exc
-    finally:
-        conn.close()
+        raise SchemaError(f"{db_id}: catalog query failed: {exc}") from exc
     # resolve implicit foreign-key targets (REFERENCES t with no column = t's primary key)
     by_name = {t.name: t for t in tables}
     resolved = []
@@ -159,7 +181,7 @@ def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> Sche
                 ref_col = by_name[ref_table].primary_key[0]
             fks.append((local, ref_table, ref_col))
         resolved.append(replace(table, foreign_keys=tuple(fks)))
-    return SchemaContext(db_id=db.db_id, tables=tuple(resolved), sample_values=samples)
+    return SchemaContext(db_id=db_id, tables=tuple(resolved))
 
 
 def load_descriptions(db_dir) -> dict:
@@ -254,7 +276,7 @@ def render_ddl(
 
 
 def read_literals(db: DatabaseHandle, schema: SchemaContext) -> dict:
-    """Each text column's literals for retrieve_values: (table, column) -> ((lowercased, verbatim), ...).
+    """Each text column's literals for index_literals: (table, column) -> ((lowercased, verbatim), ...).
 
     A column's literals are its first DISTINCT_SAMPLE_LIMIT distinct non-NULL
     values, keeping the non-empty strings of at most MAX_LITERAL_LENGTH
@@ -333,27 +355,72 @@ def score_literal(target: str, question: str) -> float:
     return low / n
 
 
-def retrieve_values(question: str, literals: dict, schema: SchemaContext, top_k: int = 3) -> SchemaContext:
-    """Populate matched_values by scoring each text column's literals against the question.
+@dataclass(frozen=True)
+class LiteralIndex:
+    """A database's text-column literals, indexed by the grams retrieve_values looks up.
 
-    ``literals`` is read_literals' mapping for the schema's database. Matches
+    ``entries`` holds (column, lowercased, verbatim) per literal in
+    read_literals order, ``postings`` maps a GRAM_LENGTH-character gram to
+    the positions in ``entries`` of the literals indexed under it, and
+    ``unindexed`` holds the positions of literals too short to index.
+    """
+
+    entries: tuple
+    postings: dict
+    unindexed: tuple
+
+
+def index_literals(literals: dict) -> LiteralIndex:
+    """Index read_literals' mapping so that retrieval scores only literals that can reach MATCH_THRESHOLD.
+
+    A literal of n characters scores at least MATCH_THRESHOLD only if one of
+    its L0-character windows occurs in the question, L0 = _threshold_length(n).
+    With L0 >= GRAM_LENGTH, the literal is indexed by its grams at positions
+    0, s, 2s, ... for s = L0 - GRAM_LENGTH + 1: every L0-window holds one of
+    them, so such a literal shares an indexed gram with the question. A
+    literal with L0 < GRAM_LENGTH is always scored.
+    """
+    entries: list = []
+    postings: dict = {}
+    unindexed: list = []
+    for column, column_literals in literals.items():
+        for lowered, value in column_literals:
+            position = len(entries)
+            entries.append((column, lowered, value))
+            length = _threshold_length(len(lowered))
+            if length < GRAM_LENGTH:
+                unindexed.append(position)
+                continue
+            step = length - GRAM_LENGTH + 1
+            for gram in {lowered[i : i + GRAM_LENGTH] for i in range(0, len(lowered) - GRAM_LENGTH + 1, step)}:
+                postings.setdefault(gram, []).append(position)
+    return LiteralIndex(tuple(entries), postings, tuple(unindexed))
+
+
+def retrieve_values(question: str, literals: LiteralIndex, schema: SchemaContext, top_k: int = 3) -> SchemaContext:
+    """Populate matched_values with the text-column literals that best match the question.
+
+    ``literals`` is index_literals' index of the schema's database. Matches
     are verbatim column values scoring at least MATCH_THRESHOLD (see
     score_literal), kept score-descending (ties: shorter literal, then
-    lexicographic), at most top_k per column.
+    lexicographic), at most top_k per column. Only the literals sharing an
+    indexed gram with the question, and the unindexed ones, are scored; the
+    others cannot reach the threshold.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     words = " ".join(question.lower().split())
-    matched: dict = {}
-    for column, column_literals in literals.items():
-        scored = []
-        for lowered, value in column_literals:
-            score = score_literal(lowered, words)
-            if score >= MATCH_THRESHOLD:
-                scored.append((-score, len(value), value))
-        if scored:
-            scored.sort()
-            matched[column] = [v for _s, _l, v in scored[:top_k]]
+    candidates = set(literals.unindexed)
+    for gram in {words[i : i + GRAM_LENGTH] for i in range(len(words) - GRAM_LENGTH + 1)}:
+        candidates.update(literals.postings.get(gram, ()))
+    scored: dict = {}
+    # positions follow read_literals' column order, which matched_values keeps
+    for position in sorted(candidates):
+        column, lowered, value = literals.entries[position]
+        score = score_literal(lowered, words)
+        if score >= MATCH_THRESHOLD:
+            scored.setdefault(column, []).append((-score, len(value), value))
+    matched = {column: [v for _s, _l, v in sorted(found)[:top_k]] for column, found in scored.items()}
     return replace(schema, matched_values=matched)
 
 

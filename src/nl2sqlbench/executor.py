@@ -240,10 +240,11 @@ def _canonical_form(rows: list[tuple]) -> tuple[str, list[tuple]]:
     return template, list(zip(*values))
 
 
-def _sorted_rows(rows: list[tuple]) -> list[tuple]:
-    """Rows in canonical order; a stable sort, so ties keep their input order."""
+def _sorted_rows(rows: list[tuple]) -> tuple[list[tuple], list[tuple]]:
+    """Rows in canonical order, and their keys in that order; a stable sort, so ties keep their input order."""
     keys = _canonical_form(rows)[1]
-    return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    return [rows[i] for i in order], [keys[i] for i in order]
 
 
 def _rows_equal(a, b) -> bool:
@@ -254,7 +255,9 @@ def compare_results(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensit
     """Execution-accuracy comparison of a predicted result against the gold result.
 
     Positional: column order matters, column names do not. Row order matters
-    only when order_sensitive. Requires equal column counts.
+    only when order_sensitive. Requires equal column counts. Unordered
+    results whose sorted canonical keys are equal are equal without a
+    cell-by-cell walk: equal keys imply cells_equal cell by cell.
     """
     if gold.status != STATUS_OK:
         raise ValueError("gold outcome must have executed successfully")
@@ -267,8 +270,10 @@ def compare_results(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensit
         return False
     pred_rows, gold_rows = pred.rows, gold.rows
     if not order_sensitive:
-        pred_rows = _sorted_rows(pred_rows)
-        gold_rows = _sorted_rows(gold_rows)
+        pred_rows, pred_keys = _sorted_rows(pred_rows)
+        gold_rows, gold_keys = _sorted_rows(gold_rows)
+        if pred_keys == gold_keys:
+            return True
     return all(_rows_equal(p, g) for p, g in zip(pred_rows, gold_rows))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import context  # retrieval and DDL are looked up on the module, where bench/spans.py wraps them
 from .corpus import BenchmarkItem, DatabaseHandle
-from .context import SchemaContext, build_prompt
+from .context import LiteralIndex, SchemaContext, build_prompt
 from .errors import ConfigError
 from .executor import (
     STATUS_EMPTY,
@@ -172,11 +172,11 @@ def _request(prompt: str, cfg: PipelineConfig, temperature: float, num_candidate
 
 
 def build_context(
-    item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfig, literals: Callable[[], dict]
+    item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfig, literals: Callable[[], LiteralIndex]
 ) -> SchemaContext:
     """``schema`` with the item's DDL rendered, after value retrieval on question plus evidence.
 
-    ``literals`` returns the database's ``context.read_literals`` mapping; it
+    ``literals`` returns the database's ``context.index_literals`` index; it
     is called only when retrieval runs.
     """
     if not cfg.use_retriever:
@@ -318,12 +318,12 @@ def run_sql_d1(
     cfg: PipelineConfig,
     backend,
     db: DatabaseHandle,
-    literals: Callable[[], dict],
+    literals: Callable[[], LiteralIndex],
 ) -> EvalRecord:
     """The four-stage agentic flow with stages toggled by the config.
 
     ``schema`` is the database's base context, before retrieval and DDL, and
-    ``literals`` returns its text-column literals (see ``build_context``).
+    ``literals`` returns its text-column literal index (see ``build_context``).
     With verifier and selector off and one candidate at temperature 0 this is
     the greedy track. Every distinct SQL string of the item, the gold query
     included, is executed once: the verifier, the pool and the final record

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nl2sqlbench.context import extract_schema, read_literals
+from nl2sqlbench.context import extract_schema, index_literals, read_literals
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 
 
@@ -116,8 +116,8 @@ def database_digest(db: DatabaseHandle) -> str:
 
 
 def literal_source(db: DatabaseHandle):
-    """The ``literals`` argument of run_sql_d1 and build_context: db's read_literals mapping, read once."""
-    literals = read_literals(db, extract_schema(db))
+    """The ``literals`` argument of run_sql_d1 and build_context: db's literal index, built once."""
+    literals = index_literals(read_literals(db, extract_schema(db)))
     return lambda: literals
 
 

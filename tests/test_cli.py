@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -12,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import ablation_suite
-from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB
+from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB, STACK_DB
 
 from nl2sqlbench import context
-from nl2sqlbench.cli import main
+from nl2sqlbench.cli import _DatabaseCache, main
 from nl2sqlbench.corpus import DatabaseHandle
 from nl2sqlbench.pipeline import PipelineConfig
 
@@ -481,6 +482,58 @@ class TestLiteralCache:
         code = main(["classify", "--records", records, "--db-root", str(workspace["db_root"])])
         assert code == 0
         assert literal_queries() == []
+
+
+class TestDatabaseCache:
+    def test_a_slow_database_holds_up_no_other(self, tmp_path, monkeypatch):
+        build_db(tmp_path / "gems" / "gems.sqlite", GEMS_DB)
+        build_db(tmp_path / "stack" / "stack.sqlite", STACK_DB)
+        entered, release = threading.Event(), threading.Event()
+        extract_schema = context.extract_schema
+
+        def stalled(db, descriptions=None):
+            if db.db_id == "gems":
+                entered.set()
+                release.wait(timeout=30)
+            return extract_schema(db, descriptions)
+
+        monkeypatch.setattr(context, "extract_schema", stalled)
+        cache = _DatabaseCache(tmp_path, "nested")
+        slow = threading.Thread(target=cache.schema, args=("gems",))
+        slow.start()
+        try:
+            assert entered.wait(timeout=30)
+            got = {}
+
+            def read_other():
+                got.update(handle=cache.handle("stack"), schema=cache.schema("stack"))
+
+            other = threading.Thread(target=read_other)
+            other.start()
+            other.join(timeout=10)
+            # stack was read while gems was still being read
+            assert not other.is_alive() and slow.is_alive()
+            assert got["handle"].db_id == "stack"
+            assert {t.name for t in got["schema"].tables} == {"users", "posts", "comments"}
+        finally:
+            release.set()
+            slow.join(timeout=30)
+        assert not slow.is_alive()
+
+    def test_classify_samples_no_values(self, workspace, monkeypatch):
+        code, out = run_eval(workspace, "cls", "--track", "sql-d1", "--k", "3")
+        assert code == 0
+        statements = []
+        connect = DatabaseHandle.connect
+
+        def traced(handle):
+            conn = connect(handle)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(DatabaseHandle, "connect", traced)
+        assert main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])]) == 0
+        assert statements and not [s for s in statements if "DISTINCT" in s]
 
 
 class TestWorkers:

@@ -2,9 +2,12 @@
 
 import difflib
 import importlib
+import random
 import re
 import sqlite3
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,9 @@ from nl2sqlbench.context import (
     NGRAM_MAX_WORDS,
     build_prompt,
     extract_schema,
+    index_literals,
     load_descriptions,
+    read_catalog,
     read_literals,
     render_ddl,
     retrieve_values,
@@ -47,6 +52,9 @@ class TestExtractSchema:
         users = next(t for t in schema.tables if t.name == "users")
         display = next(c for c in users.columns if c.name == "DisplayName")
         assert display.description == "the public name"
+
+    def test_catalog_is_the_schema_without_samples(self, stack_db):
+        assert read_catalog(stack_db) == replace(extract_schema(stack_db), sample_values={})
 
     def test_oracle_catalog_agreement(self, schools_db):
         # independent check against a raw PRAGMA pass
@@ -98,7 +106,8 @@ class TestRenderDdl:
 
     def test_matched_value_listed_first(self, stack_db):
         schema = extract_schema(stack_db)
-        schema = retrieve_values("posts by Neil McGuigan", read_literals(stack_db, schema), schema, top_k=3)
+        literals = index_literals(read_literals(stack_db, schema))
+        schema = retrieve_values("posts by Neil McGuigan", literals, schema, top_k=3)
         text = render_ddl(schema, include_values=True, values_per_column=3)
         display_line = next(l for l in text.splitlines() if "DisplayName" in l)
         assert "examples: 'Neil McGuigan'" in display_line
@@ -222,7 +231,7 @@ class TestRetrieveValues:
 
     def test_case_race_name_top_match(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values(self.QUESTION, read_literals(f1_db, schema), schema, top_k=3)
+        out = retrieve_values(self.QUESTION, index_literals(read_literals(f1_db, schema)), schema, top_k=3)
         matches = out.matched_values[("races", "name")]
         assert matches[0] == "European Grand Prix"
 
@@ -244,7 +253,7 @@ class TestRetrieveValues:
         assert expected == ["European Grand Prix", "Monaco Grand Prix", "Australian Grand Prix"]
 
         schema = extract_schema(f1_db)
-        out = retrieve_values(self.QUESTION, read_literals(f1_db, schema), schema, top_k=3)
+        out = retrieve_values(self.QUESTION, index_literals(read_literals(f1_db, schema)), schema, top_k=3)
         assert out.matched_values[("races", "name")] == expected
 
     def test_scores_match_oracle_on_all_race_names(self, f1_db):
@@ -254,7 +263,7 @@ class TestRetrieveValues:
 
     def test_question_case_and_whitespace_runs_ignored(self, f1_db):
         schema = extract_schema(f1_db)
-        literals = read_literals(f1_db, schema)
+        literals = index_literals(read_literals(f1_db, schema))
         shouted = "\t" + self.QUESTION.upper().replace(" ", " \n  ") + "\n"
         out = retrieve_values(shouted, literals, schema, top_k=3)
         assert out.matched_values == retrieve_values(self.QUESTION, literals, schema, top_k=3).matched_values
@@ -262,7 +271,7 @@ class TestRetrieveValues:
 
     def test_no_overlap_question_matches_nothing(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values("zzz qqq xyzzy", read_literals(f1_db, schema), schema, top_k=3)
+        out = retrieve_values("zzz qqq xyzzy", index_literals(read_literals(f1_db, schema)), schema, top_k=3)
         assert out.matched_values == {}
 
     def test_matches_exist_verbatim_in_column(self, f1_db, stack_db):
@@ -271,7 +280,7 @@ class TestRetrieveValues:
             (stack_db, "How many comments did Neil McGuigan write?"),
         ):
             schema = extract_schema(db)
-            out = retrieve_values(question, read_literals(db, schema), schema, top_k=3)
+            out = retrieve_values(question, index_literals(read_literals(db, schema)), schema, top_k=3)
             conn = db.connect()
             try:
                 for (table, column), values in out.matched_values.items():
@@ -285,13 +294,13 @@ class TestRetrieveValues:
 
     def test_numeric_columns_untouched(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values("1999 1950 1952", read_literals(f1_db, schema), schema, top_k=3)
+        out = retrieve_values("1999 1950 1952", index_literals(read_literals(f1_db, schema)), schema, top_k=3)
         assert ("races", "year") not in out.matched_values
 
     def test_bad_top_k(self, f1_db):
         schema = extract_schema(f1_db)
         with pytest.raises(ValueError):
-            retrieve_values("q", read_literals(f1_db, schema), schema, top_k=0)
+            retrieve_values("q", index_literals(read_literals(f1_db, schema)), schema, top_k=0)
 
 
 # pieces with repeated characters, whitespace runs and characters whose lowercase changes length
@@ -366,6 +375,121 @@ class TestScoreLiteral:
         assert disagreements == []
         assert len(pairs) > 1000
         assert any(dp_score(*pair) >= MATCH_THRESHOLD for pair in pairs)
+
+
+def full_scan_retrieve(question: str, literals: dict) -> dict:
+    """Reference retrieval over read_literals' mapping: score every literal of every column."""
+    words = " ".join(question.lower().split())
+    matched = {}
+    for column, column_literals in literals.items():
+        scored = []
+        for lowered, value in column_literals:
+            score = score_literal(lowered, words)
+            if score >= context.MATCH_THRESHOLD:
+                scored.append((-score, len(value), value))
+        if scored:
+            scored.sort()
+            matched[column] = [v for _s, _l, v in scored[:3]]
+    return matched
+
+
+def _as_literals(columns: list[list[str]]) -> dict:
+    """read_literals' mapping for columns of raw values."""
+    return {
+        ("t", f"c{i}"): tuple((value.lower(), value) for value in dict.fromkeys(values))
+        for i, values in enumerate(columns)
+    }
+
+
+def _assert_index_is_exact(question: str, literals: dict) -> None:
+    schema = context.SchemaContext("db", ())
+    got = retrieve_values(question, index_literals(literals), schema, top_k=3).matched_values
+    # items(), so the column order is compared too
+    assert list(got.items()) == list(full_scan_retrieve(question, literals).items())
+
+
+@st.composite
+def _literal_and_question(draw):
+    """A question of up to 8 words, and literals: short ones, pieces of text, and cuts of the question."""
+    words = draw(st.lists(_word, min_size=1, max_size=8))
+    question = "".join(draw(_space) + word for word in words) + draw(_space)
+    cut = st.tuples(st.integers(0, len(question)), st.integers(0, len(question))).map(
+        lambda ends: question[min(ends) : max(ends)]
+    )
+    run = st.integers(0, len(words) - 1).flatmap(
+        lambda start: st.integers(start + 1, len(words)).map(lambda end: " ".join(words[start:end]))
+    )
+    short = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=3).map("".join).map(lambda t: t[:5])
+    literal = st.one_of(
+        short, _text, cut, run, st.tuples(_text, st.one_of(cut, run), _text).map("".join)
+    ).filter(lambda t: 0 < len(t) <= MAX_LITERAL_LENGTH)
+    columns = draw(st.lists(st.lists(literal, max_size=8), min_size=1, max_size=3))
+    return question, columns
+
+
+class TestLiteralIndex:
+    """Index-backed retrieve_values against full_scan_retrieve, and how many literals it scores."""
+
+    # the thresholds of test_threshold_length_is_the_smallest_passing_length; the index is built under each
+    @pytest.mark.parametrize("threshold", [MATCH_THRESHOLD, 0.55, 0.05092592592592593])
+    @settings(max_examples=200, deadline=None)
+    @given(_literal_and_question())
+    def test_matches_the_full_scan(self, threshold, case):
+        question, columns = case
+        with mock.patch.object(context, "MATCH_THRESHOLD", threshold):
+            _assert_index_is_exact(question, _as_literals(columns))
+
+    def test_short_literals_are_scored_unindexed(self):
+        # "ab" (L0 = 2) and "abcde" (L0 = 3) sit below GRAM_LENGTH; "abcdef" (L0 = 4) is indexed
+        index = index_literals(_as_literals([["ab", "abcde", "abcdef"]]))
+        assert index.unindexed == (0, 1)
+        assert {gram for gram, ids in index.postings.items() if 2 in ids} == {"abcd", "bcde", "cdef"}
+
+    @pytest.mark.parametrize("workload", ["values-greedy", "multidb-maj"])
+    def test_matches_the_full_scan_on_every_bench_item(self, workload, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        paths = importlib.import_module("generate").generate(workload, 3, tmp_path)
+        literals = {}
+        matched = 0
+        for item in load_benchmark(paths["benchmark"], "bird"):
+            if item.db_id not in literals:
+                db = load_database(item.db_id, paths["db_root"])
+                literals[item.db_id] = read_literals(db, extract_schema(db))
+            question = f"{item.question} {item.evidence}" if item.evidence else item.question
+            _assert_index_is_exact(question, literals[item.db_id])
+            matched += bool(full_scan_retrieve(question, literals[item.db_id]))
+        assert matched > 0
+
+    def test_scores_a_small_share_of_a_large_database(self, db_factory, monkeypatch):
+        # five text columns of 2000 distinct values each; every question names one of them
+        rng = random.Random(7)
+        syllables = ("ka", "lo", "mi", "ren", "ta", "vo", "sel", "dor", "an", "bri", "cu", "fen")
+        words = [a + b for a in syllables for b in syllables if a != b]
+        columns = []
+        for _ in range(5):
+            values = set()
+            while len(values) < 2000:
+                values.add(f"{rng.choice(words)} {rng.choice(words)} {rng.randint(10, 99)}")
+            columns.append(sorted(values))
+        rows = ", ".join("(" + ", ".join(f"'{v}'" for v in row) + ")" for row in zip(*columns))
+        db = db_factory(["CREATE TABLE t (a TEXT, b TEXT, c TEXT, d TEXT, e TEXT)", f"INSERT INTO t VALUES {rows}"])
+        schema = extract_schema(db)
+        literals = index_literals(read_literals(db, schema))
+        total = len(literals.entries)
+        assert total == 10_000
+
+        calls = []
+        score = context.score_literal
+        monkeypatch.setattr(context, "score_literal", lambda target, question: calls.append(1) or score(target, question))
+        for index in range(40):
+            column = rng.randrange(5)
+            value = rng.choice(columns[column])
+            question = f"What is the price of the listing whose {'abcde'[column]} is '{value}'? '{value}' refers to it"
+            calls.clear()
+            out = retrieve_values(question, literals, schema, top_k=3)
+            assert out.matched_values[("t", "abcde"[column])][0] == value
+            # a full scan would score all 10,000
+            assert len(calls) <= total * 0.05, (index, len(calls))
 
 
 class TestBuildPrompt:

@@ -69,6 +69,16 @@ def _row_key(row):
     return tuple(_canonical_cell(c) for c in row)
 
 
+def sort_and_walk(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensitive: bool) -> bool:
+    """Reference compare_results: sort both sides by row key and compare every cell, with no fast path."""
+    if pred.column_count != gold.column_count or len(pred.rows) != len(gold.rows):
+        return False
+    pred_rows, gold_rows = pred.rows, gold.rows
+    if not order_sensitive:
+        pred_rows, gold_rows = sorted(pred_rows, key=_row_key), sorted(gold_rows, key=_row_key)
+    return all(len(p) == len(g) and all(map(cells_equal, p, g)) for p, g in zip(pred_rows, gold_rows))
+
+
 def oracle_rows_equal(a, b) -> bool:
     return len(a) == len(b) and all(oracle_cells_equal(x, y) for x, y in zip(a, b))
 
@@ -353,6 +363,21 @@ class TestComparisonProperties:
             if compare_results(a, b, sensitive) and compare_results(b, c, sensitive):
                 assert compare_results(a, c, sensitive)
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equals_the_sort_and_walk(self, data):
+        # pairs of one multiset in two orders, with cells nudged within tolerance, and unrelated pairs
+        a = data.draw(_outcomes())
+        if data.draw(st.booleans()):
+            rows = data.draw(st.permutations(a.rows))
+            nudge = data.draw(st.sampled_from([0.0, 1e-7, -1e-7]))
+            rows = [tuple(c + nudge if type(c) is float else c for c in row) for row in rows]
+            b = _outcome_from_rows(rows, a.column_count)
+        else:
+            b = data.draw(_outcomes())
+        for sensitive in (False, True):
+            assert compare_results(a, b, sensitive) == sort_and_walk(a, b, sensitive)
+
     @given(_outcomes(), _outcomes())
     def test_signature_equality_implies_compare(self, a, b):
         for sensitive in (False, True):
@@ -463,4 +488,4 @@ class TestColumnWiseCanonicalForm:
     def test_sort_is_the_reference_permutation(self, outcome):
         # compared by identity: rows holding NaN are not == to themselves
         expected = sorted(outcome.rows, key=_row_key)
-        assert list(map(id, _sorted_rows(outcome.rows))) == list(map(id, expected))
+        assert list(map(id, _sorted_rows(outcome.rows)[0])) == list(map(id, expected))
