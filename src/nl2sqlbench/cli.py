@@ -141,9 +141,18 @@ class _DatabaseCache:
         return self._once("handle", db_id, lambda: load_database(db_id, self.root, layout=self.layout))
 
     def catalog(self, db_id: str):
-        """The database's ``context.read_catalog`` context: names and keys, no sampled values."""
+        """The database's catalog and column descriptions, without sampled values.
+
+        What ``classify`` and an eval without retrieval read: neither shows
+        sample values, so neither pays ``extract_schema``'s per-column
+        sampling queries.
+        """
         handle = self.handle(db_id)
-        return self._once("catalog", db_id, lambda: context_mod.read_catalog(handle))
+
+        def make():
+            return context_mod.read_catalog(handle, context_mod.load_descriptions(handle.path.parent))
+
+        return self._once("catalog", db_id, make)
 
     def schema(self, db_id: str):
         handle = self.handle(db_id)
@@ -233,7 +242,8 @@ def cmd_eval(args) -> int:
     def evaluate(item):
         db_id = item.db_id
         literals = functools.partial(cache.literals, db_id)
-        return run_sql_d1(item, cache.schema(db_id), cfg, backend, cache.handle(db_id), literals)
+        schema = cache.schema(db_id) if cfg.use_retriever else cache.catalog(db_id)
+        return run_sql_d1(item, schema, cfg, backend, cache.handle(db_id), literals)
 
     # items whose candidates all failed in transport, counted as the records stream so none is kept
     transport_failures = 0

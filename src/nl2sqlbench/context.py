@@ -102,11 +102,11 @@ class SchemaContext:
     sample_values: dict = field(default_factory=dict)
 
 
-def read_catalog(db: DatabaseHandle) -> SchemaContext:
-    """Read the live catalog into a SchemaContext: tables, columns and keys; no descriptions or samples."""
+def read_catalog(db: DatabaseHandle, descriptions: dict | None = None) -> SchemaContext:
+    """Read the live catalog into a SchemaContext: tables, columns, keys and descriptions; no samples."""
     conn = _connect(db)
     try:
-        return _catalog(conn, db.db_id, {})
+        return _catalog(conn, db.db_id, descriptions or {})
     finally:
         conn.close()
 

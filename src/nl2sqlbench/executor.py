@@ -1,8 +1,12 @@
 """Sandboxed SQL execution and execution-accuracy result comparison.
 
-Queries run on fresh read-only connections with a wall-clock limit enforced
-through SQLite's progress handler. Results are compared positionally, as row
-sequences when the gold query orders its output and as row multisets
+Queries run on fresh read-only connections with a wall-clock limit. SQLite
+calls the progress handler once every _PROGRESS_STEP (100,000) VM
+instructions, and the handler interrupts the statement once the limit has
+passed; so a runaway query stops one tick after its deadline, whether it
+streams rows or not, while a short query calls back into Python, which must
+take the GIL, a few times at most. Results are compared positionally,
+as row sequences when the gold query orders its output and as row multisets
 otherwise; numeric cells use a relative tolerance.
 
 A result's signature is the sha256 of its canonical form: ``ok:<column
@@ -10,8 +14,9 @@ count>:`` followed by the repr of the list of its row keys, where a row key is
 the tuple of its cells' ``(type tag, value)`` keys and numbers sit on the
 tolerance grid. The selector clusters on, and records store, the
 order-insensitive form, whose row keys are sorted. The form is built a column
-at a time but its bytes are those of that repr, so signatures match the ones
-earlier runs recorded. A failed execution hashes its status instead.
+at a time and formatted by one ``%`` template per chunk of rows, but its bytes
+are those of that repr, so signatures match the ones earlier runs recorded. A
+failed execution hashes its status instead.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ import re
 import sqlite3
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
-from operator import truediv
+from itertools import chain, repeat
+from operator import mul, truediv
 
 from .corpus import DatabaseHandle
 
@@ -38,10 +43,18 @@ REL_TOL = 1e-6
 # point; such integers get their exact grid position, which keeps the numeric sort order
 EXACT_INT_FLOOR = 2**52
 _GRID_STEPS = round(1 / REL_TOL)
+# x / REL_TOL carries a relative error of at most 2^-52 (one rounding of REL_TOL, one of the
+# division), so for |x| < 2^31 it lies within 2^31 * 10^6 * 2^-52 < 0.48 of x * 10^6 and
+# round() lands on x * _GRID_STEPS exactly; such integers take the product, which is cheaper.
+# Near 2^39 the two first disagree, so larger integers keep the rounded quotient.
+EXACT_PRODUCT_BOUND = 2**31
 # predictions returning more rows than this are treated as failed
 ROW_CAP = 100_000
-# VM instructions between progress-handler ticks
-_PROGRESS_STEP = 1000
+# VM instructions between progress-handler ticks; each tick waits for the GIL
+_PROGRESS_STEP = 100_000
+# rows formatted per % pass when signing a result: bounds the transient template and argument
+# tuple, and the GIL can change hands between passes
+_FORMAT_CHUNK_ROWS = 1024
 
 DEFAULT_TIMEOUT_SECONDS = 30.0
 
@@ -209,7 +222,7 @@ def _canonical_cell(cell):
 
 
 def _column_form(column: tuple) -> tuple[str, map]:
-    """Format field and sort values of one result column.
+    """%-format field and sort values of one result column.
 
     The field formats a sort value as repr(_canonical_cell(cell)). In a
     numeric column on the tolerance grid the type tag is constant, so the bare
@@ -218,20 +231,23 @@ def _column_form(column: tuple) -> tuple[str, map]:
     """
     kinds = set(map(type, column))
     if kinds == {int}:
-        if -EXACT_INT_FLOOR < min(column) and max(column) < EXACT_INT_FLOOR:
-            return "(1, {})", map(round, map(truediv, column, repeat(REL_TOL)))
+        low, high = min(column), max(column)
+        if -EXACT_PRODUCT_BOUND < low and high < EXACT_PRODUCT_BOUND:
+            return "(1, %d)", map(mul, column, repeat(_GRID_STEPS))
+        if -EXACT_INT_FLOOR < low and high < EXACT_INT_FLOOR:
+            return "(1, %d)", map(round, map(truediv, column, repeat(REL_TOL)))
     elif kinds == {float}:
         grid = list(map(truediv, column, repeat(REL_TOL)))
         if all(map(math.isfinite, grid)):
-            return "(1, {})", map(round, grid)
-    return "{!r}", map(_canonical_cell, column)
+            return "(1, %d)", map(round, grid)
+    return "%r", map(_canonical_cell, column)
 
 
 def _canonical_form(rows: list[tuple]) -> tuple[str, list[tuple]]:
     """Row template and per-row sort keys of a result, built a column at a time.
 
     Keys order rows as the tuples of their cells' canonical keys do, and
-    template.format(*key) is the repr of that tuple.
+    template % key is the repr of that tuple.
     """
     if not rows or not rows[0]:
         return "()", [()] * len(rows)
@@ -294,5 +310,11 @@ def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> Result
         template, keys = _canonical_form(outcome.rows)
         if not order_sensitive:
             keys.sort()
-        hasher.update(("[" + ", ".join(starmap(template.format, keys)) + "]").encode())
+        # repr(keys), fed to the hash a chunk of rows at a time with one % pass per chunk
+        hasher.update(b"[")
+        for start in range(0, len(keys), _FORMAT_CHUNK_ROWS):
+            chunk = keys[start : start + _FORMAT_CHUNK_ROWS]
+            text = ", ".join(repeat(template, len(chunk))) % tuple(chain.from_iterable(chunk))
+            hasher.update(((", " if start else "") + text).encode())
+        hasher.update(b"]")
     return ResultSignature(hasher.digest())

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,7 @@ from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_
 
 from nl2sqlbench import context
 from nl2sqlbench.cli import _DatabaseCache, main
+from nl2sqlbench.context import render_ddl
 from nl2sqlbench.corpus import DatabaseHandle
 from nl2sqlbench.pipeline import PipelineConfig
 
@@ -443,6 +444,8 @@ class TestBackendFailure:
         assert all(not json.loads(l)["correct"] for l in lines[1:])
 
 
+# the query context.extract_schema runs for each column's sample values
+_SAMPLING_QUERY = re.compile(r'SELECT DISTINCT "(.+)" FROM "(.+)" WHERE "\1" IS NOT NULL ORDER BY 1 LIMIT \d+$')
 # the query context.read_literals runs for each text column
 _LITERAL_QUERY = re.compile(r'SELECT DISTINCT "(.+)" FROM "(.+)" WHERE "\1" IS NOT NULL LIMIT \d+$')
 
@@ -482,6 +485,15 @@ class TestLiteralCache:
         code = main(["classify", "--records", records, "--db-root", str(workspace["db_root"])])
         assert code == 0
         assert literal_queries() == []
+
+
+def describe_gems(workspace, column, text):
+    """Give one column of the gems table a BIRD-layout description."""
+    desc = workspace["db_root"] / "gems" / "database_description"
+    desc.mkdir()
+    (desc / "gems.csv").write_text(
+        f"original_column_name,column_name,column_description\n{column},{column},{text}\n", encoding="utf-8"
+    )
 
 
 class TestDatabaseCache:
@@ -534,6 +546,40 @@ class TestDatabaseCache:
         monkeypatch.setattr(DatabaseHandle, "connect", traced)
         assert main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])]) == 0
         assert statements and not [s for s in statements if "DISTINCT" in s]
+
+    def test_eval_without_retrieval_samples_no_values(self, workspace, monkeypatch):
+        describe_gems(workspace, "carat", "weight in carats")
+        statements = []
+        connect = DatabaseHandle.connect
+
+        def traced(handle):
+            conn = connect(handle)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        def sampling_queries():
+            return [s for s in statements if _SAMPLING_QUERY.match(s)]
+
+        monkeypatch.setattr(DatabaseHandle, "connect", traced)
+        with monkeypatch.context() as patched:
+            # the base context as it was built before: sampled, though no prompt shows the samples
+            patched.setattr(context, "read_catalog", context.extract_schema)
+            code, sampled = run_eval(workspace, "nr_sampled", "--track", "sql-d1", "--k", "3", "--no-retrieval")
+        assert code == 0 and len(sampling_queries()) == 4
+        statements.clear()
+        code, out = run_eval(workspace, "nr", "--track", "sql-d1", "--k", "3", "--no-retrieval")
+        assert code == 0
+        assert statements and sampling_queries() == []
+        assert (out / "records.jsonl").read_bytes() == (sampled / "records.jsonl").read_bytes()
+
+    def test_catalog_holds_the_descriptions(self, workspace):
+        describe_gems(workspace, "name", "the gem's trade name")
+        cache = _DatabaseCache(workspace["db_root"], "nested")
+        unsampled, sampled = cache.catalog("gems"), cache.schema("gems")
+        assert sampled.sample_values and unsampled.sample_values == {}
+        assert unsampled == replace(sampled, sample_values={})
+        assert unsampled.tables[0].columns[1].description == "the gem's trade name"
+        assert render_ddl(unsampled, include_values=False) == render_ddl(sampled, include_values=False)
 
 
 class TestWorkers:

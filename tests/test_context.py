@@ -55,6 +55,10 @@ class TestExtractSchema:
 
     def test_catalog_is_the_schema_without_samples(self, stack_db):
         assert read_catalog(stack_db) == replace(extract_schema(stack_db), sample_values={})
+        descriptions = {("users", "DisplayName"): "the public name", ("posts", "Title"): "post title"}
+        described = read_catalog(stack_db, descriptions)
+        assert described == replace(extract_schema(stack_db, descriptions), sample_values={})
+        assert described != read_catalog(stack_db)
 
     def test_oracle_catalog_agreement(self, schools_db):
         # independent check against a raw PRAGMA pass

@@ -8,6 +8,7 @@ pairing, against the implementation's canonical-sort approach.
 import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import database_digest
 from test_sqlast import CORPUS
 
+from nl2sqlbench import executor
+from nl2sqlbench.corpus import DatabaseHandle
 from nl2sqlbench.diagnoser import parse_sql
 from nl2sqlbench.executor import (
     STATUS_EMPTY,
     STATUS_OK,
     STATUS_SQL_ERROR,
     STATUS_TIMEOUT,
+    REL_TOL,
+    _FORMAT_CHUNK_ROWS,
     ExecutionOutcome,
     _canonical_cell,
     _sorted_rows,
@@ -46,6 +51,20 @@ def misc_db(tmp_path_factory):
     from conftest import build_db
 
     return build_db(tmp_path_factory.mktemp("misc") / "misc" / "misc.sqlite", MISC_DB)
+
+
+@pytest.fixture(scope="module")
+def big_db(tmp_path_factory):
+    from conftest import build_db
+
+    return build_db(
+        tmp_path_factory.mktemp("big") / "big" / "big.sqlite",
+        [
+            "CREATE TABLE big (id INTEGER PRIMARY KEY, g INTEGER, v REAL)",
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 20000) "
+            "INSERT INTO big SELECT n, n % 97, n * 0.5 FROM r",
+        ],
+    )
 
 
 # --- independent oracle -----------------------------------------------------
@@ -196,6 +215,38 @@ class TestExecuteSql:
         outcome = execute_sql(misc_db, sql, timeout_seconds=0.5)
         assert outcome.status in (STATUS_TIMEOUT, STATUS_SQL_ERROR)
         assert outcome.status == STATUS_TIMEOUT
+
+    def test_runaway_query_streaming_no_rows_times_out(self, misc_db):
+        # the VM runs without returning a row, so only the progress-handler tick can stop it
+        sql = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT count(*) FROM r"
+        outcome = execute_sql(misc_db, sql, timeout_seconds=0.5)
+        assert outcome.status == STATUS_TIMEOUT
+        assert outcome.elapsed_seconds < 1.0
+
+    def test_short_query_rarely_calls_the_progress_handler(self, big_db, monkeypatch):
+        # each call takes the GIL; a GROUP BY over 20k rows ran about 3 ticks at the current step
+        # and 341 at a step of 1,000 instructions
+        calls = []
+        connect = DatabaseHandle.connect
+
+        class CountingConnection:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def set_progress_handler(self, handler, n):
+                def counted():
+                    calls.append(n)
+                    return handler()
+
+                self._conn.set_progress_handler(counted, n)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        monkeypatch.setattr(DatabaseHandle, "connect", lambda handle: CountingConnection(connect(handle)))
+        outcome = execute_sql(big_db, "SELECT g, count(*), sum(v) FROM big GROUP BY g")
+        assert outcome.status == STATUS_OK and outcome.row_count == 97
+        assert len(calls) <= 10
 
     def test_empty_prediction(self, misc_db):
         assert execute_sql(misc_db, None).status == STATUS_EMPTY
@@ -442,17 +493,20 @@ def test_pinned_signatures(name):
 
 
 _BOUNDARY_INTS = [2**52 - 1, -(2**52 - 1), 2**52, -(2**52), 2**60, 2**60 + 1]
+# the exact-product bound of integer grid keys, and an integer above it whose rounded quotient is not the product
+_NEAR_2_39 = 847_659_001_723
+_PRODUCT_BOUNDARY_INTS = [2**31 - 1, -(2**31 - 1), 2**31, -(2**31), _NEAR_2_39, -_NEAR_2_39]
 _KIND_CELLS = {
     "int": st.one_of(
         st.integers(min_value=-3, max_value=3),
-        st.sampled_from(_BOUNDARY_INTS),
+        st.sampled_from(_BOUNDARY_INTS + _PRODUCT_BOUNDARY_INTS),
         st.integers(min_value=-(2**63), max_value=2**63 - 1),
     ),
     "real": st.one_of(
         st.sampled_from([0.5, 0.0, -0.0, 1e303, 1.0000001e303, math.inf, -math.inf, math.nan]),
         st.floats(),
     ),
-    "text": st.text(alphabet="ab '\"\\é", max_size=4),
+    "text": st.text(alphabet="ab '\"\\é%r{}", max_size=4),
     "null": st.none(),
     "blob": st.binary(min_size=16, max_size=16),
 }
@@ -472,16 +526,20 @@ def _kinded_outcomes(draw):
     return _outcome_from_rows(rows, n_cols)
 
 
+def reference_digest(outcome: ExecutionOutcome, order_sensitive: bool) -> bytes:
+    """The signature digest as the cell-at-a-time form defines it: the repr of the row-key list."""
+    keys = [_row_key(r) for r in outcome.rows]
+    if not order_sensitive:
+        keys.sort()
+    return hashlib.sha256((f"ok:{outcome.column_count}:" + repr(keys)).encode()).digest()
+
+
 class TestColumnWiseCanonicalForm:
     @settings(max_examples=400)
     @given(_kinded_outcomes())
     def test_signature_hashes_the_reference_form(self, outcome):
         for order_sensitive in (False, True):
-            keys = [_row_key(r) for r in outcome.rows]
-            if not order_sensitive:
-                keys.sort()
-            expected = hashlib.sha256((f"ok:{outcome.column_count}:" + repr(keys)).encode()).digest()
-            assert result_signature(outcome, order_sensitive).digest == expected
+            assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
 
     @settings(max_examples=400)
     @given(_kinded_outcomes())
@@ -489,3 +547,42 @@ class TestColumnWiseCanonicalForm:
         # compared by identity: rows holding NaN are not == to themselves
         expected = sorted(outcome.rows, key=_row_key)
         assert list(map(id, _sorted_rows(outcome.rows)[0])) == list(map(id, expected))
+
+
+class TestSignatureFormatting:
+    """Integer grid keys by exact product, and the chunked %-template pass, against the reference repr."""
+
+    def test_rounded_quotient_leaves_the_product_above_the_bound(self):
+        # below 2^31 the rounded quotient is provably the product; above, it may not be
+        for x in _PRODUCT_BOUNDARY_INTS[:2]:
+            assert _canonical_cell(x) == (1, x * 10**6)
+        assert round(_NEAR_2_39 / REL_TOL) != _NEAR_2_39 * 10**6
+
+    @pytest.mark.parametrize("x", _PRODUCT_BOUNDARY_INTS)
+    def test_integer_columns_at_the_product_bound(self, x):
+        for rows in ([(x,), (0,), (-1,)], [(x, 7), (x - 1, -7)], [(x,), (2**31 - 2,)]):
+            outcome = _outcome_from_rows(rows, len(rows[0]))
+            for order_sensitive in (False, True):
+                assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+
+    def test_text_holding_format_characters(self):
+        texts = ["%", "%r", "%%", "{}", "{0} %s %d", "%(a)s", "100% "]
+        for rows in ([(t,) for t in texts], [(i, t, 0.5) for i, t in enumerate(texts)]):
+            outcome = _outcome_from_rows(rows, len(rows[0]))
+            for order_sensitive in (False, True):
+                assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, _FORMAT_CHUNK_ROWS + 1])
+    def test_results_across_chunk_boundaries(self, extra):
+        n = _FORMAT_CHUNK_ROWS + extra
+        rows = [(i % 7, f"%r{i % 5}", None if i % 3 else 0.5, 2**31 + i) for i in range(n)]
+        outcome = _outcome_from_rows(rows, 4)
+        for order_sensitive in (False, True):
+            assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+
+    @settings(max_examples=300)
+    @given(_kinded_outcomes(), st.integers(min_value=1, max_value=3))
+    def test_any_chunk_size_hashes_the_reference_form(self, outcome, chunk_rows):
+        with mock.patch.object(executor, "_FORMAT_CHUNK_ROWS", chunk_rows):
+            for order_sensitive in (False, True):
+                assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
