@@ -45,7 +45,11 @@ class DatabaseHandle:
     dialect: str = "sqlite"
 
     def connect(self) -> sqlite3.Connection:
-        """Open a fresh read-only connection (one per in-flight execution)."""
+        """Open a fresh read-only connection.
+
+        An item's queries share one (``executor.ItemReader``); each set-up
+        read, and each statement of an item that is not a query, opens its own.
+        """
         uri = f"file:{self.path}?mode=ro"
         conn = sqlite3.connect(uri, uri=True)
         conn.execute("PRAGMA query_only = ON")

@@ -1,13 +1,22 @@
 """Sandboxed SQL execution and execution-accuracy result comparison.
 
-Queries run on fresh read-only connections with a wall-clock limit. SQLite
-calls the progress handler once every _PROGRESS_STEP (100,000) VM
-instructions, and the handler interrupts the statement once the limit has
-passed; so a runaway query stops one tick after its deadline, whether it
-streams rows or not, while a short query calls back into Python, which must
-take the GIL, a few times at most. Results are compared positionally,
-as row sequences when the gold query orders its output and as row multisets
-otherwise; numeric cells use a relative tolerance.
+Queries run read-only with a wall-clock limit. SQLite calls the progress
+handler once every _PROGRESS_STEP (100,000) VM instructions, and the handler
+interrupts the statement once the limit has passed; so a runaway query stops
+one tick after its deadline, whether it streams rows or not, while a short
+query calls back into Python, which must take the GIL, a few times at most.
+Results are compared positionally, as row sequences when the gold query orders
+its output and as row multisets otherwise; numeric cells use a relative
+tolerance.
+
+An ``ItemReader`` shares one connection among the queries of one item: it
+opens on the item's first query and closes when the item ends, so the item
+pays for opening the database and parsing its schema once rather than per
+statement. Only a statement whose first keyword is SELECT, WITH or VALUES runs
+on it. Any other statement (PRAGMA, ATTACH, BEGIN, EXPLAIN, ...) could change
+connection state that a later query's result depends on, so it runs on a
+fresh connection that is closed afterwards, as every statement does when
+given a bare ``DatabaseHandle``.
 
 A result's signature is the sha256 of its canonical form: ``ok:<column
 count>:`` followed by the repr of the list of its row keys, where a row key is
@@ -88,18 +97,63 @@ class ResultSignature:
         return self.digest.hex()
 
 
-def execute_sql(db: DatabaseHandle, sql: str | None, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS) -> ExecutionOutcome:
+# whitespace and comments, then a keyword that only a query starts with; each comment form
+# matches in one way only, so a failed match cannot backtrack through alternative splits
+_QUERY_START = re.compile(r"(?:\s|--[^\n]*\n|/\*(?:[^*]|\*(?!/))*\*/)*(?:SELECT|WITH|VALUES)\b", re.I)
+
+
+class ItemReader:
+    """One read-only connection shared by the queries of one item.
+
+    Pass it to ``execute_sql`` in place of its ``DatabaseHandle``. The
+    connection opens on the first query and closes when the ``with`` block
+    that holds the reader ends; statements that are not queries still get
+    fresh connections (see the module docstring).
+    """
+
+    def __init__(self, handle: DatabaseHandle):
+        self.handle = handle
+        self._conn: sqlite3.Connection | None = None
+
+    def connection(self) -> sqlite3.Connection:
+        if self._conn is None:
+            self._conn = self.handle.connect()
+        return self._conn
+
+    def __enter__(self) -> "ItemReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+
+def _connection(db: DatabaseHandle | ItemReader, sql: str) -> tuple[sqlite3.Connection, bool]:
+    """The connection to run ``sql`` on, and whether it is the reader's shared one."""
+    if isinstance(db, ItemReader):
+        if _QUERY_START.match(sql):
+            return db.connection(), True
+        db = db.handle
+    return db.connect(), False
+
+
+def execute_sql(
+    db: DatabaseHandle | ItemReader, sql: str | None, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
+) -> ExecutionOutcome:
     """Run one statement read-only with a hard wall-clock limit.
 
     Blob cells are replaced by a content digest so outcomes stay hashable and
     small. Write statements are rejected by the read-only connection and
-    surface as sql_error.
+    surface as sql_error. On a reader's shared connection the statement's
+    cursor is closed and the progress handler cleared afterwards, so the next
+    query starts as it would on a fresh connection.
     """
     if sql is None or not sql.strip():
         return ExecutionOutcome(STATUS_EMPTY, None, 0, "empty prediction", 0.0)
     start = time.monotonic()
     try:
-        conn = db.connect()
+        conn, shared = _connection(db, sql)
     except sqlite3.Error as exc:
         return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc), time.monotonic() - start)
     timed_out = False
@@ -112,8 +166,9 @@ def execute_sql(db: DatabaseHandle, sql: str | None, timeout_seconds: float = DE
         return 0
 
     conn.set_progress_handler(_tick, _PROGRESS_STEP)
+    cursor = conn.cursor()
     try:
-        cursor = conn.execute(sql)
+        cursor.execute(sql)
         rows: list[tuple] = []
         capped = False
         while True:
@@ -143,7 +198,11 @@ def execute_sql(db: DatabaseHandle, sql: str | None, timeout_seconds: float = DE
             return ExecutionOutcome(STATUS_TIMEOUT, None, 0, f"timed out after {timeout_seconds}s", elapsed)
         return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc), elapsed)
     finally:
-        conn.close()
+        cursor.close()
+        if shared:
+            conn.set_progress_handler(None, 0)
+        else:
+            conn.close()
 
 
 _BLOB_TYPES = frozenset((bytes, memoryview))

@@ -22,6 +22,7 @@ from .errors import ConfigError
 from .executor import (
     STATUS_EMPTY,
     ExecutionOutcome,
+    ItemReader,
     compare_results,
     execute_sql,
     is_order_sensitive,
@@ -60,6 +61,8 @@ class PipelineConfig:
             raise ConfigError("verifier_max_iters must be non-negative")
         if not self.use_selector and self.num_candidates > 1:
             raise ConfigError("a candidate pool (k > 1) needs the selector enabled")
+        if self.use_retriever and self.retrieval_top_k < 1:
+            raise ConfigError("retrieval_top_k must be at least 1 when retrieval is on")
 
 
 @dataclass
@@ -197,7 +200,7 @@ def run_generator(prompt: str, cfg: PipelineConfig, backend, trace: list) -> lis
     return candidates
 
 
-def _execute(db: DatabaseHandle, sql: str | None, cfg: PipelineConfig, memo: dict) -> ExecutionOutcome:
+def _execute(db: DatabaseHandle | ItemReader, sql: str | None, cfg: PipelineConfig, memo: dict) -> ExecutionOutcome:
     """Execute ``sql`` unless ``memo``, keyed by SQL text, already holds its outcome."""
     if sql not in memo:
         memo[sql] = execute_sql(db, sql, cfg.timeout_seconds)
@@ -209,7 +212,7 @@ def run_verifier(
     prompt: str,
     cfg: PipelineConfig,
     backend,
-    db: DatabaseHandle,
+    db: DatabaseHandle | ItemReader,
     trace: list,
     memo: dict,
 ) -> Candidate:
@@ -250,7 +253,7 @@ def run_verifier(
 
 def evaluate_pool(
     candidates: list[Candidate],
-    db: DatabaseHandle,
+    db: DatabaseHandle | ItemReader,
     cfg: PipelineConfig,
     gold_outcome: ExecutionOutcome,
     order_sensitive: bool,
@@ -327,7 +330,8 @@ def run_sql_d1(
     With verifier and selector off and one candidate at temperature 0 this is
     the greedy track. Every distinct SQL string of the item, the gold query
     included, is executed once: the verifier, the pool and the final record
-    share one memo.
+    share one memo. The item's queries share one read-only connection, which
+    is closed when the item returns or raises (see ``executor.ItemReader``).
     """
     trace: list = []
     ctx = build_context(item, schema, cfg, literals)
@@ -341,13 +345,14 @@ def run_sql_d1(
     candidates = run_generator(prompt, cfg, backend, trace)
 
     order_sensitive = is_order_sensitive(item.gold_sql)
-    gold_outcome = execute_sql(db, item.gold_sql, cfg.timeout_seconds)
-    memo = {item.gold_sql: gold_outcome}
+    with ItemReader(db) as reader:
+        gold_outcome = execute_sql(reader, item.gold_sql, cfg.timeout_seconds)
+        memo = {item.gold_sql: gold_outcome}
 
-    if cfg.use_verifier:
-        candidates = [run_verifier(c, prompt, cfg, backend, db, trace, memo) for c in candidates]
+        if cfg.use_verifier:
+            candidates = [run_verifier(c, prompt, cfg, backend, reader, trace, memo) for c in candidates]
 
-    pool = evaluate_pool(candidates, db, cfg, gold_outcome, order_sensitive, memo)
+        pool = evaluate_pool(candidates, reader, cfg, gold_outcome, order_sensitive, memo)
 
     final = pool[0]
     if cfg.use_selector:

@@ -141,6 +141,17 @@ class TestEval:
         assert records["0"]["outcome"]["status"] == "ok" and records["0"]["correct"] is False
         assert json.loads((out / "report.json").read_text())["ex_percent"] == "35.0"
 
+    def test_zero_top_k_values_rejected_before_any_output(self, workspace, capsys):
+        code, out = run_eval(workspace, "run_k0", "--track", "greedy", "--top-k-values", "0")
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_top_k_values_without_retrieval_runs(self, workspace):
+        code, out = run_eval(workspace, "run_k0_nr", "--track", "greedy", "--no-retrieval", "--top-k-values", "0")
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["ex_percent"] == "40.0"
+
     def test_bad_config_exits_nonzero(self, workspace):
         code = main(
             [
@@ -153,6 +164,55 @@ class TestEval:
             ]
         )
         assert code == 2
+
+
+# values off the easy path: ±inf, an integer a double cannot hold (2^53 + 1), and 2^64, which
+# SQLite reads as a real; each question's three replies by trajectory, and whether the greedy,
+# maj and sql-d1 tracks end correct
+EDGE_DB = ["CREATE TABLE edge (v)", "INSERT INTO edge VALUES (1e999), (-1e999), (9007199254740993), (18446744073709551616)"]
+EDGE_ITEMS = [
+    ("List every edge value.", "SELECT v FROM edge",
+     ["SELECT v FROM edge ORDER BY v DESC", "SELECT v FROM edge WHERE v < 1e999", "SELECT v FROM edge WHERE v < 1e999"],
+     (True, False, False)),
+    ("Show both infinities.", "SELECT 1e999, -1e999",
+     ["SELECT 1e999, 1e999", "SELECT -(-1e999), -1e999", "SELECT 2e999, -2e999"],
+     (False, True, True)),
+    ("What is two to the fifty-third plus one?", "SELECT 9007199254740993",
+     ["SELECT 9007199254740992", "SELECT 9007199254740992 + 1", "SELECT 9007199254740993"],
+     (False, True, True)),
+    ("What is two to the sixty-fourth?", "SELECT 18446744073709551616",
+     ["SELECT 18446744073709551616.0", "SELECT 9223372036854775807", "SELECT 18446744073709551615"],
+     (True, True, True)),
+    # trajectory 0 fails until the verifier repairs it; maj breaks the 1-1 tie by trajectory id
+    ("Which edge value is largest?", "SELECT max(v) FROM edge",
+     ["SELECT max(w) FROM edge", "SELECT max(v) FROM edge", "SELECT min(v) FROM edge"],
+     (False, True, True)),
+]
+
+
+@pytest.fixture()
+def edge_workspace(tmp_path):
+    db_root = tmp_path / "databases"
+    build_db(db_root / "edge" / "edge.sqlite", EDGE_DB)
+    records = [{"question": q, "db_id": "edge", "query": gold} for q, gold, _replies, _correct in EDGE_ITEMS]
+    benchmark = write_benchmark(tmp_path / "bench.json", records)
+    rules = [{"pattern": "max(w)", "reply": sql_reply("SELECT max(v) FROM edge")}] + [
+        {"pattern": q, "trajectory_id": i, "reply": sql_reply(sql)}
+        for q, _gold, replies, _correct in EDGE_ITEMS
+        for i, sql in enumerate(replies)
+    ]
+    fixture = tmp_path / "mock.json"
+    fixture.write_text(json.dumps(rules), encoding="utf-8")
+    return {"root": tmp_path, "db_root": db_root, "benchmark": benchmark, "fixture": fixture}
+
+
+@pytest.mark.parametrize("track_index, track", enumerate(("greedy", "maj", "sql-d1")))
+def test_eval_over_values_that_break_things(edge_workspace, track_index, track):
+    code, out = run_eval(edge_workspace, track, "--track", track, "--k", "3")
+    assert code == 0
+    records = list(map(json.loads, (out / "records.jsonl").read_text().splitlines()[1:]))
+    assert [r["correct"] for r in records] == [correct[track_index] for *_rest, correct in EDGE_ITEMS]
+    assert all(r["gold_outcome"]["status"] == "ok" for r in records)
 
 
 def run_chain(workspace, name, *eval_args):

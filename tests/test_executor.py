@@ -8,6 +8,7 @@ pairing, against the implementation's canonical-sort approach.
 import hashlib
 import math
 import random
+import sqlite3
 from unittest import mock
 
 import pytest
@@ -26,7 +27,9 @@ from nl2sqlbench.executor import (
     STATUS_TIMEOUT,
     REL_TOL,
     _FORMAT_CHUNK_ROWS,
+    ROW_CAP,
     ExecutionOutcome,
+    ItemReader,
     _canonical_cell,
     _sorted_rows,
     cells_equal,
@@ -290,6 +293,142 @@ class TestExecuteSql:
         outcome = execute_sql(misc_db, "SELECT x, y, 'a ', NULL FROM t_nums ORDER BY x")
         assert outcome.rows == [(1, 1.5, "a ", None), (2, 2.5, "a ", None), (3, 3.5, "a ", None)]
         assert [type(c) for c in outcome.rows[0]] == [int, float, str, type(None)]
+
+
+def _result(outcome: ExecutionOutcome):
+    """An outcome without its wall time, which differs from run to run."""
+    return outcome.status, outcome.rows, outcome.column_count, outcome.error_message
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Every connection opened through ``DatabaseHandle.connect``, in order."""
+    opened = []
+    connect = DatabaseHandle.connect
+
+    def counted(handle):
+        opened.append(connect(handle))
+        return opened[-1]
+
+    monkeypatch.setattr(DatabaseHandle, "connect", counted)
+    return opened
+
+
+# an unbounded count that never returns a row: only the progress handler can stop it
+_RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT count(*) FROM r"
+# a finite count of some millions of VM instructions, far more than one progress-handler step
+_SLOW = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r WHERE n < 300000) SELECT count(*) FROM r"
+# 1,024 rows come back before abs() overflows on row 1,500
+_FAILS_MID_FETCH = (
+    "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r LIMIT 2000) "
+    "SELECT abs(-9223372036854775807 - (n >= 1500)) FROM r"
+)
+
+
+class TestItemReader:
+    """Queries share the reader's connection; anything else, and any failure, leaves it as a fresh one."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select x from t_nums",
+            "  -- leading comment\nSELECT x FROM t_nums",
+            "/* leading\ncomment */ SELECT x FROM t_nums",
+            "/**/--\n\tWITH a(v) AS (SELECT 1) SELECT v FROM a",
+            "VALUES (1), (2)",
+        ],
+    )
+    def test_queries_share_one_connection(self, misc_db, connects, sql):
+        with ItemReader(misc_db) as reader:
+            outcomes = [execute_sql(reader, sql) for _ in range(3)]
+        assert len(connects) == 1
+        assert [_result(o) for o in outcomes] == [_result(execute_sql(misc_db, sql))] * 3
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "EXPLAIN SELECT x FROM t_nums",
+            "PRAGMA case_sensitive_like = 1",
+            "ATTACH ':memory:' AS m",
+            "-- SELECT\nPRAGMA reverse_unordered_selects = 1",
+            "/* SELECT */ BEGIN",
+            "SAVEPOINT s",
+            "selected",
+        ],
+    )
+    def test_other_statements_get_a_fresh_connection(self, misc_db, connects, sql):
+        with ItemReader(misc_db) as reader:
+            execute_sql(reader, "SELECT 1")
+            execute_sql(reader, sql)
+            execute_sql(reader, sql)
+        assert len(connects) == 3
+
+    @pytest.mark.parametrize(
+        "statement, query",
+        [
+            ("PRAGMA case_sensitive_like = 1", "SELECT 'a' LIKE 'A', x FROM t_nums WHERE 'ab' LIKE 'A%'"),
+            ("PRAGMA reverse_unordered_selects = 1", "SELECT x FROM t_nums"),
+            ("ATTACH ':memory:' AS m", "SELECT * FROM m.sqlite_master"),
+            ("BEGIN", "BEGIN"),
+            ("SAVEPOINT s", "RELEASE s"),
+        ],
+    )
+    def test_state_changes_do_not_reach_later_queries(self, misc_db, statement, query):
+        fresh = _result(execute_sql(misc_db, query))
+        with ItemReader(misc_db) as reader:
+            execute_sql(reader, "SELECT 1")
+            assert execute_sql(reader, statement).status == STATUS_OK
+            assert _result(execute_sql(reader, query)) == fresh
+            assert not reader.connection().in_transaction
+            # the shared connection itself still answers as a fresh one would
+            conn = reader.connection()
+            assert conn.execute("SELECT 'a' LIKE 'A'").fetchone() == (1,)
+            assert conn.execute("SELECT x FROM t_nums").fetchall() == [(1,), (2,), (3,)]
+            assert conn.execute("SELECT count(*) FROM pragma_database_list").fetchone() == (1,)
+
+    @pytest.mark.parametrize(
+        "failing, timeout, status",
+        [
+            (_RUNAWAY, 0.5, STATUS_TIMEOUT),
+            (f"WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r LIMIT {ROW_CAP + 1}) SELECT n FROM r",
+             30.0, STATUS_SQL_ERROR),
+            ("SELECT missing FROM t_nums", 30.0, STATUS_SQL_ERROR),
+            (_FAILS_MID_FETCH, 30.0, STATUS_SQL_ERROR),
+        ],
+    )
+    def test_connection_is_reusable_after_a_failure(self, misc_db, connects, failing, timeout, status):
+        follow_up = "SELECT v, count(*) FROM t_dup GROUP BY v"
+        with ItemReader(misc_db) as reader:
+            assert execute_sql(reader, failing, timeout_seconds=timeout).status == status
+            # no handler is left on the connection; after the timeout, its deadline has passed
+            assert reader.connection().execute(_SLOW).fetchone() == (300000,)
+            assert not reader.connection().in_transaction
+            assert _result(execute_sql(reader, follow_up)) == _result(execute_sql(misc_db, follow_up))
+            slow = execute_sql(reader, _SLOW, timeout_seconds=30.0)
+            assert slow.status == STATUS_OK and slow.rows == [(300000,)]
+        assert len(connects) == 2  # the reader's, and the fresh one the follow-up is compared against
+
+    def test_mid_fetch_failure_comes_after_rows(self, misc_db):
+        # the failure the test above runs comes after rows have been fetched, not at the first step
+        conn = misc_db.connect()
+        try:
+            cursor = conn.execute(_FAILS_MID_FETCH)
+            assert len(cursor.fetchmany(1024)) == 1024
+            with pytest.raises(sqlite3.OperationalError, match="integer overflow"):
+                cursor.fetchmany(1024)
+        finally:
+            conn.close()
+
+    def test_connection_closes_with_the_reader(self, misc_db, connects):
+        with ItemReader(misc_db) as reader:
+            pass
+        assert connects == []
+        with pytest.raises(RuntimeError):
+            with ItemReader(misc_db) as reader:
+                execute_sql(reader, "SELECT 1")
+                raise RuntimeError
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            connects[0].execute("SELECT 1")
 
 
 # ORDER BY, parentheses and comment markers inside literals, quoted identifiers and comments

@@ -7,7 +7,7 @@ from conftest import literal_source, sql_reply
 
 from nl2sqlbench import pipeline
 from nl2sqlbench.context import build_prompt, extract_schema
-from nl2sqlbench.corpus import BenchmarkItem
+from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 from nl2sqlbench.errors import ConfigError
 from nl2sqlbench.executor import STATUS_EMPTY, STATUS_OK, STATUS_SQL_ERROR, ExecutionOutcome
 from nl2sqlbench.gateway import Candidate, MockBackend, MockRule
@@ -47,6 +47,11 @@ class TestPipelineConfig:
     def test_negative_verifier_iters_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig(verifier_max_iters=-1)
+
+    def test_retrieval_needs_a_positive_top_k(self):
+        with pytest.raises(ConfigError):
+            PipelineConfig(retrieval_top_k=0)
+        assert PipelineConfig(use_retriever=False, retrieval_top_k=0).retrieval_top_k == 0
 
 
 class TestRunGreedy:
@@ -374,7 +379,31 @@ class TestExecutionsPerItem:
         monkeypatch.setattr(pipeline, "execute_sql", counting)
         return calls
 
-    def test_pool_with_repair(self, gems_db, executed):
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """Every connection opened through ``DatabaseHandle.connect``; each records whether it was closed."""
+        connections = []
+        connect = DatabaseHandle.connect
+
+        class Tracked:
+            def __init__(self, conn):
+                self._conn, self.closed = conn, False
+
+            def close(self):
+                self.closed = True
+                self._conn.close()
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        def tracked(handle):
+            connections.append(Tracked(connect(handle)))
+            return connections[-1]
+
+        monkeypatch.setattr(DatabaseHandle, "connect", tracked)
+        return connections
+
+    def _repair_item(self):
         gold = "SELECT COUNT(*) FROM gems WHERE carat > 2"
         broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
         fixed = "SELECT COUNT(*) FROM gems WHERE carat > 2.0"
@@ -384,12 +413,43 @@ class TestExecutionsPerItem:
             MockRule(pattern=item.question, trajectory_id=i, reply=sql_reply(sql)) for i, sql in enumerate(replies)
         ]
         cfg = _cfg(use_verifier=True, use_selector=True, num_candidates=8, temperature=0.8)
+        return item, rules, cfg, (gold, broken, fixed)
+
+    def test_pool_with_repair(self, gems_db, executed, opened):
+        item, rules, cfg, (gold, broken, fixed) = self._repair_item()
         backend = MockBackend(rules)
-        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
+        schema, literals = extract_schema(gems_db), literal_source(gems_db)
+        opened.clear()
+        record = run_sql_d1(item, schema, cfg, backend, gems_db, literals)
         assert len(backend.calls) == 8 + 3  # one repair per broken trajectory
         assert [e.sql for e in record.pool] == [fixed] * 6 + ["SELECT 2"] * 2
         assert record.final_sql == fixed and record.correct is True
         assert sorted(executed) == sorted([gold, broken, fixed, "SELECT 2"])
+        # the four executions share one connection, closed when the item returns
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_each_item_opens_and_closes_its_own_connection(self, gems_db, opened):
+        item, rules, cfg, _sql = self._repair_item()
+        schema, literals = extract_schema(gems_db), literal_source(gems_db)
+        opened.clear()
+        for n in (1, 2):
+            run_sql_d1(item, schema, cfg, MockBackend(rules), gems_db, literals)
+            assert len(opened) == n and opened[-1].closed
+
+    def test_connection_closes_when_the_item_raises(self, gems_db, opened):
+        item, rules, cfg, (_gold, broken, _fixed) = self._repair_item()
+
+        class FailingRepairs(MockBackend):
+            def complete(self, request, trajectory_id):
+                if broken in request.prompt:  # only a repair prompt holds the broken SQL
+                    raise RuntimeError("backend crashed")
+                return super().complete(request, trajectory_id)
+
+        schema, literals = extract_schema(gems_db), literal_source(gems_db)
+        opened.clear()
+        with pytest.raises(RuntimeError, match="backend crashed"):
+            run_sql_d1(item, schema, cfg, FailingRepairs(rules), gems_db, literals)
+        assert len(opened) == 1 and opened[0].closed
 
     def test_greedy(self, gems_db, executed):
         item = _item()
