@@ -194,7 +194,12 @@ def load_descriptions(db_dir) -> dict:
         table = csv_path.stem
         try:
             with open(csv_path, newline="", encoding="utf-8", errors="replace") as handle:
-                for row in csv.DictReader(handle):
+                reader = csv.DictReader(handle)
+                # a byte-order mark would prefix the first header name; stripped here, because the utf-8-sig
+                # codec costs each process an import
+                if reader.fieldnames:
+                    reader.fieldnames[0] = reader.fieldnames[0].removeprefix("\ufeff")
+                for row in reader:
                     column = (row.get("original_column_name") or "").strip()
                     text = (row.get("column_description") or "").strip()
                     if column and text:

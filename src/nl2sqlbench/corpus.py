@@ -7,6 +7,7 @@ import logging
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import quote
 
 from .errors import ConfigError, IngestError, RegistryError
 
@@ -49,8 +50,10 @@ class DatabaseHandle:
 
         An item's queries share one (``executor.ItemReader``); each set-up
         read, and each statement of an item that is not a query, opens its own.
+        The path is percent-encoded, so a ``#``, ``?`` or ``%`` in it names the
+        file rather than ending or escaping the URI.
         """
-        uri = f"file:{self.path}?mode=ro"
+        uri = f"file:{quote(str(self.path))}?mode=ro"
         conn = sqlite3.connect(uri, uri=True)
         conn.execute("PRAGMA query_only = ON")
         return conn

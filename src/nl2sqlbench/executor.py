@@ -26,6 +26,13 @@ order-insensitive form, whose row keys are sorted. The form is built a column
 at a time and formatted by one ``%`` template per chunk of rows, but its bytes
 are those of that repr, so signatures match the ones earlier runs recorded. A
 failed execution hashes its status instead.
+
+When every column holds only integers inside ±EXACT_PRODUCT_BOUND or only text
+that ``rstrip()`` leaves unchanged, cells order and compare as their keys do.
+Such a result is sorted as its rows, with no key list: its signature scales the
+integer cells of one chunk at a time while formatting, and an unordered
+comparison of two such results compares the sorted rows with ``==``. Digests
+and verdicts are those of the key path.
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ import math
 import re
 import sqlite3
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import mul, truediv
+from operator import eq, itemgetter, mul, truediv
 
 from .corpus import DatabaseHandle
 
@@ -280,44 +288,65 @@ def _canonical_cell(cell):
     return (3, cell.hex())
 
 
-def _column_form(column: tuple) -> tuple[str, map]:
-    """%-format field and sort values of one result column.
+def _column_form(column: tuple) -> tuple[str, map, bool]:
+    """%-format field and sort values of one result column, and whether its cells sort as those values.
 
     The field formats a sort value as repr(_canonical_cell(cell)). In a
-    numeric column on the tolerance grid the type tag is constant, so the bare
-    grid values sort like the tagged keys; any other column keeps the tagged
-    keys.
+    numeric column on the tolerance grid, or a text column, the type tag is
+    constant, so the bare grid values or stripped texts sort like the tagged
+    keys; any other column keeps the tagged keys. The flag is set when the
+    cells themselves order and compare as their sort values do: integers
+    inside ±EXACT_PRODUCT_BOUND, whose value is the cell times _GRID_STEPS,
+    and text that rstrip() leaves unchanged, whose value is the cell.
     """
     kinds = set(map(type, column))
     if kinds == {int}:
         low, high = min(column), max(column)
         if -EXACT_PRODUCT_BOUND < low and high < EXACT_PRODUCT_BOUND:
-            return "(1, %d)", map(mul, column, repeat(_GRID_STEPS))
+            return "(1, %d)", map(mul, column, repeat(_GRID_STEPS)), True
         if -EXACT_INT_FLOOR < low and high < EXACT_INT_FLOOR:
-            return "(1, %d)", map(round, map(truediv, column, repeat(REL_TOL)))
+            return "(1, %d)", map(round, map(truediv, column, repeat(REL_TOL))), False
     elif kinds == {float}:
         grid = list(map(truediv, column, repeat(REL_TOL)))
         if all(map(math.isfinite, grid)):
-            return "(1, %d)", map(round, grid)
-    return "%r", map(_canonical_cell, column)
+            return "(1, %d)", map(round, grid), False
+    elif kinds == {str}:
+        return "(2, %r)", map(str.rstrip, column), all(map(eq, map(str.rstrip, column), column))
+    return "%r", map(_canonical_cell, column), False
 
 
-def _canonical_form(rows: list[tuple]) -> tuple[str, list[tuple]]:
-    """Row template and per-row sort keys of a result, built a column at a time.
+def _canonical_form(rows: list[tuple]) -> tuple[str, Iterator[tuple], bool]:
+    """Row template, lazy per-row sort keys, and whether the rows sort as their keys do.
 
-    Keys order rows as the tuples of their cells' canonical keys do, and
-    template % key is the repr of that tuple.
+    Built a column at a time. Keys order rows as the tuples of their cells'
+    canonical keys do, and template % key is the repr of that tuple. When
+    every column's cells sort as their values (see ``_column_form``), rows
+    order and compare as their keys, and a row becomes its key once its
+    integer cells are multiplied by _GRID_STEPS.
     """
     if not rows or not rows[0]:
-        return "()", [()] * len(rows)
-    fields, values = zip(*map(_column_form, zip(*rows)))
+        return "()", repeat((), len(rows)), True
+    # zip(*rows) holds an iterator per row while it transposes, which past one chunk of rows costs more memory
+    # than one itemgetter pass per column; below that, it is the cheaper call
+    if len(rows) <= _FORMAT_CHUNK_ROWS:
+        columns = zip(*rows)
+    else:
+        columns = (tuple(map(itemgetter(i), rows)) for i in range(len(rows[0])))
+    fields, values, exact = zip(*map(_column_form, columns))
     template = "(" + ", ".join(fields) + ("," if len(fields) == 1 else "") + ")"
-    return template, list(zip(*values))
+    return template, zip(*values), all(exact)
 
 
-def _sorted_rows(rows: list[tuple]) -> tuple[list[tuple], list[tuple]]:
-    """Rows in canonical order, and their keys in that order; a stable sort, so ties keep their input order."""
-    keys = _canonical_form(rows)[1]
+def _sorted_rows(rows: list[tuple]) -> tuple[list[tuple], list[tuple] | None]:
+    """Rows in canonical order, and their keys in that order or None when the rows sorted as they are.
+
+    A stable sort, so ties keep their input order; rows that sort as their
+    keys do are sorted with no key list.
+    """
+    _, keys, exact = _canonical_form(rows)
+    if exact:
+        return sorted(rows), None
+    keys = list(keys)
     order = sorted(range(len(rows)), key=keys.__getitem__)
     return [rows[i] for i in order], [keys[i] for i in order]
 
@@ -332,7 +361,10 @@ def compare_results(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensit
     Positional: column order matters, column names do not. Row order matters
     only when order_sensitive. Requires equal column counts. Unordered
     results whose sorted canonical keys are equal are equal without a
-    cell-by-cell walk: equal keys imply cells_equal cell by cell.
+    cell-by-cell walk: equal keys imply cells_equal cell by cell. When both
+    sides sort as their rows (see ``_canonical_form``), equal rows are equal
+    keys and unequal rows differ in some cell, so their sorted rows are
+    compared with ``==``.
     """
     if gold.status != STATUS_OK:
         raise ValueError("gold outcome must have executed successfully")
@@ -347,6 +379,13 @@ def compare_results(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensit
     if not order_sensitive:
         pred_rows, pred_keys = _sorted_rows(pred_rows)
         gold_rows, gold_keys = _sorted_rows(gold_rows)
+        if pred_keys is None and gold_keys is None:
+            return pred_rows == gold_rows
+        # a side sorted as its rows is in canonical order: its keys in that order allow the equal-keys test
+        if pred_keys is None:
+            pred_keys = list(_canonical_form(pred_rows)[1])
+        if gold_keys is None:
+            gold_keys = list(_canonical_form(gold_rows)[1])
         if pred_keys == gold_keys:
             return True
     return all(_rows_equal(p, g) for p, g in zip(pred_rows, gold_rows))
@@ -366,14 +405,27 @@ def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> Result
     else:
         assert outcome.rows is not None
         hasher.update(f"ok:{outcome.column_count}:".encode())
-        template, keys = _canonical_form(outcome.rows)
-        if not order_sensitive:
-            keys.sort()
-        # repr(keys), fed to the hash a chunk of rows at a time with one % pass per chunk
+        template, keys, exact = _canonical_form(outcome.rows)
+        if exact:
+            # rows that sort as their keys stand in for them; integer cells are scaled a chunk at a time
+            keys = outcome.rows if order_sensitive else sorted(outcome.rows)
+            scaled = [i for i, cell in enumerate(keys[0]) if type(cell) is int] if keys else []
+        else:
+            keys, scaled = list(keys), []
+            if not order_sensitive:
+                keys.sort()
+        # repr of the key list, fed to the hash a chunk of rows at a time with one % pass per chunk
         hasher.update(b"[")
         for start in range(0, len(keys), _FORMAT_CHUNK_ROWS):
             chunk = keys[start : start + _FORMAT_CHUNK_ROWS]
-            text = ", ".join(repeat(template, len(chunk))) % tuple(chain.from_iterable(chunk))
+            if scaled:
+                columns = list(zip(*chunk))
+                for i in scaled:
+                    columns[i] = map(mul, columns[i], repeat(_GRID_STEPS))
+                cells = chain.from_iterable(zip(*columns))
+            else:
+                cells = chain.from_iterable(chunk)
+            text = ", ".join(repeat(template, len(chunk))) % tuple(cells)
             hasher.update(((", " if start else "") + text).encode())
         hasher.update(b"]")
     return ResultSignature(hasher.digest())

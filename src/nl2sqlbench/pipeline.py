@@ -63,6 +63,15 @@ class PipelineConfig:
             raise ConfigError("a candidate pool (k > 1) needs the selector enabled")
         if self.use_retriever and self.retrieval_top_k < 1:
             raise ConfigError("retrieval_top_k must be at least 1 when retrieval is on")
+        # written so that NaN fails too; checked here so a run stops before it writes any output
+        if not 0.0 <= self.temperature <= 2.0:
+            raise ConfigError("temperature must be within [0, 2]")
+        if self.max_new_tokens < 1:
+            raise ConfigError("max_new_tokens must be at least 1")
+        if not self.timeout_seconds > 0:
+            raise ConfigError("timeout_seconds must be positive")
+        if self.values_per_column < 0:
+            raise ConfigError("values_per_column must be non-negative")
 
 
 @dataclass
@@ -152,6 +161,17 @@ def _outcome_from_dict(data: dict) -> ExecutionOutcome:
         error_message=data["error_message"],
         elapsed_seconds=0.0,
         row_count=data.get("row_count"),
+    )
+
+
+def _without_rows(outcome: ExecutionOutcome) -> ExecutionOutcome:
+    """``outcome`` keeping its row count but not its rows.
+
+    Records hold these: ``to_dict`` writes no rows, and a finished record can
+    wait in memory while the items ahead of it are written.
+    """
+    return ExecutionOutcome(
+        outcome.status, None, outcome.column_count, outcome.error_message, outcome.elapsed_seconds, outcome.row_count
     )
 
 
@@ -368,7 +388,7 @@ def run_sql_d1(
     else:
         trace.append(("select", "disabled: single candidate"))
 
-    outcome = memo[final.sql]
+    outcome = _without_rows(memo[final.sql])
     trace.append(("execute", f"final status {outcome.status}"))
     if not gold_outcome.ok:
         trace.append(("execute", f"gold invalid: {gold_outcome.status}"))
@@ -382,7 +402,7 @@ def run_sql_d1(
         final_sql=final.sql,
         candidates=candidates,
         outcome=outcome,
-        gold_outcome=gold_outcome,
+        gold_outcome=_without_rows(gold_outcome),
         correct=final.correct,
         order_sensitive=order_sensitive,
         per_stage_trace=trace,

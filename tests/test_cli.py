@@ -147,6 +147,23 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            ("--temperature", "3"),
+            ("--temperature", "-0.5"),
+            ("--timeout", "0"),
+            ("--timeout", "-1"),
+            ("--max-new-tokens", "0"),
+            ("--values-per-column", "-1"),
+        ],
+    )
+    def test_out_of_range_setting_rejected_before_any_output(self, workspace, capsys, setting):
+        code, out = run_eval(workspace, "run_bad_setting", "--track", "maj", "--k", "2", *setting)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_top_k_values_without_retrieval_runs(self, workspace):
         code, out = run_eval(workspace, "run_k0_nr", "--track", "greedy", "--no-retrieval", "--top-k-values", "0")
         assert code == 0

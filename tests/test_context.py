@@ -83,6 +83,16 @@ class TestLoadDescriptions:
         mapping = load_descriptions(tmp_path)
         assert mapping == {("users", "DisplayName"): "user visible name"}
 
+    def test_byte_order_mark(self, tmp_path):
+        desc = tmp_path / "database_description"
+        desc.mkdir()
+        (desc / "users.csv").write_text(
+            "original_column_name,column_description\nDisplayName,user visible name\n",
+            encoding="utf-8-sig",
+        )
+        assert (desc / "users.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_descriptions(tmp_path) == {("users", "DisplayName"): "user visible name"}
+
     def test_missing_directory(self, tmp_path):
         assert load_descriptions(tmp_path) == {}
 

@@ -1,11 +1,12 @@
 """Benchmark loading, database registry, and difficulty stratification."""
 
 import json
+import sqlite3
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import dump_benchmark, write_benchmark
+from conftest import build_db, dump_benchmark, write_benchmark
 
 from nl2sqlbench.corpus import (
     BenchmarkItem,
@@ -14,6 +15,7 @@ from nl2sqlbench.corpus import (
     stratify,
 )
 from nl2sqlbench.errors import ConfigError, IngestError, RegistryError
+from nl2sqlbench.executor import execute_sql
 
 
 BIRD_RECORDS = [
@@ -138,6 +140,22 @@ class TestLoadDatabase:
         flat.write_bytes(gems_db.path.read_bytes())
         handle = load_database("gems", tmp_path, layout="flat")
         assert handle.path == flat
+
+    def test_uri_characters_in_the_path(self, tmp_path):
+        # a '#' once cut the URI short: SQLite created an empty read-write database at 'we' instead
+        root = tmp_path / "we#ird%41 ?dir"
+        build_db(root / "t" / "t.sqlite", ["CREATE TABLE t (v)", "INSERT INTO t VALUES (1), (2)"])
+        handle = load_database("t", root)
+        assert execute_sql(handle, "SELECT v FROM t ORDER BY v").rows == [(1,), (2,)]
+        conn = handle.connect()
+        try:
+            conn.execute("PRAGMA query_only = OFF")
+            with pytest.raises(sqlite3.OperationalError, match="readonly"):
+                conn.execute("INSERT INTO t VALUES (3)")
+        finally:
+            conn.close()
+        assert [p.name for p in tmp_path.iterdir()] == [root.name]
+        assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == ["t", "t/t.sqlite"]
 
     def test_writes_rejected_on_handle_connection(self, gems_db):
         import sqlite3

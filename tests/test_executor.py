@@ -9,6 +9,7 @@ import hashlib
 import math
 import random
 import sqlite3
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -635,6 +636,8 @@ _BOUNDARY_INTS = [2**52 - 1, -(2**52 - 1), 2**52, -(2**52), 2**60, 2**60 + 1]
 # the exact-product bound of integer grid keys, and an integer above it whose rounded quotient is not the product
 _NEAR_2_39 = 847_659_001_723
 _PRODUCT_BOUNDARY_INTS = [2**31 - 1, -(2**31 - 1), 2**31, -(2**31), _NEAR_2_39, -_NEAR_2_39]
+# characters that rstrip() removes, so text ending in one keys differently from its cell
+_TRAILING_BLANKS = [" ", "\t", "\x1f", "\u3000"]
 _KIND_CELLS = {
     "int": st.one_of(
         st.integers(min_value=-3, max_value=3),
@@ -646,6 +649,12 @@ _KIND_CELLS = {
         st.floats(),
     ),
     "text": st.text(alphabet="ab '\"\\é%r{}", max_size=4),
+    # integers at and just inside the exact-product bound, whose columns may sort as their rows
+    "product_int": st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from(_PRODUCT_BOUNDARY_INTS[:4])),
+    # text that mostly keeps its trailing characters under rstrip(), and sometimes ends in a blank
+    "blank_text": st.builds(
+        str.__add__, st.text(alphabet="ab\u3000", max_size=3), st.sampled_from(["", "", "", *_TRAILING_BLANKS])
+    ),
     "null": st.none(),
     "blob": st.binary(min_size=16, max_size=16),
 }
@@ -725,3 +734,115 @@ class TestSignatureFormatting:
         with mock.patch.object(executor, "_FORMAT_CHUNK_ROWS", chunk_rows):
             for order_sensitive in (False, True):
                 assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+
+
+class TestRowsThatSortAsKeys:
+    """Results whose every column sorts as its cells: integers inside ±2^31 and text that rstrip() keeps."""
+
+    @pytest.mark.parametrize(
+        "rows, as_rows",
+        [
+            ([(2**31 - 1,), (-(2**31 - 1),), (0,)], True),
+            ([(2**31,), (0,)], False),
+            ([(-(2**31),), (0,)], False),
+            ([(_NEAR_2_39,)], False),
+            ([("a b",), ("a\u3000b",), ("",)], True),
+            *[([("a",), ("b" + blank,)], False) for blank in _TRAILING_BLANKS],
+            ([(1, "a"), (1, "a")], True),
+            ([(1, 0.5)], False),
+            ([(1,), (None,)], False),
+            ([(1,), ("a",)], False),
+            ([(_BLOB_A,)], False),
+            ([(), ()], True),
+            ([], True),
+        ],
+    )
+    def test_which_results_sort_as_rows(self, rows, as_rows):
+        # keys of None mean the rows were sorted as they are, with no key list
+        assert (_sorted_rows(rows)[1] is None) is as_rows
+        assert _sorted_rows(rows)[0] == sorted(rows, key=_row_key)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_repeating_rows_at_the_chunk_size(self, data):
+        # 1,024 or 1,025 rows of one or two columns, each cell one of a few values, so that rows repeat; no NaN,
+        # which SQLite returns as NULL and which cells_equal holds unequal to itself
+        rnd = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+        n_rows = data.draw(st.sampled_from([_FORMAT_CHUNK_ROWS, _FORMAT_CHUNK_ROWS + 1]))
+        kinds = [kind.filter(lambda cell: cell == cell) for kind in _KIND_CELLS.values()]
+        pools = [
+            data.draw(st.lists(data.draw(st.sampled_from(kinds)), min_size=1, max_size=4))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=2)))
+        ]
+        rows = [tuple(rnd.choice(pool) for pool in pools) for _ in range(n_rows)]
+        outcome = _outcome_from_rows(rows, len(pools))
+        shuffled = _outcome_from_rows(rnd.sample(rows, len(rows)), len(pools))
+        for order_sensitive in (False, True):
+            assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+            assert compare_results(shuffled, outcome, order_sensitive) == sort_and_walk(shuffled, outcome, order_sensitive)
+        assert list(map(id, _sorted_rows(rows)[0])) == list(map(id, sorted(rows, key=_row_key)))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([(1,)], [(1.0,)]),
+            ([(1,), (2,)], [(2.0000001,), (1,)]),
+            *[([("a",), ("b",)], [("b",), ("a" + blank,)]) for blank in _TRAILING_BLANKS],
+            ([(1, "a"), (2, "b")], [(2, "b\t"), (1.0, "a")]),
+        ],
+    )
+    def test_one_side_sorting_as_rows_still_compares_by_cells(self, a, b):
+        a, b = _outcome_from_rows(a, len(a[0])), _outcome_from_rows(b, len(b[0]))
+        assert _sorted_rows(a.rows)[1] is None and _sorted_rows(b.rows)[1] is not None
+        assert compare_results(a, b, False) and compare_results(b, a, False)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_pairs_in_which_one_side_sorts_as_rows(self, data):
+        # a result of product-bound integers and text that rstrip() keeps, against a permutation whose cells may turn
+        # into an equal or nearby float, gain a trailing blank or change
+        n_rows = data.draw(st.integers(min_value=1, max_value=6))
+        columns = [
+            data.draw(st.lists(data.draw(st.sampled_from(_QUALIFYING_CELLS)), min_size=n_rows, max_size=n_rows))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
+        ]
+        a = _outcome_from_rows(list(zip(*columns)), len(columns))
+        b_rows = [tuple(data.draw(_altered(c)) for c in row) for row in data.draw(st.permutations(a.rows))]
+        b = _outcome_from_rows(b_rows, len(columns))
+        for x, y in ((a, b), (b, a)):
+            for order_sensitive in (False, True):
+                assert compare_results(x, y, order_sensitive) == sort_and_walk(x, y, order_sensitive)
+                if result_signature(x, order_sensitive) == result_signature(y, order_sensitive):
+                    assert compare_results(x, y, order_sensitive)
+            assert result_signature(x, False).digest == reference_digest(x, False)
+            assert list(map(id, _sorted_rows(x.rows)[0])) == list(map(id, sorted(x.rows, key=_row_key)))
+
+    def test_signing_large_results_builds_no_key_list(self):
+        # per-row keys for 20,000 rows took about 3.5 MB of traced allocations; the rows' own sort and one chunk of
+        # formatted text take well under half of that
+        integers = [(i % 97, i, (i * 7919) % 20011 - 10000) for i in range(20_000)]
+        texts = [(f"name{i * 7919 % 5003}", f"city {i % 307}") for i in range(20_000)]
+        for rows in (integers, texts):
+            outcome = _outcome_from_rows(rows, len(rows[0]))
+            tracemalloc.start()
+            try:
+                for order_sensitive in (False, True):
+                    result_signature(outcome, order_sensitive)
+                    compare_results(outcome, outcome, order_sensitive)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_500_000
+
+
+_QUALIFYING_CELLS = [
+    st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from(_PRODUCT_BOUNDARY_INTS[:2])),
+    st.text(alphabet="ab\u3000%", max_size=3).filter(lambda s: s == s.rstrip()),
+]
+
+
+def _altered(cell):
+    """The cell, or one that may no longer sort as its key: equal and nearby floats, trailing blanks, changed text."""
+    if type(cell) is int:
+        return st.sampled_from([cell, cell, float(cell), cell + 1e-7, cell + 1])
+    return st.sampled_from([cell, cell, *(cell + blank for blank in _TRAILING_BLANKS), cell + "a"])

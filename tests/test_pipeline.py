@@ -9,7 +9,7 @@ from nl2sqlbench import pipeline
 from nl2sqlbench.context import build_prompt, extract_schema
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 from nl2sqlbench.errors import ConfigError
-from nl2sqlbench.executor import STATUS_EMPTY, STATUS_OK, STATUS_SQL_ERROR, ExecutionOutcome
+from nl2sqlbench.executor import STATUS_EMPTY, STATUS_OK, STATUS_SQL_ERROR, ExecutionOutcome, execute_sql
 from nl2sqlbench.gateway import Candidate, MockBackend, MockRule
 from nl2sqlbench.pipeline import (
     EvalRecord,
@@ -53,6 +53,27 @@ class TestPipelineConfig:
             PipelineConfig(retrieval_top_k=0)
         assert PipelineConfig(use_retriever=False, retrieval_top_k=0).retrieval_top_k == 0
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"temperature": -0.1},
+            {"temperature": 2.01},
+            {"temperature": float("nan")},
+            {"max_new_tokens": 0},
+            {"timeout_seconds": 0.0},
+            {"timeout_seconds": -1.0},
+            {"timeout_seconds": float("nan")},
+            {"values_per_column": -1},
+        ],
+    )
+    def test_out_of_range_settings_rejected(self, setting):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**setting)
+
+    def test_settings_at_their_limits_accepted(self):
+        PipelineConfig(temperature=0.0, max_new_tokens=1, timeout_seconds=1e-3, values_per_column=0)
+        PipelineConfig(temperature=2.0)
+
 
 class TestRunGreedy:
     """The greedy track is run_sql_d1 with every optional stage off, k=1 and T=0 (``_cfg()``)."""
@@ -65,6 +86,16 @@ class TestRunGreedy:
         assert record.correct is True
         assert record.outcome.status == STATUS_OK
         assert any(tag == "generate" for tag, _ in record.per_stage_trace)
+
+    def test_record_keeps_row_counts_not_rows(self, gems_db):
+        item = _item(gold="SELECT name, carat FROM gems")
+        cfg = _cfg(use_selector=True, num_candidates=3, temperature=0.8)
+        backend = MockBackend(default_reply=sql_reply("SELECT name FROM gems"))
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
+        rows = execute_sql(gems_db, item.gold_sql).row_count
+        assert rows > 1 and record.correct is False
+        assert (record.outcome.status, record.outcome.rows, record.outcome.row_count) == (STATUS_OK, None, rows)
+        assert (record.gold_outcome.status, record.gold_outcome.rows, record.gold_outcome.row_count) == (STATUS_OK, None, rows)
 
     def test_broken_prediction_is_incorrect_sql_error(self, schools_db):
         item = BenchmarkItem(
