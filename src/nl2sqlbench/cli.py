@@ -200,14 +200,15 @@ def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, l
 
 def cmd_eval(args) -> int:
     cfg = _pipeline_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, cfg)
     digest = manifest_hash(manifest)
 
+    # bad inputs end the run here, before it writes anything
     items = load_benchmark(args.benchmark, args.format)
     backend = _make_backend(args)
     cache = _DatabaseCache(Path(args.db_root), args.db_layout)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     records_path = out_dir / "records.jsonl"
     done_ids: set[str] = set()
@@ -337,9 +338,15 @@ def cmd_classify(args) -> int:
 
 def cmd_classify_files(args) -> int:
     """Standalone mode: label a prediction file against a gold benchmark file."""
-    predictions = json.loads(Path(args.pred).read_text(encoding="utf-8"))
-    if isinstance(predictions, list):
-        predictions = {str(p["item_id"]): p["sql"] for p in predictions}
+    path = Path(args.pred)
+    try:  # {item_id: SQL or null}, or an array of {"item_id", "sql"} objects
+        predictions = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(predictions, list):
+            predictions = {str(p["item_id"]): p["sql"] for p in predictions}
+        if not all(sql is None or isinstance(sql, str) for sql in predictions.values()):
+            raise TypeError("an SQL value is neither a string nor null")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise IngestError(f"{path}: not a predictions file: {exc!r}") from exc
     items = load_benchmark(args.gold, args.format)
     cache = _DatabaseCache(Path(args.db_root), args.db_layout)
     out = sys.stdout

@@ -43,7 +43,6 @@ class DatabaseHandle:
 
     db_id: str
     path: Path
-    dialect: str = "sqlite"
 
     def connect(self) -> sqlite3.Connection:
         """Open a fresh read-only connection.
@@ -78,7 +77,10 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
     """
     if format not in ("spider", "bird"):
         raise ConfigError(f"unknown benchmark format {format!r}")
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        raise IngestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise IngestError(f"{path}: expected an array of records")
     items: list[BenchmarkItem] = []

@@ -9,7 +9,7 @@ from .classify import (
     count_labels,
     schema_column_map,
 )
-from .sqlast import parse_sql, render_sql, walk
+from .sqlast import parse_sql, walk
 
 __all__ = [
     "CATEGORIES",
@@ -20,6 +20,5 @@ __all__ = [
     "count_labels",
     "schema_column_map",
     "parse_sql",
-    "render_sql",
     "walk",
 ]

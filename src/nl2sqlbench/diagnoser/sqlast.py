@@ -1,4 +1,4 @@
-"""Tokenizer, parser, and renderer for the SQLite SELECT dialect subset.
+"""Tokenizer and parser for the SQLite SELECT dialect subset.
 
 Covers SELECT cores with joins, WHERE/GROUP BY/HAVING, set operations, CTEs,
 scalar and aggregate functions, CASE, CAST, IN/LIKE/BETWEEN/EXISTS, and
@@ -6,8 +6,8 @@ subqueries. Constructs outside the subset (window functions, FILTER clauses)
 are captured as opaque expression nodes instead of failing; genuinely
 malformed input raises SqlParseError with a character position.
 
-AST nodes compare structurally (source spans are excluded from equality), so
-render/&parse round-trips can be checked with plain ==.
+AST nodes are dataclasses that compare structurally, so two parses of
+equivalent text can be checked with plain ==.
 """
 
 from __future__ import annotations
@@ -103,9 +103,7 @@ RESERVED = frozenset(
 
 
 class Node:
-    """Base for all AST nodes; ``span`` is (start, end) into the source text."""
-
-    span: tuple[int, int] | None = None
+    """Base for all AST nodes; ``walk`` visits every field that holds a node."""
 
 
 @dataclass(eq=True)
@@ -300,10 +298,6 @@ class _Parser:
     def _prev_end(self) -> int:
         return self.tokens[max(self.index - 1, 0)].end
 
-    def _finish(self, node: Node, start: int) -> Node:
-        node.span = (start, self._prev_end())
-        return node
-
     def error(self, message: str) -> SqlParseError:
         return SqlParseError(message, self.peek().pos)
 
@@ -366,7 +360,6 @@ class _Parser:
         return stmt
 
     def parse_select(self) -> Select:
-        start = self.peek().pos
         ctes: list = []
         recursive = False
         if self.accept_kw("WITH"):
@@ -399,11 +392,9 @@ class _Parser:
                 offset, limit = first, self.parse_expr()
             else:
                 limit = first
-        node = Select(ctes, recursive, cores, ops, order_by, limit, offset)
-        return self._finish(node, start)  # type: ignore[return-value]
+        return Select(ctes, recursive, cores, ops, order_by, limit, offset)
 
     def _parse_cte(self) -> Cte:
-        start = self.peek().pos
         name = self.ident()
         columns: list = []
         if self.accept_op("("):
@@ -416,10 +407,9 @@ class _Parser:
         self.expect_op("(")
         select = self.parse_select()
         self.expect_op(")")
-        return self._finish(Cte(name, columns, select), start)  # type: ignore[return-value]
+        return Cte(name, columns, select)
 
     def _parse_core(self) -> SelectCore:
-        start = self.peek().pos
         self.expect_kw("SELECT")
         distinct = False
         if self.accept_kw("DISTINCT"):
@@ -440,13 +430,11 @@ class _Parser:
             while self.accept_op(","):
                 group_by.append(self.parse_expr())
         having = self.parse_expr() if self.accept_kw("HAVING") else None
-        node = SelectCore(distinct, columns, source, where, group_by, having)
-        return self._finish(node, start)  # type: ignore[return-value]
+        return SelectCore(distinct, columns, source, where, group_by, having)
 
     def _parse_result_column(self):
-        start = self.peek().pos
         if self.accept_op("*"):
-            return self._finish(Star(None), start)
+            return Star(None)
         if (
             self.peek().kind in ("name", "qname")
             and self.peek(1).kind == "op"
@@ -457,20 +445,19 @@ class _Parser:
             table = self.ident()
             self.advance()  # .
             self.advance()  # *
-            return self._finish(Star(table), start)
+            return Star(table)
         expr = self.parse_expr()
         alias = self._maybe_alias()
-        return self._finish(ResultColumn(expr, alias), start)
+        return ResultColumn(expr, alias)
 
     # -- FROM clause -------------------------------------------------------
 
     def _parse_from(self):
         left = self._parse_source()
         while True:
-            start = left.span[0] if left.span else self.peek().pos
             if self.accept_op(","):
                 right = self._parse_source()
-                left = self._finish(Join(left, right, "CROSS"), start)
+                left = Join(left, right, "CROSS")
                 continue
             natural = self.accept_kw("NATURAL")
             kind = None
@@ -501,17 +488,16 @@ class _Parser:
                 while self.accept_op(","):
                     using.append(self.ident())
                 self.expect_op(")")
-            left = self._finish(Join(left, right, kind, natural, on, using), start)
+            left = Join(left, right, kind, natural, on, using)
         return left
 
     def _parse_source(self):
-        start = self.peek().pos
         if self.accept_op("("):
             if self.at_kw("SELECT", "WITH"):
                 select = self.parse_select()
                 self.expect_op(")")
                 alias = self._maybe_alias()
-                return self._finish(SubquerySource(select, alias), start)
+                return SubquerySource(select, alias)
             inner = self._parse_from()
             self.expect_op(")")
             return inner
@@ -519,10 +505,9 @@ class _Parser:
         if self.accept_op("."):
             name = self.ident()  # drop schema qualifier
         alias = self._maybe_alias()
-        return self._finish(TableRef(name, alias), start)
+        return TableRef(name, alias)
 
     def _parse_ordering_term(self) -> OrderingTerm:
-        start = self.peek().pos
         expr = self.parse_expr()
         direction = None
         if self.accept_kw("ASC"):
@@ -534,7 +519,7 @@ class _Parser:
             nulls = "FIRST" if self.accept_kw("FIRST") else "LAST"
             if nulls == "LAST":
                 self.expect_kw("LAST")
-        return self._finish(OrderingTerm(expr, direction, nulls), start)  # type: ignore[return-value]
+        return OrderingTerm(expr, direction, nulls)
 
     # -- expressions (precedence climbing, lowest first) --------------------
 
@@ -542,54 +527,50 @@ class _Parser:
         return self._parse_or()
 
     def _parse_or(self):
-        start = self.peek().pos
         left = self._parse_and()
         while self.accept_kw("OR"):
-            left = self._finish(Binary("OR", left, self._parse_and()), start)
+            left = Binary("OR", left, self._parse_and())
         return left
 
     def _parse_and(self):
-        start = self.peek().pos
         left = self._parse_not()
         while self.accept_kw("AND"):
-            left = self._finish(Binary("AND", left, self._parse_not()), start)
+            left = Binary("AND", left, self._parse_not())
         return left
 
     def _parse_not(self):
-        start = self.peek().pos
         if self.at_kw("NOT") and self.peek(1).upper != "EXISTS":
             self.advance()
-            return self._finish(Unary("NOT", self._parse_not()), start)
+            return Unary("NOT", self._parse_not())
         return self._parse_comparison()
 
     def _parse_comparison(self):
-        start = self.peek().pos
         left = self._parse_bitwise()
         while True:
             tok = self.peek()
             if tok.kind == "op" and tok.text in _COMPARISON_OPS:
                 self.advance()
                 op = {"==": "=", "!=": "<>"}.get(tok.text, tok.text)
-                left = self._finish(Binary(op, left, self._parse_bitwise()), start)
+                left = Binary(op, left, self._parse_bitwise())
                 continue
             if self.at_kw("IS"):
                 self.advance()
                 negated = self.accept_kw("NOT")
                 right = self._parse_bitwise()
-                left = self._finish(Binary("IS NOT" if negated else "IS", left, right), start)
+                left = Binary("IS NOT" if negated else "IS", left, right)
                 continue
             if self.accept_kw("ISNULL"):
-                left = self._finish(Binary("IS", left, Literal(None, "NULL")), start)
+                left = Binary("IS", left, Literal(None, "NULL"))
                 continue
             if self.accept_kw("NOTNULL"):
-                left = self._finish(Binary("IS NOT", left, Literal(None, "NULL")), start)
+                left = Binary("IS NOT", left, Literal(None, "NULL"))
                 continue
             negated = False
             if self.at_kw("NOT") and self.peek(1).upper in ({"IN", "BETWEEN"} | _LIKE_OPS):
                 self.advance()
                 negated = True
             if self.accept_kw("IN"):
-                left = self._finish(InExpr(left, self._parse_in_values(), negated), start)
+                left = InExpr(left, self._parse_in_values(), negated)
                 continue
             if self.at_kw(*_LIKE_OPS):
                 op = self.advance().upper
@@ -597,13 +578,13 @@ class _Parser:
                 escape = None
                 if self.accept_kw("ESCAPE"):
                     escape = self._parse_bitwise()
-                left = self._finish(LikeExpr(op, left, pattern, escape, negated), start)
+                left = LikeExpr(op, left, pattern, escape, negated)
                 continue
             if self.accept_kw("BETWEEN"):
                 low = self._parse_bitwise()
                 self.expect_kw("AND")
                 high = self._parse_bitwise()
-                left = self._finish(Between(left, low, high, negated), start)
+                left = Between(left, low, high, negated)
                 continue
             if negated:
                 raise self.error("expected IN, LIKE, or BETWEEN after NOT")
@@ -622,16 +603,13 @@ class _Parser:
                     values.append(self.parse_expr())
                 self.expect_op(")")
             return values
-        start = self.peek().pos
-        name = self.ident()
-        return self._finish(TableRef(name, None), start)
+        return TableRef(self.ident(), None)
 
     def _binary_level(self, ops: tuple[str, ...], next_level):
-        start = self.peek().pos
         left = next_level()
         while self.at_op(*ops):
             op = self.advance().text
-            left = self._finish(Binary(op, left, next_level()), start)
+            left = Binary(op, left, next_level())
         return left
 
     def _parse_bitwise(self):
@@ -647,28 +625,25 @@ class _Parser:
         return self._binary_level(("||",), self._parse_unary)
 
     def _parse_unary(self):
-        start = self.peek().pos
         if self.at_op("-", "+", "~"):
             op = self.advance().text
-            return self._finish(Unary(op, self._parse_unary()), start)
+            return Unary(op, self._parse_unary())
         return self._parse_postfix()
 
     def _parse_postfix(self):
-        start = self.peek().pos
         expr = self._parse_primary()
         while self.accept_kw("COLLATE"):
-            expr = self._finish(Collate(expr, self.ident()), start)
+            expr = Collate(expr, self.ident())
         return expr
 
     def _parse_primary(self):
         tok = self.peek()
-        start = tok.pos
         if tok.kind == "string":
             self.advance()
-            return self._finish(Literal(tok.value), start)
+            return Literal(tok.value)
         if tok.kind == "number":
             self.advance()
-            return self._finish(Literal(tok.value, tok.text), start)
+            return Literal(tok.value, tok.text)
         if tok.kind == "qname":
             return self._parse_column_ref()
         if tok.kind == "op" and tok.text == "(":
@@ -676,27 +651,27 @@ class _Parser:
             if self.at_kw("SELECT", "WITH"):
                 select = self.parse_select()
                 self.expect_op(")")
-                return self._finish(Subquery(select), start)
+                return Subquery(select)
             first = self.parse_expr()
             if self.accept_op(","):
                 items = [first, self.parse_expr()]
                 while self.accept_op(","):
                     items.append(self.parse_expr())
                 self.expect_op(")")
-                return self._finish(Tuple_(items), start)
+                return Tuple_(items)
             self.expect_op(")")
             return first
         if tok.kind == "name":
             upper = tok.upper
             if upper == "NULL":
                 self.advance()
-                return self._finish(Literal(None, "NULL"), start)
+                return Literal(None, "NULL")
             if upper in ("TRUE", "FALSE"):
                 self.advance()
-                return self._finish(Literal(1 if upper == "TRUE" else 0, upper), start)
+                return Literal(1 if upper == "TRUE" else 0, upper)
             if upper in ("CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP"):
                 self.advance()
-                return self._finish(Literal(upper, upper), start)
+                return Literal(upper, upper)
             if upper == "CASE":
                 return self._parse_case()
             if upper == "CAST":
@@ -706,13 +681,13 @@ class _Parser:
                 self.expect_op("(")
                 select = self.parse_select()
                 self.expect_op(")")
-                return self._finish(Exists(select), start)
+                return Exists(select)
             if upper == "NOT" and self.peek(1).upper == "EXISTS":
                 self.advance()
                 inner = self._parse_primary()
-                return self._finish(Unary("NOT", inner), start)
+                return Unary("NOT", inner)
             if self.peek(1).kind == "op" and self.peek(1).text == "(":
-                return self._parse_function(start)
+                return self._parse_function(tok.pos)
             if upper in _NOT_A_COLUMN:
                 raise self.error(f"unexpected keyword {tok.text!r}")
             return self._parse_column_ref()
@@ -731,7 +706,6 @@ class _Parser:
             while self.accept_op(","):
                 args.append(self.parse_expr())
             self.expect_op(")")
-        node = self._finish(FuncCall(name, args, distinct), start)
         if self.at_kw("OVER", "FILTER"):
             # window machinery is outside the supported subset: swallow the
             # trailing clauses and keep the raw text as one opaque expression
@@ -741,8 +715,8 @@ class _Parser:
                     self._consume_balanced()
                 else:
                     self.ident()
-            return self._finish(OpaqueExpr(self.sql[start:self._prev_end()]), start)
-        return node
+            return OpaqueExpr(self.sql[start:self._prev_end()])
+        return FuncCall(name, args, distinct)
 
     def _consume_balanced(self) -> None:
         self.expect_op("(")
@@ -757,19 +731,15 @@ class _Parser:
                 depth -= 1
 
     def _parse_column_ref(self):
-        start = self.peek().pos
         parts = [self.ident()]
         while self.at_op(".") and self.peek(1).kind in ("name", "qname"):
             self.advance()
             parts.append(self.ident())
         if len(parts) == 1:
-            node = ColumnRef(None, parts[0])
-        else:
-            node = ColumnRef(parts[-2], parts[-1])  # drop any schema qualifier
-        return self._finish(node, start)
+            return ColumnRef(None, parts[0])
+        return ColumnRef(parts[-2], parts[-1])  # drop any schema qualifier
 
     def _parse_case(self):
-        start = self.peek().pos
         self.expect_kw("CASE")
         operand = None
         if not self.at_kw("WHEN"):
@@ -783,10 +753,9 @@ class _Parser:
             raise self.error("CASE without WHEN branch")
         else_ = self.parse_expr() if self.accept_kw("ELSE") else None
         self.expect_kw("END")
-        return self._finish(Case(operand, whens, else_), start)
+        return Case(operand, whens, else_)
 
     def _parse_cast(self):
-        start = self.peek().pos
         self.advance()  # CAST
         self.expect_op("(")
         expr = self.parse_expr()
@@ -802,224 +771,12 @@ class _Parser:
             self.expect_op(")")
             type_name += f"({', '.join(nums)})"
         self.expect_op(")")
-        return self._finish(Cast(expr, type_name), start)
+        return Cast(expr, type_name)
 
 
 def parse_sql(sql: str) -> Select:
     """Parse one SELECT statement (optionally CTE-prefixed) into an AST."""
     return _Parser(sql).parse_statement()
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-
-_PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-
-_BINARY_PREC = {
-    "OR": 1,
-    "AND": 2,
-    "=": 4, "<>": 4, "IS": 4, "IS NOT": 4,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "<<": 5, ">>": 5, "&": 5, "|": 5,
-    "+": 6, "-": 6,
-    "*": 7, "/": 7, "%": 7,
-    "||": 8,
-}
-
-
-def _ident(name: str) -> str:
-    if _PLAIN_IDENT.match(name) and name.upper() not in RESERVED:
-        return name
-    return "`" + name.replace("`", "``") + "`"
-
-
-def _prec(node) -> int:
-    if isinstance(node, Binary):
-        return _BINARY_PREC[node.op]
-    if isinstance(node, Unary):
-        return 3 if node.op == "NOT" else 10
-    if isinstance(node, (Between, InExpr, LikeExpr)):
-        return 4
-    if isinstance(node, Collate):
-        return 9
-    return 11
-
-
-def _wrap(node, parent_prec: int, *, strict: bool = False) -> str:
-    text = render_expr(node)
-    prec = _prec(node)
-    if prec < parent_prec or (strict and prec == parent_prec):
-        return f"({text})"
-    return text
-
-
-def _string_literal(value: str) -> str:
-    return "'" + value.replace("'", "''") + "'"
-
-
-def render_expr(node) -> str:
-    if isinstance(node, Literal):
-        if node.text is not None:
-            return node.text
-        if node.value is None:
-            return "NULL"
-        if isinstance(node.value, str):
-            return _string_literal(node.value)
-        return repr(node.value)
-    if isinstance(node, ColumnRef):
-        if node.table:
-            return f"{_ident(node.table)}.{_ident(node.column)}"
-        return _ident(node.column)
-    if isinstance(node, Star):
-        return f"{_ident(node.table)}.*" if node.table else "*"
-    if isinstance(node, FuncCall):
-        inner = ", ".join(render_expr(a) for a in node.args)
-        if node.distinct:
-            inner = "DISTINCT " + inner
-        return f"{node.name}({inner})"
-    if isinstance(node, Cast):
-        return f"CAST({render_expr(node.expr)} AS {node.type_name})"
-    if isinstance(node, Case):
-        parts = ["CASE"]
-        if node.operand is not None:
-            parts.append(render_expr(node.operand))
-        for condition, result in node.whens:
-            parts.append(f"WHEN {render_expr(condition)} THEN {render_expr(result)}")
-        if node.else_ is not None:
-            parts.append(f"ELSE {render_expr(node.else_)}")
-        parts.append("END")
-        return " ".join(parts)
-    if isinstance(node, Unary):
-        if node.op == "NOT":
-            return f"NOT {_wrap(node.operand, 3)}"
-        return f"{node.op}{_wrap(node.operand, 10)}"
-    if isinstance(node, Binary):
-        prec = _BINARY_PREC[node.op]
-        return f"{_wrap(node.left, prec)} {node.op} {_wrap(node.right, prec, strict=True)}"
-    if isinstance(node, Between):
-        keyword = "NOT BETWEEN" if node.negated else "BETWEEN"
-        return (
-            f"{_wrap(node.expr, 4)} {keyword} "
-            f"{_wrap(node.low, 4, strict=True)} AND {_wrap(node.high, 4, strict=True)}"
-        )
-    if isinstance(node, InExpr):
-        keyword = "NOT IN" if node.negated else "IN"
-        if isinstance(node.values, Select):
-            rhs = f"({render_select(node.values)})"
-        elif isinstance(node.values, TableRef):
-            rhs = _ident(node.values.name)
-        else:
-            rhs = "(" + ", ".join(render_expr(v) for v in node.values) + ")"
-        return f"{_wrap(node.expr, 4)} {keyword} {rhs}"
-    if isinstance(node, LikeExpr):
-        keyword = f"NOT {node.op}" if node.negated else node.op
-        text = f"{_wrap(node.expr, 4)} {keyword} {_wrap(node.pattern, 4, strict=True)}"
-        if node.escape is not None:
-            text += f" ESCAPE {render_expr(node.escape)}"
-        return text
-    if isinstance(node, Exists):
-        return f"EXISTS ({render_select(node.select)})"
-    if isinstance(node, Subquery):
-        return f"({render_select(node.select)})"
-    if isinstance(node, Collate):
-        return f"{_wrap(node.expr, 9)} COLLATE {node.collation}"
-    if isinstance(node, Tuple_):
-        return "(" + ", ".join(render_expr(i) for i in node.items) + ")"
-    if isinstance(node, OpaqueExpr):
-        return node.text
-    raise TypeError(f"cannot render {type(node).__name__}")
-
-
-def _render_source(source) -> str:
-    if isinstance(source, TableRef):
-        text = _ident(source.name)
-        if source.alias:
-            text += f" AS {_ident(source.alias)}"
-        return text
-    if isinstance(source, SubquerySource):
-        text = f"({render_select(source.select)})"
-        if source.alias:
-            text += f" AS {_ident(source.alias)}"
-        return text
-    if isinstance(source, Join):
-        left = _render_source(source.left)
-        right = _render_source(source.right)
-        if isinstance(source.right, Join):
-            right = f"({right})"
-        keyword = {"INNER": "JOIN"}.get(source.kind, f"{source.kind} JOIN")
-        if source.natural:
-            keyword = f"NATURAL {keyword}"
-        text = f"{left} {keyword} {right}"
-        if source.on is not None:
-            text += f" ON {render_expr(source.on)}"
-        elif source.using:
-            text += " USING (" + ", ".join(_ident(c) for c in source.using) + ")"
-        return text
-    raise TypeError(f"cannot render source {type(source).__name__}")
-
-
-def _render_core(core: SelectCore) -> str:
-    parts = ["SELECT"]
-    if core.distinct:
-        parts.append("DISTINCT")
-    columns = []
-    for col in core.columns:
-        if isinstance(col, Star):
-            columns.append(render_expr(col))
-        else:
-            text = render_expr(col.expr)
-            if col.alias:
-                text += f" AS {_ident(col.alias)}"
-            columns.append(text)
-    parts.append(", ".join(columns))
-    if core.source is not None:
-        parts.append("FROM " + _render_source(core.source))
-    if core.where is not None:
-        parts.append("WHERE " + render_expr(core.where))
-    if core.group_by:
-        parts.append("GROUP BY " + ", ".join(render_expr(e) for e in core.group_by))
-    if core.having is not None:
-        parts.append("HAVING " + render_expr(core.having))
-    return " ".join(parts)
-
-
-def render_select(select: Select) -> str:
-    parts = []
-    if select.ctes:
-        rendered = []
-        for cte in select.ctes:
-            header = _ident(cte.name)
-            if cte.columns:
-                header += "(" + ", ".join(_ident(c) for c in cte.columns) + ")"
-            rendered.append(f"{header} AS ({render_select(cte.select)})")
-        keyword = "WITH RECURSIVE" if select.recursive else "WITH"
-        parts.append(f"{keyword} " + ", ".join(rendered))
-    body = _render_core(select.cores[0])
-    for op, core in zip(select.ops, select.cores[1:]):
-        body += f" {op} {_render_core(core)}"
-    parts.append(body)
-    if select.order_by:
-        terms = []
-        for term in select.order_by:
-            text = render_expr(term.expr)
-            if term.direction:
-                text += f" {term.direction}"
-            if term.nulls:
-                text += f" NULLS {term.nulls}"
-            terms.append(text)
-        parts.append("ORDER BY " + ", ".join(terms))
-    if select.limit is not None:
-        parts.append("LIMIT " + render_expr(select.limit))
-        if select.offset is not None:
-            parts.append("OFFSET " + render_expr(select.offset))
-    return " ".join(parts)
-
-
-def render_sql(node) -> str:
-    """Render an AST back to SQL text (single line, canonical spacing)."""
-    if isinstance(node, Select):
-        return render_select(node)
-    return render_expr(node)
 
 
 def iter_children(node):

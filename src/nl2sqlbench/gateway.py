@@ -22,7 +22,6 @@ import logging
 import os
 import random
 import re
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -163,7 +162,7 @@ class MockBackend:
 
     Fully deterministic given the prompt: replies, latencies, and token
     counts come from the fixture, so end-to-end runs are reproducible
-    byte-for-byte. Every call is appended to ``calls`` for auditing.
+    byte-for-byte. It keeps no state between calls.
     """
 
     name = "mock"
@@ -171,18 +170,19 @@ class MockBackend:
     def __init__(self, rules: list[MockRule] | None = None, default_reply: str = ""):
         self.rules = list(rules or [])
         self.default_reply = default_reply
-        self.calls: list[tuple[str, int]] = []
-        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path, default_reply: str = "") -> "MockBackend":
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise ConfigError(f"{path}: mock fixture must be an array of rules")
         rules = []
         for idx, entry in enumerate(entries):
-            if "pattern" not in entry or "reply" not in entry:
-                raise ConfigError(f"{path}: rule {idx} needs 'pattern' and 'reply'")
+            if not isinstance(entry, dict) or "pattern" not in entry or "reply" not in entry:
+                raise ConfigError(f"{path}: rule {idx} must be an object with 'pattern' and 'reply'")
             rules.append(
                 MockRule(
                     pattern=entry["pattern"],
@@ -196,8 +196,6 @@ class MockBackend:
         return cls(rules, default_reply=default_reply)
 
     def complete(self, request: GenerationRequest, trajectory_id: int) -> BackendReply:
-        with self._lock:
-            self.calls.append((request.prompt, trajectory_id))
         for rule in self.rules:
             if rule.matches(request.prompt, trajectory_id):
                 return BackendReply(rule.reply, rule.tokens, rule.latency)

@@ -170,9 +170,7 @@ def _without_rows(outcome: ExecutionOutcome) -> ExecutionOutcome:
     Records hold these: ``to_dict`` writes no rows, and a finished record can
     wait in memory while the items ahead of it are written.
     """
-    return ExecutionOutcome(
-        outcome.status, None, outcome.column_count, outcome.error_message, outcome.elapsed_seconds, outcome.row_count
-    )
+    return replace(outcome, rows=None)
 
 
 def _prompt_hash(prompt: str) -> str:

@@ -11,6 +11,7 @@ import pytest
 
 from nl2sqlbench.context import extract_schema, index_literals, read_literals
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
+from nl2sqlbench.gateway import MockBackend
 
 
 def build_db(path: Path, statements: list[str]) -> DatabaseHandle:
@@ -152,6 +153,18 @@ def dump_benchmark(items: list[BenchmarkItem], format: str) -> list[dict]:
                 }
             )
     return records
+
+
+class RecordingBackend(MockBackend):
+    """A mock backend that logs each call's (prompt, trajectory id) in ``calls``, in call order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls: list[tuple[str, int]] = []
+
+    def complete(self, request, trajectory_id):
+        self.calls.append((request.prompt, trajectory_id))
+        return super().complete(request, trajectory_id)
 
 
 def sql_reply(sql: str) -> str:

@@ -17,6 +17,7 @@ import ablation_suite
 from case_studies import CASES, EXPECTED_DISTRIBUTION
 from conftest import (
     build_db, database_digest, dump_benchmark, literal_source, sql_reply, write_benchmark, GEMS_DB,
+    RecordingBackend,
 )
 from test_executor import COMPARISON_PAIRS, MISC_DB, oracle_compare
 from test_gateway import EXTRACTION_FIXTURES
@@ -110,7 +111,7 @@ def test_c04_verifier_loop(gems_db):
     )
     prompt = build_prompt(item, build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db)))
 
-    backend = MockBackend([MockRule(pattern=broken, reply=sql_reply(fixed))])
+    backend = RecordingBackend([MockRule(pattern=broken, reply=sql_reply(fixed))])
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
     repaired = run_verifier(candidate, prompt, cfg, backend, gems_db, [], {})
     assert len(backend.calls) == 1
@@ -118,7 +119,7 @@ def test_c04_verifier_loop(gems_db):
     gold = execute_sql(gems_db, item.gold_sql, 10.0)
     assert compare_results(final, gold, is_order_sensitive(item.gold_sql)) is True
 
-    stubborn = MockBackend(default_reply=sql_reply(broken))
+    stubborn = RecordingBackend(default_reply=sql_reply(broken))
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
     run_verifier(candidate, prompt, cfg, stubborn, gems_db, [], {})
     assert len(stubborn.calls) == 2

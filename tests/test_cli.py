@@ -385,6 +385,50 @@ class TestBadRecordLines:
         assert capsys.readouterr().err.startswith(f"error: {out / 'records.jsonl'} line 3: ")
 
 
+class TestMalformedInputFiles:
+    """A malformed input file ends the command with exit 2 and one `error: <path>: ...` line, not a traceback."""
+
+    @staticmethod
+    def _assert_rejected(code, capsys, path) -> str:
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        return captured.out
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("benchmark", "not json"), ("benchmark", "\xff"), ("fixture", "{oops"), ("fixture", '[5]')],
+        ids=["benchmark_invalid_json", "benchmark_not_utf8", "fixture_invalid_json", "fixture_rule_not_object"],
+    )
+    def test_eval_writes_nothing(self, workspace, capsys, name, text):
+        workspace[name].write_text(text, encoding="latin-1")
+        code, out = run_eval(workspace, "bad_input", "--track", "greedy")
+        self._assert_rejected(code, capsys, workspace[name])
+        assert not out.exists()
+
+    @staticmethod
+    def _classify(workspace, tmp_path, predictions: str):
+        pred = tmp_path / "preds.json"
+        pred.write_text(predictions, encoding="utf-8")
+        args = ["--gold", str(workspace["benchmark"]), "--format", "spider", "--db-root", str(workspace["db_root"])]
+        return main(["classify", "--pred", str(pred), *args]), pred
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[not json", '[{"sql": "SELECT 1"}]', '[{"item_id": 0}]', '["SELECT 1"]', '{"0": 5}', '"SELECT 1"'],
+        ids=["invalid_json", "no_item_id", "no_sql", "entry_not_object", "sql_not_text", "not_a_collection"],
+    )
+    def test_classify_predictions(self, workspace, tmp_path, capsys, text):
+        code, pred = self._classify(workspace, tmp_path, text)
+        assert self._assert_rejected(code, capsys, pred) == ""  # no label line before the error
+
+    def test_classify_accepts_null_sql(self, workspace, tmp_path, capsys):
+        code, _pred = self._classify(workspace, tmp_path, '[{"item_id": 0, "sql": null}]')
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(ablation_suite.build_items())
+
+
 class TestClassify:
     def test_labels_and_distribution(self, workspace):
         _code, out = run_eval(workspace, "cls", "--track", "greedy", "--no-retrieval")

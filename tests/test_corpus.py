@@ -10,6 +10,7 @@ from conftest import build_db, dump_benchmark, write_benchmark
 
 from nl2sqlbench.corpus import (
     BenchmarkItem,
+    DatabaseHandle,
     load_benchmark,
     load_database,
     stratify,
@@ -111,7 +112,7 @@ class TestLoadBenchmark:
 class TestLoadDatabase:
     def test_happy_path(self, gems_db):
         handle = load_database("gems", gems_db.path.parent.parent)
-        assert handle.dialect == "sqlite"
+        assert handle == DatabaseHandle("gems", gems_db.path)
 
     def test_probe_query_returns_one(self, gems_db):
         # oracle: run the probe by hand on the raw file

@@ -12,7 +12,7 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
-from conftest import sql_reply
+from conftest import RecordingBackend, sql_reply
 
 from nl2sqlbench import gateway
 from nl2sqlbench.errors import BackendError, ConfigError
@@ -127,7 +127,7 @@ class TestMockBackend:
         assert generate(GenerationRequest(prompt="not exactly this"), backend)[0].raw_text == "miss"
 
     def test_call_log(self):
-        backend = MockBackend(default_reply="r")
+        backend = RecordingBackend(default_reply="r")
         generate(GenerationRequest(prompt="p1"), backend)
         generate(GenerationRequest(prompt="p2", num_candidates=2), backend)
         assert len(backend.calls) == 3
@@ -316,7 +316,7 @@ class TestConcurrency:
         assert callers and threading.current_thread() not in callers
 
     def test_mock_runs_inline_without_threads(self, monkeypatch):
-        backend = MockBackend([MockRule(pattern="p", trajectory_id=i, reply=f"SELECT {i}") for i in range(8)])
+        backend = RecordingBackend([MockRule(pattern="p", trajectory_id=i, reply=f"SELECT {i}") for i in range(8)])
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
         candidates = generate(GenerationRequest(prompt="p", num_candidates=8), backend)

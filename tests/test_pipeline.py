@@ -3,7 +3,7 @@
 import pytest
 
 import ablation_suite
-from conftest import literal_source, sql_reply
+from conftest import RecordingBackend, literal_source, sql_reply
 
 from nl2sqlbench import pipeline
 from nl2sqlbench.context import build_prompt, extract_schema
@@ -186,7 +186,7 @@ class TestRunVerifier:
     def _setup(self, rules, max_iters=2):
         item = _item(question="Count gems heavier than two carats.", gold="SELECT COUNT(*) FROM gems WHERE carat > 2")
         cfg = _cfg(use_verifier=True, verifier_max_iters=max_iters)
-        backend = MockBackend(rules)
+        backend = RecordingBackend(rules)
         return item, cfg, backend
 
     def test_ok_candidate_untouched_no_calls(self, gems_db):
@@ -289,7 +289,7 @@ class TestRunSelector:
 
 
 def _mk_backend():
-    return MockBackend(ablation_suite.build_rules(), default_reply="no idea")
+    return RecordingBackend(ablation_suite.build_rules(), default_reply="no idea")
 
 
 def _run_suite(gems_db, cfg):
@@ -448,7 +448,7 @@ class TestExecutionsPerItem:
 
     def test_pool_with_repair(self, gems_db, executed, opened):
         item, rules, cfg, (gold, broken, fixed) = self._repair_item()
-        backend = MockBackend(rules)
+        backend = RecordingBackend(rules)
         schema, literals = extract_schema(gems_db), literal_source(gems_db)
         opened.clear()
         record = run_sql_d1(item, schema, cfg, backend, gems_db, literals)
