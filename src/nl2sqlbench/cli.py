@@ -180,7 +180,11 @@ def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, l
     header: dict = {}
     records: list[EvalRecord] = []
     complete: list[str] = []
-    lines = [(n, l) for n, l in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if l.strip()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8: {exc}") from exc
+    lines = [(n, l) for n, l in enumerate(text.splitlines(), 1) if l.strip()]
     for idx, (number, line) in enumerate(lines):
         try:
             data = json.loads(line)
@@ -211,14 +215,14 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records_path = out_dir / "records.jsonl"
-    done_ids: set[str] = set()
+    # the report's records, in file order: those kept by --resume, then this run's as they stream
+    records: list[EvalRecord] = []
     resuming = False
     if args.resume and records_path.exists():
-        header, existing, complete_lines = _read_records_file(records_path, tolerate_tail=True)
+        header, records, complete_lines = _read_records_file(records_path, tolerate_tail=True)
         if header and header.get("manifest_hash") not in ("", digest):
             print("refusing to resume: records file belongs to a different run", file=sys.stderr)
             return 2
-        done_ids = {record.item_id for record in existing}
         resuming = bool(complete_lines)
         sanitized = "\n".join(complete_lines) + "\n" if complete_lines else ""
         if records_path.read_text(encoding="utf-8") != sanitized:
@@ -227,6 +231,7 @@ def cmd_eval(args) -> int:
     # the manifest lands on disk before any evaluation starts, and only for a run that goes ahead
     (out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
 
+    done_ids = {record.item_id for record in records}
     pending = [item for item in items if item.item_id not in done_ids]
     header_line = json.dumps(
         {
@@ -246,7 +251,7 @@ def cmd_eval(args) -> int:
         schema = cache.schema(db_id) if cfg.use_retriever else cache.catalog(db_id)
         return run_sql_d1(item, schema, cfg, backend, cache.handle(db_id), literals)
 
-    # items whose candidates all failed in transport, counted as the records stream so none is kept
+    # this run's items whose candidates all failed in transport
     transport_failures = 0
     with open(records_path, "a" if resuming else "w", encoding="utf-8") as out:
         if not resuming:
@@ -258,14 +263,14 @@ def cmd_eval(args) -> int:
                     transport_failures += bool(record.candidates) and all(c.error for c in record.candidates)
                     out.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
                     out.flush()
+                    records.append(record)
 
-    _header, all_records, _lines = _read_records_file(records_path)
-    if not all_records:
+    if not records:
         print("no records produced", file=sys.stderr)
         return 2
-    report = assemble_report(all_records, strategy=args.track, manifest=manifest)
+    report = assemble_report(records, strategy=args.track, manifest=manifest)
     _write_report(out_dir, report, digest)
-    print(f"evaluated {len(all_records)} items: EX {report.to_json_dict()['ex_percent']}")
+    print(f"evaluated {len(records)} items: EX {report.to_json_dict()['ex_percent']}")
 
     if pending and transport_failures == len(pending):
         print("backend unreachable for every item; partial records kept", file=sys.stderr)

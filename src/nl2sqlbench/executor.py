@@ -254,7 +254,8 @@ def _is_number(cell) -> bool:
 def cells_equal(a, b) -> bool:
     """Cell equality: ints exact, finite reals tolerant, text after trailing-space strip.
 
-    A non-finite real equals only an identical value.
+    A non-finite real equals only itself, and NaN equals NaN: signatures hash
+    every NaN alike, so equal signatures still imply equal results.
     """
     if a is None or b is None:
         return a is None and b is None
@@ -262,7 +263,7 @@ def cells_equal(a, b) -> bool:
         if isinstance(a, int) and isinstance(b, int):
             return a == b
         if not (math.isfinite(a) and math.isfinite(b)):
-            return a == b
+            return a == b or (a != a and b != b)  # only NaN is unequal to itself
         return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
     if isinstance(a, str) and isinstance(b, str):
         return a.rstrip() == b.rstrip()
@@ -281,6 +282,8 @@ def _canonical_cell(cell):
         grid = cell / REL_TOL
         if math.isfinite(grid):
             return (1, round(grid))
+        if cell != cell:
+            return (5, "")  # NaN orders against no number, so it sorts under a tag of its own
         # off the tolerance grid (±inf, |x| above ~1.8e302): the exact value, own tag
         return (4, cell)
     if isinstance(cell, str):
@@ -396,8 +399,8 @@ def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> Result
 
     Numeric cells are rounded onto the tolerance grid before hashing
     (integers from 2^52 on take their exact grid position; reals off the
-    grid, such as ±inf, hash exactly), so equal signatures imply
-    compare_results agreement (up to hash collision).
+    grid, such as ±inf, hash exactly, and every NaN alike), so equal
+    signatures imply compare_results agreement (up to hash collision).
     """
     hasher = hashlib.sha256()
     if outcome.status != STATUS_OK:

@@ -149,6 +149,22 @@ class MockRule:
     latency: float = 0.0
     tokens: int | None = None
 
+    def __post_init__(self):
+        """Reject a malformed rule when it is made, so a bad fixture fails at load rather than in a worker."""
+        for name in ("pattern", "reply"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name!r} must be a string, not {value!r}")
+        if self.prompt_match not in ("substring", "exact"):
+            raise ConfigError(f"'prompt_match' must be 'substring' or 'exact', not {self.prompt_match!r}")
+        for name in ("trajectory_id", "tokens"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:  # bool is rejected too
+                raise ConfigError(f"{name!r} must be an integer or null, not {value!r}")
+        if isinstance(self.latency, bool) or not isinstance(self.latency, (int, float)):
+            raise ConfigError(f"'latency' must be a number, not {self.latency!r}")
+        self.latency = float(self.latency)
+
     def matches(self, prompt: str, trajectory_id: int) -> bool:
         if self.trajectory_id is not None and self.trajectory_id != trajectory_id:
             return False
@@ -183,16 +199,19 @@ class MockBackend:
         for idx, entry in enumerate(entries):
             if not isinstance(entry, dict) or "pattern" not in entry or "reply" not in entry:
                 raise ConfigError(f"{path}: rule {idx} must be an object with 'pattern' and 'reply'")
-            rules.append(
-                MockRule(
-                    pattern=entry["pattern"],
-                    reply=entry["reply"],
-                    prompt_match=entry.get("prompt_match", "substring"),
-                    trajectory_id=entry.get("trajectory_id"),
-                    latency=float(entry.get("latency", 0.0)),
-                    tokens=entry.get("tokens"),
+            try:
+                rules.append(
+                    MockRule(
+                        pattern=entry["pattern"],
+                        reply=entry["reply"],
+                        prompt_match=entry.get("prompt_match", "substring"),
+                        trajectory_id=entry.get("trajectory_id"),
+                        latency=entry.get("latency", 0.0),
+                        tokens=entry.get("tokens"),
+                    )
                 )
-            )
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: rule {idx}: {exc}") from exc
         return cls(rules, default_reply=default_reply)
 
     def complete(self, request: GenerationRequest, trajectory_id: int) -> BackendReply:

@@ -14,6 +14,7 @@ import hashlib
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 from . import context  # retrieval and DDL are looked up on the module, where bench/spans.py wraps them
 from .corpus import BenchmarkItem, DatabaseHandle
@@ -164,15 +165,6 @@ def _outcome_from_dict(data: dict) -> ExecutionOutcome:
     )
 
 
-def _without_rows(outcome: ExecutionOutcome) -> ExecutionOutcome:
-    """``outcome`` keeping its row count but not its rows.
-
-    Records hold these: ``to_dict`` writes no rows, and a finished record can
-    wait in memory while the items ahead of it are written.
-    """
-    return replace(outcome, rows=None)
-
-
 def _prompt_hash(prompt: str) -> str:
     return hashlib.sha256(prompt.encode()).hexdigest()[:12]
 
@@ -218,21 +210,41 @@ def run_generator(prompt: str, cfg: PipelineConfig, backend, trace: list) -> lis
     return candidates
 
 
-def _execute(db: DatabaseHandle | ItemReader, sql: str | None, cfg: PipelineConfig, memo: dict) -> ExecutionOutcome:
-    """Execute ``sql`` unless ``memo``, keyed by SQL text, already holds its outcome."""
-    if sql not in memo:
-        memo[sql] = execute_sql(db, sql, cfg.timeout_seconds)
-    return memo[sql]
+class Verdict(NamedTuple):
+    """What an item's judge stores for one SQL string."""
+
+    outcome: ExecutionOutcome  # rows included: they are kept until the item ends
+    signature: str  # hex digest of the order-insensitive result signature
+    correct: bool
+
+
+Judge = Callable[[str | None], Verdict]
+
+
+def item_judge(
+    db: DatabaseHandle | ItemReader, gold_sql: str, gold_outcome: ExecutionOutcome, order_sensitive: bool,
+    timeout_seconds: float,
+) -> Judge:
+    """One item's judge of SQL strings, each judged on its first call and stored.
+
+    Judging executes the string (the gold SQL reuses ``gold_outcome``),
+    compares the result with the gold one and signs it. A result is never
+    correct when the gold query failed.
+    """
+    verdicts: dict[str | None, Verdict] = {}
+
+    def judge(sql: str | None) -> Verdict:
+        if sql not in verdicts:
+            outcome = gold_outcome if sql == gold_sql else execute_sql(db, sql, timeout_seconds)
+            correct = gold_outcome.ok and compare_results(outcome, gold_outcome, order_sensitive)
+            verdicts[sql] = Verdict(outcome, result_signature(outcome, order_sensitive=False).hex, correct)
+        return verdicts[sql]
+
+    return judge
 
 
 def run_verifier(
-    candidate: Candidate,
-    prompt: str,
-    cfg: PipelineConfig,
-    backend,
-    db: DatabaseHandle | ItemReader,
-    trace: list,
-    memo: dict,
+    candidate: Candidate, prompt: str, cfg: PipelineConfig, backend, judge: Judge, trace: list
 ) -> Candidate:
     """Execution-feedback repair loop (at most cfg.verifier_max_iters regenerations).
 
@@ -240,11 +252,11 @@ def run_verifier(
     its error. Repairs regenerate at temperature 0; latency and token counts
     accumulate onto the returned candidate. A candidate that still fails
     after the budget is returned unchanged for selection to down-rank.
-    Outcomes are looked up in, and added to, ``memo`` (see ``_execute``).
+    Each SQL string's outcome comes from the item's ``judge``.
     """
     current = candidate
     for iteration in range(cfg.verifier_max_iters):
-        outcome = _execute(db, current.extracted_sql, cfg, memo)
+        outcome = judge(current.extracted_sql).outcome
         if outcome.ok:
             if iteration == 0:
                 trace.append(("verify", f"trajectory {current.trajectory_id}: ok, no repair"))
@@ -269,34 +281,19 @@ def run_verifier(
     return current
 
 
-def evaluate_pool(
-    candidates: list[Candidate],
-    db: DatabaseHandle | ItemReader,
-    cfg: PipelineConfig,
-    gold_outcome: ExecutionOutcome,
-    order_sensitive: bool,
-    memo: dict,
-) -> list[PoolEntry]:
-    """Execute every candidate and cluster-ready it.
+def evaluate_pool(candidates: list[Candidate], judge: Judge) -> list[PoolEntry]:
+    """The candidates as cluster-ready pool entries, each judged by the item's ``judge``.
 
-    Each distinct SQL string is executed (through ``memo``) and judged once.
     Clustering signatures use order-insensitive canonical forms; per-entry
-    correctness uses the gold query's own order sensitivity and is false
-    whenever the gold query failed.
+    correctness uses the gold query's own order sensitivity.
     """
-    judged: dict = {}
     entries = []
     for cand in candidates:
-        sql = cand.extracted_sql
-        if sql not in judged:
-            outcome = _execute(db, sql, cfg, memo)
-            correct = gold_outcome.ok and compare_results(outcome, gold_outcome, order_sensitive)
-            judged[sql] = (outcome, result_signature(outcome, order_sensitive=False).hex, correct)
-        outcome, signature, correct = judged[sql]
+        outcome, signature, correct = judge(cand.extracted_sql)
         entries.append(
             PoolEntry(
                 trajectory_id=cand.trajectory_id,
-                sql=sql,
+                sql=cand.extracted_sql,
                 signature=signature,
                 failure=not outcome.ok,
                 correct=correct,
@@ -346,10 +343,11 @@ def run_sql_d1(
     ``schema`` is the database's base context, before retrieval and DDL, and
     ``literals`` returns its text-column literal index (see ``build_context``).
     With verifier and selector off and one candidate at temperature 0 this is
-    the greedy track. Every distinct SQL string of the item, the gold query
-    included, is executed once: the verifier, the pool and the final record
-    share one memo. The item's queries share one read-only connection, which
-    is closed when the item returns or raises (see ``executor.ItemReader``).
+    the greedy track. The verifier, the pool and the final record share one
+    ``item_judge``, so every distinct SQL string of the item, the gold query
+    included, is executed once. The item's queries share one read-only
+    connection, which is closed when the item returns or raises (see
+    ``executor.ItemReader``).
     """
     trace: list = []
     ctx = build_context(item, schema, cfg, literals)
@@ -365,12 +363,12 @@ def run_sql_d1(
     order_sensitive = is_order_sensitive(item.gold_sql)
     with ItemReader(db) as reader:
         gold_outcome = execute_sql(reader, item.gold_sql, cfg.timeout_seconds)
-        memo = {item.gold_sql: gold_outcome}
+        judge = item_judge(reader, item.gold_sql, gold_outcome, order_sensitive, cfg.timeout_seconds)
 
         if cfg.use_verifier:
-            candidates = [run_verifier(c, prompt, cfg, backend, reader, trace, memo) for c in candidates]
+            candidates = [run_verifier(c, prompt, cfg, backend, judge, trace) for c in candidates]
 
-        pool = evaluate_pool(candidates, reader, cfg, gold_outcome, order_sensitive, memo)
+        pool = evaluate_pool(candidates, judge)
 
     final = pool[0]
     if cfg.use_selector:
@@ -386,7 +384,8 @@ def run_sql_d1(
     else:
         trace.append(("select", "disabled: single candidate"))
 
-    outcome = _without_rows(memo[final.sql])
+    # records keep row counts, not rows: a finished record may wait in memory for the items ahead of it
+    outcome = replace(judge(final.sql).outcome, rows=None)
     trace.append(("execute", f"final status {outcome.status}"))
     if not gold_outcome.ok:
         trace.append(("execute", f"gold invalid: {gold_outcome.status}"))
@@ -400,7 +399,7 @@ def run_sql_d1(
         final_sql=final.sql,
         candidates=candidates,
         outcome=outcome,
-        gold_outcome=_without_rows(gold_outcome),
+        gold_outcome=replace(gold_outcome, rows=None),
         correct=final.correct,
         order_sensitive=order_sensitive,
         per_stage_trace=trace,

@@ -21,7 +21,7 @@ from conftest import (
 )
 from test_executor import COMPARISON_PAIRS, MISC_DB, oracle_compare
 from test_gateway import EXTRACTION_FIXTURES
-from test_pipeline import SELECTOR_FIXTURE, _evaluate_pool, _pool_candidates
+from test_pipeline import SELECTOR_FIXTURE, _evaluate_pool, _no_gold_judge, _pool_candidates
 
 from nl2sqlbench.cli import main
 from nl2sqlbench.context import build_prompt, extract_schema
@@ -113,7 +113,7 @@ def test_c04_verifier_loop(gems_db):
 
     backend = RecordingBackend([MockRule(pattern=broken, reply=sql_reply(fixed))])
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
-    repaired = run_verifier(candidate, prompt, cfg, backend, gems_db, [], {})
+    repaired = run_verifier(candidate, prompt, cfg, backend, _no_gold_judge(gems_db, cfg), [])
     assert len(backend.calls) == 1
     final = execute_sql(gems_db, repaired.extracted_sql, 10.0)
     gold = execute_sql(gems_db, item.gold_sql, 10.0)
@@ -121,7 +121,7 @@ def test_c04_verifier_loop(gems_db):
 
     stubborn = RecordingBackend(default_reply=sql_reply(broken))
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
-    run_verifier(candidate, prompt, cfg, stubborn, gems_db, [], {})
+    run_verifier(candidate, prompt, cfg, stubborn, _no_gold_judge(gems_db, cfg), [])
     assert len(stubborn.calls) == 2
 
 

@@ -15,7 +15,7 @@ import pytest
 import ablation_suite
 from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB, STACK_DB
 
-from nl2sqlbench import context
+from nl2sqlbench import cli, context
 from nl2sqlbench.cli import _DatabaseCache, main
 from nl2sqlbench.context import render_ddl
 from nl2sqlbench.corpus import DatabaseHandle
@@ -310,6 +310,23 @@ class TestResume:
         assert code == 0
         assert (out / "records.jsonl").read_bytes() == full
 
+    def test_report_comes_from_the_records_held(self, workspace, monkeypatch):
+        # the report of a resumed run is the uninterrupted run's, built without reading records.jsonl back
+        code, out = run_eval(workspace, "held", "--track", "sql-d1", "--k", "3")
+        assert code == 0
+        full = {name: (out / name).read_bytes() for name in ("records.jsonl", "report.json", "report.csv")}
+        lines = full["records.jsonl"].decode().splitlines()
+        (out / "records.jsonl").write_text("\n".join(lines[:-5]) + "\n", encoding="utf-8")
+        (out / "report.json").unlink()
+        reads = []
+        real = cli._read_records_file
+        monkeypatch.setattr(cli, "_read_records_file", lambda *a, **k: reads.append(a) or real(*a, **k))
+        code, _ = run_eval(workspace, "held", "--track", "sql-d1", "--k", "3", "--resume")
+        assert code == 0 and len(reads) == 1
+        assert {name: (out / name).read_bytes() for name in full} == full
+        code, _ = run_eval(workspace, "held_fresh", "--track", "greedy")
+        assert code == 0 and len(reads) == 1
+
     def test_resume_refuses_other_run(self, workspace):
         code, out = run_eval(workspace, "other", "--track", "greedy", "--no-retrieval")
         assert code == 0
@@ -406,6 +423,31 @@ class TestMalformedInputFiles:
         code, out = run_eval(workspace, "bad_input", "--track", "greedy")
         self._assert_rejected(code, capsys, workspace[name])
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rule",
+        [{"pattern": 5}, {"reply": None}, {"prompt_match": "regex"}, {"trajectory_id": True}, {"latency": "0.5"}],
+        ids=["pattern_not_text", "reply_not_text", "unknown_prompt_match", "trajectory_id_bool", "latency_text"],
+    )
+    def test_eval_rejects_a_fixture_rule_of_the_wrong_type(self, workspace, capsys, rule):
+        workspace["fixture"].write_text(json.dumps([{"pattern": "gems", "reply": "SELECT 1", **rule}]))
+        code, out = run_eval(workspace, "bad_rule", "--track", "greedy")
+        self._assert_rejected(code, capsys, workspace["fixture"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "classify", "eval_resume"])
+    def test_records_file_not_utf8(self, workspace, capsys, command):
+        code, out = run_eval(workspace, "not_utf8", "--track", "greedy", "--no-retrieval")
+        records = out / "records.jsonl"
+        records.write_bytes(b"\xff\xfe")
+        capsys.readouterr()
+        if command == "report":
+            code = main(["report", "--records", str(records), "--out", str(out / "rep")])
+        elif command == "classify":
+            code = main(["classify", "--records", str(records), "--db-root", str(workspace["db_root"])])
+        else:
+            code, _ = run_eval(workspace, "not_utf8", "--track", "greedy", "--no-retrieval", "--resume")
+        self._assert_rejected(code, capsys, records)
 
     @staticmethod
     def _classify(workspace, tmp_path, predictions: str):

@@ -152,6 +152,32 @@ class TestMockBackend:
         with pytest.raises(ConfigError):
             MockBackend.from_file(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pattern", 5), ("pattern", None), ("reply", ["x"]),
+            ("prompt_match", "regex"), ("prompt_match", None),
+            ("trajectory_id", True), ("trajectory_id", "0"), ("trajectory_id", 1.0),
+            ("latency", "0.5"), ("latency", None), ("latency", False),
+            ("tokens", 1.5), ("tokens", "40"), ("tokens", True),
+        ],
+    )
+    def test_rule_of_the_wrong_type_rejected_at_load(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"pattern": "a", "reply": "ok"}, {"pattern": "b", "reply": "rb", field: value}]))
+        with pytest.raises(ConfigError, match=f"rule 1: '{field}'"):
+            MockBackend.from_file(path)
+
+    def test_rule_types_accepted_at_their_limits(self, tmp_path):
+        path = tmp_path / "fixture.json"
+        entries = [
+            {"pattern": "", "reply": "", "prompt_match": "exact", "trajectory_id": None, "latency": 1, "tokens": None},
+            {"pattern": "b", "reply": "rb", "prompt_match": "substring", "trajectory_id": 0, "tokens": 0},
+        ]
+        path.write_text(json.dumps(entries))
+        rules = MockBackend.from_file(path).rules
+        assert [type(r.latency) for r in rules] == [float, float] and rules[0].latency == 1.0
+
 
 class _ExplodingBackend:
     name = "exploding"

@@ -16,6 +16,7 @@ from nl2sqlbench.pipeline import (
     PipelineConfig,
     build_context,
     evaluate_pool,
+    item_judge,
     run_sql_d1,
     run_verifier,
     select_winner,
@@ -182,6 +183,12 @@ class TestRunGenerator:
         assert len(pool) == 1
 
 
+def _no_gold_judge(db, cfg):
+    """An item judge whose gold query failed, so it judges every result incorrect."""
+    no_gold = ExecutionOutcome(STATUS_EMPTY, None, 0, "no gold query", 0.0)
+    return item_judge(db, "", no_gold, False, cfg.timeout_seconds)
+
+
 class TestRunVerifier:
     def _setup(self, rules, max_iters=2):
         item = _item(question="Count gems heavier than two carats.", gold="SELECT COUNT(*) FROM gems WHERE carat > 2")
@@ -193,7 +200,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([])
         candidate = Candidate(0, sql_reply("SELECT 1"), "SELECT 1", 0.0, 2)
         ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
+        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         assert out is candidate
         assert backend.calls == []
 
@@ -203,7 +210,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([MockRule(pattern=broken, reply=sql_reply(fixed))])
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
+        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         assert len(backend.calls) == 1  # exactly one repair generation
         assert out.extracted_sql == fixed
         assert out.token_count > candidate.token_count  # accumulates
@@ -214,7 +221,7 @@ class TestRunVerifier:
         backend.default_reply = sql_reply(broken)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
+        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         assert len(backend.calls) == 2
         assert out.extracted_sql == broken
 
@@ -223,7 +230,8 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([], max_iters=0)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        assert run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {}) is candidate
+        judge = _no_gold_judge(gems_db, cfg)
+        assert run_verifier(candidate, build_prompt(item, ctx), cfg, backend, judge, []) is candidate
         assert backend.calls == []
 
     def test_repair_prompt_contains_sql_and_error(self, gems_db):
@@ -231,7 +239,7 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([], max_iters=1)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        run_verifier(candidate, build_prompt(item, ctx), cfg, backend, gems_db, [], {})
+        run_verifier(candidate, build_prompt(item, ctx), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         prompt = backend.calls[0][0]
         assert broken in prompt
         assert "no such table" in prompt
@@ -244,8 +252,7 @@ def _pool_candidates(specs):
 
 def _evaluate_pool(candidates, db, cfg):
     """evaluate_pool without a gold result to judge against: every entry comes out incorrect."""
-    no_gold = ExecutionOutcome(STATUS_EMPTY, None, 0, "no gold query", 0.0)
-    return evaluate_pool(candidates, db, cfg, no_gold, False, {})
+    return evaluate_pool(candidates, _no_gold_judge(db, cfg))
 
 
 # 12 scripted pools with hand-computed plurality winners (by trajectory id)
@@ -445,6 +452,57 @@ class TestExecutionsPerItem:
         ]
         cfg = _cfg(use_verifier=True, use_selector=True, num_candidates=8, temperature=0.8)
         return item, rules, cfg, (gold, broken, fixed)
+
+    @pytest.fixture()
+    def judged(self, monkeypatch):
+        """The outcomes passed to ``compare_results`` and ``result_signature``, per function."""
+        calls = {"compare_results": [], "result_signature": []}
+        for name, outcomes in calls.items():
+            real = getattr(pipeline, name)
+
+            def counting(outcome, *args, real=real, seen=outcomes, **kwargs):
+                seen.append(outcome)
+                return real(outcome, *args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counting)
+        return calls
+
+    def test_each_distinct_sql_is_executed_compared_and_signed_once(self, gems_db, executed, judged):
+        item, rules, cfg, (gold, broken, fixed) = self._repair_item()
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, MockBackend(rules), gems_db, literal_source(gems_db))
+        assert len(record.pool) == 8 and record.correct is True
+        assert sorted(executed) == sorted([gold, broken, fixed, "SELECT 2"])
+        # no candidate's SQL is the gold SQL, so the gold result is executed but neither compared nor signed
+        for outcomes in judged.values():
+            assert len(outcomes) == 3 and len({id(o) for o in outcomes}) == 3
+
+    def test_judge_reuses_the_gold_outcome(self, gems_db, executed, judged):
+        gold = "SELECT COUNT(*) FROM gems"
+        gold_outcome = execute_sql(gems_db, gold, 10.0)
+        judge = item_judge(gems_db, gold, gold_outcome, False, 10.0)
+        verdict = judge(gold)
+        assert verdict.outcome is gold_outcome and verdict.correct is True
+        assert judge(gold) is verdict
+        assert executed == [] and len(judged["compare_results"]) == len(judged["result_signature"]) == 1
+        broken = "SELECT nope FROM gems"
+        assert item_judge(gems_db, broken, execute_sql(gems_db, broken, 10.0), False, 10.0)(broken).correct is False
+
+    def test_verifier_and_pool_read_one_stored_verdict(self, gems_db, executed):
+        item, rules, cfg, (gold, broken, fixed) = self._repair_item()
+        judge = item_judge(gems_db, gold, execute_sql(gems_db, gold, 10.0), False, cfg.timeout_seconds)
+        seen = []
+
+        def recording(sql):
+            seen.append((sql, judge(sql)))
+            return seen[-1][1]
+
+        candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
+        repaired = run_verifier(candidate, "the prompt", cfg, MockBackend(rules), recording, [])
+        entry, = evaluate_pool([repaired], recording)
+        assert [sql for sql, _verdict in seen] == [broken, fixed, fixed]
+        assert seen[2][1] is seen[1][1]  # the pool's verdict for the repaired SQL is the verifier's
+        assert executed == [broken, fixed]
+        assert entry.correct is True and entry.signature == seen[1][1].signature
 
     def test_pool_with_repair(self, gems_db, executed, opened):
         item, rules, cfg, (gold, broken, fixed) = self._repair_item()
