@@ -324,19 +324,13 @@ def cmd_classify(args) -> int:
     )
     labels_path.write_text("\n".join([header_line] + lines) + "\n", encoding="utf-8")
 
+    # the report comes from the records read, as eval's does, so report.json and report.csv agree with them
     distribution = count_labels(labels)
-    report_path = out_dir / "report.json"
-    if report_path.exists():
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        payload["error_distribution"] = distribution
-        report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    else:
-        manifest = header.get("manifest", {})
-        report = assemble_report(
-            records, strategy=header.get("strategy", "unknown"), manifest=manifest,
-            error_distribution=distribution,
-        )
-        _write_report(out_dir, report, header.get("manifest_hash", ""))
+    report = assemble_report(
+        records, strategy=header.get("strategy", "unknown"), manifest=header.get("manifest", {}),
+        error_distribution=distribution,
+    )
+    _write_report(out_dir, report, header.get("manifest_hash", ""))
     print("error distribution: " + json.dumps(distribution, sort_keys=True))
     return 0
 
@@ -412,6 +406,7 @@ def _parse_backend_params(pairs: list[str]) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nl2sqlbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = PipelineConfig()  # eval's pipeline defaults are the config's
 
     run = sub.add_parser("eval", help="run an evaluation track over a benchmark")
     run.add_argument("--benchmark", required=True)
@@ -419,20 +414,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--db-root", required=True)
     run.add_argument("--db-layout", default="nested", choices=("nested", "flat"))
     run.add_argument("--track", default="greedy", choices=tuple(TRACK_STAGES))
-    run.add_argument("--k", type=int, default=8, help="candidate pool size for maj/sql-d1")
+    run.add_argument("--k", type=int, default=defaults.num_candidates, help="candidate pool size for maj/sql-d1")
     run.add_argument("--ablation", default="", help="comma list of a_r,a_g,a_v,a_s (sql-d1 only)")
-    run.add_argument("--verifier-iters", type=int, default=2)
-    run.add_argument("--timeout", type=float, default=30.0)
-    run.add_argument("--temperature", type=float, default=0.8)
-    run.add_argument("--max-new-tokens", type=int, default=2048)
+    run.add_argument("--verifier-iters", type=int, default=defaults.verifier_max_iters)
+    run.add_argument("--timeout", type=float, default=defaults.timeout_seconds)
+    run.add_argument("--temperature", type=float, default=defaults.temperature)
+    run.add_argument("--max-new-tokens", type=int, default=defaults.max_new_tokens)
     run.add_argument("--backend", default="mock", choices=("remote", "mock"))
     run.add_argument("--mock-fixture", default=None)
     run.add_argument("--mock-default-reply", default="")
     run.add_argument("--backend-url", default=None)
     run.add_argument("--backend-model", default=None)
     run.add_argument("--backend-param", action="append", default=[], dest="backend_params_raw")
-    run.add_argument("--values-per-column", type=int, default=3)
-    run.add_argument("--top-k-values", type=int, default=3)
+    run.add_argument("--values-per-column", type=int, default=defaults.values_per_column)
+    run.add_argument("--top-k-values", type=int, default=defaults.retrieval_top_k)
     run.add_argument("--no-retrieval", action="store_true")
     run.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
     run.add_argument("--seed", type=int, default=None)

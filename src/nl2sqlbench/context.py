@@ -15,6 +15,7 @@ import math
 import re
 import sqlite3
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 from .corpus import BenchmarkItem, DatabaseHandle
@@ -93,11 +94,10 @@ class TableInfo:
 
 @dataclass(frozen=True)
 class SchemaContext:
+    """One database's catalog, and the values extract_schema sampled from it."""
+
     db_id: str
     tables: tuple[TableInfo, ...]
-    ddl_text: str = ""
-    # (table, column) -> question-matched literals, strongest first
-    matched_values: dict = field(default_factory=dict)
     # (table, column) -> sampled representative values
     sample_values: dict = field(default_factory=dict)
 
@@ -112,7 +112,7 @@ def read_catalog(db: DatabaseHandle, descriptions: dict | None = None) -> Schema
 
 
 def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> SchemaContext:
-    """Read the live catalog into a SchemaContext (ddl_text left empty).
+    """Read the live catalog into a SchemaContext, with sampled column values.
 
     ``descriptions`` optionally maps (table, column) to free-text descriptions
     (see load_descriptions for the BIRD CSV layout). Up to SAMPLE_VALUES_PER_COLUMN
@@ -227,15 +227,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def render_ddl(
-    schema: SchemaContext,
-    include_values: bool = True,
-    values_per_column: int = 3,
-) -> str:
+def render_ddl(schema: SchemaContext, matched: dict, values_per_column: int) -> str:
     """Render one annotated CREATE TABLE block per table, deterministically.
 
-    Column comments carry the description and up to values_per_column example
-    values; question-matched values come first, then generic samples.
+    Column comments carry the description and up to values_per_column distinct
+    example values: the column's entries in ``matched`` (retrieve_values'
+    result) first, then its sampled values. At 0 no examples are shown.
     """
     if not schema.tables:
         raise SchemaError(f"{schema.db_id}: schema has no tables to render")
@@ -248,22 +245,16 @@ def render_ddl(
             notes = []
             if col.description:
                 notes.append(col.description)
-            if include_values and values_per_column > 0:
-                shown: list[str] = []
-                for value in schema.matched_values.get((table.name, col.name), []):
-                    if len(shown) >= values_per_column:
-                        break
-                    formatted = _format_value(value)
-                    if formatted not in shown:
-                        shown.append(formatted)
-                for value in schema.sample_values.get((table.name, col.name), []):
-                    if len(shown) >= values_per_column:
-                        break
-                    formatted = _format_value(value)
-                    if formatted not in shown:
-                        shown.append(formatted)
-                if shown:
-                    notes.append("examples: " + ", ".join(shown))
+            shown: list[str] = []
+            key = (table.name, col.name)
+            for value in chain(matched.get(key, ()), schema.sample_values.get(key, ())):
+                if len(shown) >= values_per_column:
+                    break
+                formatted = _format_value(value)
+                if formatted not in shown:
+                    shown.append(formatted)
+            if shown:
+                notes.append("examples: " + ", ".join(shown))
             if notes:
                 decl += " -- " + " ; ".join(notes)
             body.append(decl)
@@ -402,38 +393,33 @@ def index_literals(literals: dict) -> LiteralIndex:
     return LiteralIndex(tuple(entries), postings, tuple(unindexed))
 
 
-def retrieve_values(question: str, literals: LiteralIndex, schema: SchemaContext, top_k: int = 3) -> SchemaContext:
-    """Populate matched_values with the text-column literals that best match the question.
+def retrieve_values(question: str, literals: LiteralIndex, top_k: int) -> dict:
+    """The text-column literals that best match the question: (table, column) -> values, strongest first.
 
-    ``literals`` is index_literals' index of the schema's database. Matches
-    are verbatim column values scoring at least MATCH_THRESHOLD (see
+    ``literals`` is index_literals' index of the database. Matches are
+    verbatim column values scoring at least MATCH_THRESHOLD (see
     score_literal), kept score-descending (ties: shorter literal, then
     lexicographic), at most top_k per column. Only the literals sharing an
     indexed gram with the question, and the unindexed ones, are scored; the
     others cannot reach the threshold.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be at least 1")
     words = " ".join(question.lower().split())
     candidates = set(literals.unindexed)
     for gram in {words[i : i + GRAM_LENGTH] for i in range(len(words) - GRAM_LENGTH + 1)}:
         candidates.update(literals.postings.get(gram, ()))
     scored: dict = {}
-    # positions follow read_literals' column order, which matched_values keeps
+    # positions follow read_literals' column order, which the result keeps
     for position in sorted(candidates):
         column, lowered, value = literals.entries[position]
         score = score_literal(lowered, words)
         if score >= MATCH_THRESHOLD:
             scored.setdefault(column, []).append((-score, len(value), value))
-    matched = {column: [v for _s, _l, v in sorted(found)[:top_k]] for column, found in scored.items()}
-    return replace(schema, matched_values=matched)
+    return {column: [v for _s, _l, v in sorted(found)[:top_k]] for column, found in scored.items()}
 
 
-def build_prompt(item: BenchmarkItem, ctx: SchemaContext) -> str:
-    """Instantiate the generation prompt for one item over its rendered schema."""
-    if not ctx.ddl_text:
-        raise SchemaError(f"{ctx.db_id}: schema DDL has not been rendered")
+def build_prompt(item: BenchmarkItem, ddl: str) -> str:
+    """Instantiate the generation prompt for one item over its database's rendered DDL."""
     question = item.question
     if item.evidence:
         question = f"{item.question}\nEvidence: {item.evidence}"
-    return PROMPT_TEMPLATE.format(db_engine="SQLite", schema=ctx.ddl_text, question=question)
+    return PROMPT_TEMPLATE.format(db_engine="SQLite", schema=ddl, question=question)

@@ -18,14 +18,13 @@ connection state that a later query's result depends on, so it runs on a
 fresh connection that is closed afterwards, as every statement does when
 given a bare ``DatabaseHandle``.
 
-A result's signature is the sha256 of its canonical form: ``ok:<column
-count>:`` followed by the repr of the list of its row keys, where a row key is
-the tuple of its cells' ``(type tag, value)`` keys and numbers sit on the
-tolerance grid. The selector clusters on, and records store, the
-order-insensitive form, whose row keys are sorted. The form is built a column
-at a time and formatted by one ``%`` template per chunk of rows, but its bytes
-are those of that repr, so signatures match the ones earlier runs recorded. A
-failed execution hashes its status instead.
+A result's signature is the hex sha256 of its canonical form: ``ok:<column
+count>:`` followed by the repr of the sorted list of its row keys, where a row
+key is the tuple of its cells' ``(type tag, value)`` keys and numbers sit on
+the tolerance grid. Row order does not enter it. The selector clusters on it,
+and records store it. The form is built a column at a time and formatted by
+one ``%`` template per chunk of rows, with the bytes of that repr. A failed
+execution hashes its status instead.
 
 When every column holds only integers inside ±EXACT_PRODUCT_BOUND or only text
 that ``rstrip()`` leaves unchanged, cells order and compare as their keys do.
@@ -82,7 +81,6 @@ class ExecutionOutcome:
     rows: list[tuple] | None
     column_count: int
     error_message: str | None
-    elapsed_seconds: float
     row_count: int | None = None  # survives serialization after rows are dropped
 
     def __post_init__(self):
@@ -92,17 +90,6 @@ class ExecutionOutcome:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
-
-
-@dataclass(frozen=True)
-class ResultSignature:
-    """Fixed-length digest of a canonicalized execution result."""
-
-    digest: bytes
-
-    @property
-    def hex(self) -> str:
-        return self.digest.hex()
 
 
 # whitespace and comments, then a keyword that only a query starts with; each comment form
@@ -158,12 +145,12 @@ def execute_sql(
     query starts as it would on a fresh connection.
     """
     if sql is None or not sql.strip():
-        return ExecutionOutcome(STATUS_EMPTY, None, 0, "empty prediction", 0.0)
+        return ExecutionOutcome(STATUS_EMPTY, None, 0, "empty prediction")
     start = time.monotonic()
     try:
         conn, shared = _connection(db, sql)
     except sqlite3.Error as exc:
-        return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc), time.monotonic() - start)
+        return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc))
     timed_out = False
 
     def _tick():
@@ -191,20 +178,15 @@ def execute_sql(
                     capped = True
                     rows.clear()
         if capped:
-            return ExecutionOutcome(
-                STATUS_SQL_ERROR, None, 0,
-                f"result too large (more than {ROW_CAP} rows)",
-                time.monotonic() - start,
-            )
+            return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, f"result too large (more than {ROW_CAP} rows)")
         column_count = len(cursor.description) if cursor.description else 0
         if not _BLOB_TYPES.isdisjoint(map(type, chain.from_iterable(rows))):
             rows = [tuple(map(_sanitize_cell, row)) for row in rows]
-        return ExecutionOutcome(STATUS_OK, rows, column_count, None, time.monotonic() - start)
+        return ExecutionOutcome(STATUS_OK, rows, column_count, None)
     except (sqlite3.Error, sqlite3.Warning, OverflowError, ValueError) as exc:
-        elapsed = time.monotonic() - start
         if timed_out:
-            return ExecutionOutcome(STATUS_TIMEOUT, None, 0, f"timed out after {timeout_seconds}s", elapsed)
-        return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc), elapsed)
+            return ExecutionOutcome(STATUS_TIMEOUT, None, 0, f"timed out after {timeout_seconds}s")
+        return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc))
     finally:
         cursor.close()
         if shared:
@@ -394,13 +376,14 @@ def compare_results(pred: ExecutionOutcome, gold: ExecutionOutcome, order_sensit
     return all(_rows_equal(p, g) for p, g in zip(pred_rows, gold_rows))
 
 
-def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> ResultSignature:
-    """Digest of the canonical result form; distinct per failure status.
+def result_signature(outcome: ExecutionOutcome) -> str:
+    """Hex digest of the canonical result form with its row keys sorted; distinct per failure status.
 
     Numeric cells are rounded onto the tolerance grid before hashing
     (integers from 2^52 on take their exact grid position; reals off the
     grid, such as ±inf, hash exactly, and every NaN alike), so equal
-    signatures imply compare_results agreement (up to hash collision).
+    signatures imply that an unordered compare_results agrees (up to hash
+    collision). Row order does not change the signature.
     """
     hasher = hashlib.sha256()
     if outcome.status != STATUS_OK:
@@ -411,12 +394,10 @@ def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> Result
         template, keys, exact = _canonical_form(outcome.rows)
         if exact:
             # rows that sort as their keys stand in for them; integer cells are scaled a chunk at a time
-            keys = outcome.rows if order_sensitive else sorted(outcome.rows)
+            keys = sorted(outcome.rows)
             scaled = [i for i, cell in enumerate(keys[0]) if type(cell) is int] if keys else []
         else:
-            keys, scaled = list(keys), []
-            if not order_sensitive:
-                keys.sort()
+            keys, scaled = sorted(keys), []
         # repr of the key list, fed to the hash a chunk of rows at a time with one % pass per chunk
         hasher.update(b"[")
         for start in range(0, len(keys), _FORMAT_CHUNK_ROWS):
@@ -431,4 +412,4 @@ def result_signature(outcome: ExecutionOutcome, order_sensitive: bool) -> Result
             text = ", ".join(repeat(template, len(chunk))) % tuple(cells)
             hasher.update(((", " if start else "") + text).encode())
         hasher.update(b"]")
-    return ResultSignature(hasher.digest())
+    return hasher.hexdigest()

@@ -108,9 +108,8 @@ class EvalRecord:
     def to_dict(self) -> dict:
         """Serializable form for the records file: one key per field.
 
-        Result rows and measured SQL wall times are dropped: latency fields
-        account for backend calls only, keeping mock-backend runs
-        byte-reproducible.
+        Result rows are dropped. Latency fields account for backend calls
+        only, keeping mock-backend runs byte-reproducible.
         """
         data = _field_values(self)
         data.update(
@@ -160,7 +159,6 @@ def _outcome_from_dict(data: dict) -> ExecutionOutcome:
         rows=None,
         column_count=data["column_count"],
         error_message=data["error_message"],
-        elapsed_seconds=0.0,
         row_count=data.get("row_count"),
     )
 
@@ -186,18 +184,18 @@ def _request(prompt: str, cfg: PipelineConfig, temperature: float, num_candidate
 
 def build_context(
     item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfig, literals: Callable[[], LiteralIndex]
-) -> SchemaContext:
-    """``schema`` with the item's DDL rendered, after value retrieval on question plus evidence.
+) -> tuple[str, dict]:
+    """The item's rendered DDL, and the values retrieval matched on question plus evidence.
 
     ``literals`` returns the database's ``context.index_literals`` index; it
-    is called only when retrieval runs.
+    is called only when retrieval runs. Without retrieval nothing is matched
+    and the DDL shows no example values.
     """
     if not cfg.use_retriever:
-        return replace(schema, ddl_text=context.render_ddl(schema, include_values=False))
+        return context.render_ddl(schema, {}, 0), {}
     question = f"{item.question} {item.evidence}" if item.evidence else item.question
-    schema = context.retrieve_values(question, literals(), schema, cfg.retrieval_top_k)
-    ddl = context.render_ddl(schema, include_values=True, values_per_column=cfg.values_per_column)
-    return replace(schema, ddl_text=ddl)
+    matched = context.retrieve_values(question, literals(), cfg.retrieval_top_k)
+    return context.render_ddl(schema, matched, cfg.values_per_column), matched
 
 
 def run_generator(prompt: str, cfg: PipelineConfig, backend, trace: list) -> list[Candidate]:
@@ -214,7 +212,7 @@ class Verdict(NamedTuple):
     """What an item's judge stores for one SQL string."""
 
     outcome: ExecutionOutcome  # rows included: they are kept until the item ends
-    signature: str  # hex digest of the order-insensitive result signature
+    signature: str  # result_signature of the outcome
     correct: bool
 
 
@@ -237,7 +235,7 @@ def item_judge(
         if sql not in verdicts:
             outcome = gold_outcome if sql == gold_sql else execute_sql(db, sql, timeout_seconds)
             correct = gold_outcome.ok and compare_results(outcome, gold_outcome, order_sensitive)
-            verdicts[sql] = Verdict(outcome, result_signature(outcome, order_sensitive=False).hex, correct)
+            verdicts[sql] = Verdict(outcome, result_signature(outcome), correct)
         return verdicts[sql]
 
     return judge
@@ -350,14 +348,14 @@ def run_sql_d1(
     ``executor.ItemReader``).
     """
     trace: list = []
-    ctx = build_context(item, schema, cfg, literals)
+    ddl, matched = build_context(item, schema, cfg, literals)
     if cfg.use_retriever:
-        n_matches = sum(len(v) for v in ctx.matched_values.values())
-        trace.append(("retrieve", f"{n_matches} matched values over {len(ctx.matched_values)} columns"))
+        n_matches = sum(len(v) for v in matched.values())
+        trace.append(("retrieve", f"{n_matches} matched values over {len(matched)} columns"))
     else:
         trace.append(("retrieve", "disabled: schema DDL only"))
 
-    prompt = build_prompt(item, ctx)
+    prompt = build_prompt(item, ddl)
     candidates = run_generator(prompt, cfg, backend, trace)
 
     order_sensitive = is_order_sensitive(item.gold_sql)

@@ -109,7 +109,7 @@ def test_c04_verifier_loop(gems_db):
         use_retriever=False, use_verifier=True, use_selector=False,
         num_candidates=1, verifier_max_iters=2, temperature=0.0, timeout_seconds=10.0,
     )
-    prompt = build_prompt(item, build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db)))
+    prompt = build_prompt(item, build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))[0])
 
     backend = RecordingBackend([MockRule(pattern=broken, reply=sql_reply(fixed))])
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)

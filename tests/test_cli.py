@@ -73,6 +73,12 @@ class TestEval:
         assert report["manifest"]["use_verifier"] == "False"
         assert report["ex_percent"] == "60.0"  # 8 base + 2 retrieval + 2 selection
 
+    def test_minimal_sql_d1_command_line_takes_the_config_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["eval", "--benchmark", "b.json", "--format", "bird", "--db-root", "db", "--track", "sql-d1", "--out", "o"]
+        )
+        assert cli._pipeline_config(args) == PipelineConfig()
+
     def test_full_pipeline(self, workspace):
         code, out = run_eval(
             workspace, "run_full", "--track", "sql-d1", "--k", "3", "--seed", "1",
@@ -483,6 +489,27 @@ class TestClassify:
         report = json.loads((out / "report.json").read_text())
         assert sum(report["error_distribution"].values()) == 12
 
+    def test_report_csv_carries_the_error_distribution(self, workspace):
+        _code, out = run_eval(workspace, "cls_csv", "--track", "greedy", "--no-retrieval")
+        assert main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])]) == 0
+        distribution = json.loads((out / "report.json").read_text())["error_distribution"]
+        lines = (out / "report.csv").read_text().splitlines()[2:]
+        rows = {metric: value for _s, _k, metric, value in (line.split(",") for line in lines)}
+        assert {c: int(rows[f"errors_{c}"]) for c in distribution} == distribution
+        assert sum(distribution.values()) == 12
+
+    def test_report_in_another_directory_comes_from_the_records_read(self, workspace):
+        # classify --out into another run's directory replaces that run's report with one from the records read
+        _c1, greedy = run_eval(workspace, "cls_greedy", "--track", "greedy", "--no-retrieval")
+        _c2, full = run_eval(workspace, "cls_full", "--track", "sql-d1", "--k", "3", "--seed", "1")
+        classify = ["classify", "--records", str(greedy / "records.jsonl"), "--db-root", str(workspace["db_root"])]
+        fresh = workspace["root"] / "cls_fresh"
+        for out in (full, fresh):
+            assert main([*classify, "--out", str(out)]) == 0
+        for name in ("report.json", "report.csv"):
+            assert (full / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert json.loads((full / "report.json").read_text())["strategy"] == "greedy"
+
     def test_all_correct_gives_empty_labels(self, workspace, tmp_path):
         # an oracle fixture where the default reply is each item's gold is not
         # expressible per-item; use a one-item benchmark instead
@@ -742,7 +769,7 @@ class TestDatabaseCache:
         assert sampled.sample_values and unsampled.sample_values == {}
         assert unsampled == replace(sampled, sample_values={})
         assert unsampled.tables[0].columns[1].description == "the gem's trade name"
-        assert render_ddl(unsampled, include_values=False) == render_ddl(sampled, include_values=False)
+        assert render_ddl(unsampled, {}, 0) == render_ddl(sampled, {}, 0)
 
 
 class TestWorkers:

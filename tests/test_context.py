@@ -100,8 +100,8 @@ class TestLoadDescriptions:
 class TestRenderDdl:
     def test_plain_ddl_byte_stable(self, stack_db):
         schema = extract_schema(stack_db)
-        first = render_ddl(schema, include_values=False)
-        second = render_ddl(schema, include_values=False)
+        first = render_ddl(schema, {}, 0)
+        second = render_ddl(schema, {}, 0)
         assert first == second
         assert first.count("CREATE TABLE") == 3
         assert "examples:" not in first
@@ -114,28 +114,101 @@ class TestRenderDdl:
             ]
         )
         schema = extract_schema(db)
-        text = render_ddl(schema, include_values=True, values_per_column=3)
+        text = render_ddl(schema, {}, 3)
         line = next(l for l in text.splitlines() if l.strip().startswith("v "))
         assert line.count("'") == 4  # exactly two quoted values
 
     def test_matched_value_listed_first(self, stack_db):
         schema = extract_schema(stack_db)
         literals = index_literals(read_literals(stack_db, schema))
-        schema = retrieve_values("posts by Neil McGuigan", literals, schema, top_k=3)
-        text = render_ddl(schema, include_values=True, values_per_column=3)
+        matched = retrieve_values("posts by Neil McGuigan", literals, top_k=3)
+        text = render_ddl(schema, matched, 3)
         display_line = next(l for l in text.splitlines() if "DisplayName" in l)
         assert "examples: 'Neil McGuigan'" in display_line
 
     def test_spaced_identifiers_backticked(self, schools_db):
         schema = extract_schema(schools_db)
-        text = render_ddl(schema, include_values=False)
+        text = render_ddl(schema, {}, 0)
         assert "`Percent (%) Eligible Free (K-12)`" in text
         assert "`School Name`" in text
+
+    PINNED_SCHEMA = context.SchemaContext(
+        db_id="shop",
+        tables=(
+            context.TableInfo(
+                "customer",
+                (
+                    context.ColumnInfo("id", "INTEGER"),
+                    context.ColumnInfo("full name", "TEXT", "the customer's name"),
+                    context.ColumnInfo("city", "TEXT"),
+                ),
+                primary_key=("id",),
+            ),
+            context.TableInfo(
+                "purchase",
+                (
+                    context.ColumnInfo("id", "INTEGER"),
+                    context.ColumnInfo("customer_id", "INTEGER", "who ordered"),
+                    context.ColumnInfo("note", ""),
+                    context.ColumnInfo("total", "REAL"),
+                ),
+                primary_key=("id",),
+                foreign_keys=(("customer_id", "customer", "id"),),
+            ),
+        ),
+        sample_values={
+            ("customer", "id"): [1, 2, 3, 4, 5],
+            ("customer", "full name"): ["Ann O'Hara", "Bo", "Cy", "Di", "Ed"],
+            ("customer", "city"): ["Oslo", "Rome"],
+            ("purchase", "note"): ["x" * 130],
+            ("purchase", "total"): [0.5, 12.25],
+        },
+    )
+    PINNED_MATCHES = {("customer", "full name"): ["Ann O'Hara"], ("customer", "city"): ["Paris", "Rome"]}
+
+    def test_pinned_bytes_with_examples(self):
+        # matches first, then samples, each shown once, at most three; long text is cut to 120 characters
+        assert render_ddl(self.PINNED_SCHEMA, self.PINNED_MATCHES, 3) == (
+            "CREATE TABLE customer (\n"
+            "  id INTEGER -- examples: 1, 2, 3,\n"
+            "  `full name` TEXT -- the customer's name ; examples: 'Ann O''Hara', 'Bo', 'Cy',\n"
+            "  city TEXT -- examples: 'Paris', 'Rome', 'Oslo',\n"
+            "  PRIMARY KEY (id)\n"
+            ");\n"
+            "\n"
+            "CREATE TABLE purchase (\n"
+            "  id INTEGER,\n"
+            "  customer_id INTEGER -- who ordered,\n"
+            "  note -- examples: '" + "x" * 117 + "...',\n"
+            "  total REAL -- examples: 0.5, 12.25,\n"
+            "  PRIMARY KEY (id),\n"
+            "  FOREIGN KEY (customer_id) REFERENCES customer(id)\n"
+            ");"
+        )
+
+    def test_pinned_bytes_without_examples(self):
+        assert render_ddl(self.PINNED_SCHEMA, self.PINNED_MATCHES, 0) == (
+            "CREATE TABLE customer (\n"
+            "  id INTEGER,\n"
+            "  `full name` TEXT -- the customer's name,\n"
+            "  city TEXT,\n"
+            "  PRIMARY KEY (id)\n"
+            ");\n"
+            "\n"
+            "CREATE TABLE purchase (\n"
+            "  id INTEGER,\n"
+            "  customer_id INTEGER -- who ordered,\n"
+            "  note,\n"
+            "  total REAL,\n"
+            "  PRIMARY KEY (id),\n"
+            "  FOREIGN KEY (customer_id) REFERENCES customer(id)\n"
+            ");"
+        )
 
     def test_empty_schema_is_an_error(self, db_factory):
         db = db_factory([])
         with pytest.raises(SchemaError):
-            render_ddl(extract_schema(db))
+            render_ddl(extract_schema(db), {}, 3)
 
 
 class TestReadLiterals:
@@ -245,8 +318,8 @@ class TestRetrieveValues:
 
     def test_case_race_name_top_match(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values(self.QUESTION, index_literals(read_literals(f1_db, schema)), schema, top_k=3)
-        matches = out.matched_values[("races", "name")]
+        out = retrieve_values(self.QUESTION, index_literals(read_literals(f1_db, schema)), top_k=3)
+        matches = out[("races", "name")]
         assert matches[0] == "European Grand Prix"
 
     def test_hand_computed_ranking(self, f1_db):
@@ -267,8 +340,8 @@ class TestRetrieveValues:
         assert expected == ["European Grand Prix", "Monaco Grand Prix", "Australian Grand Prix"]
 
         schema = extract_schema(f1_db)
-        out = retrieve_values(self.QUESTION, index_literals(read_literals(f1_db, schema)), schema, top_k=3)
-        assert out.matched_values[("races", "name")] == expected
+        out = retrieve_values(self.QUESTION, index_literals(read_literals(f1_db, schema)), top_k=3)
+        assert out[("races", "name")] == expected
 
     def test_scores_match_oracle_on_all_race_names(self, f1_db):
         for name in ["European Grand Prix", "Monaco Grand Prix", "Australian Grand Prix"]:
@@ -279,14 +352,14 @@ class TestRetrieveValues:
         schema = extract_schema(f1_db)
         literals = index_literals(read_literals(f1_db, schema))
         shouted = "\t" + self.QUESTION.upper().replace(" ", " \n  ") + "\n"
-        out = retrieve_values(shouted, literals, schema, top_k=3)
-        assert out.matched_values == retrieve_values(self.QUESTION, literals, schema, top_k=3).matched_values
-        assert out.matched_values[("races", "name")][0] == "European Grand Prix"
+        out = retrieve_values(shouted, literals, top_k=3)
+        assert out == retrieve_values(self.QUESTION, literals, top_k=3)
+        assert out[("races", "name")][0] == "European Grand Prix"
 
     def test_no_overlap_question_matches_nothing(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values("zzz qqq xyzzy", index_literals(read_literals(f1_db, schema)), schema, top_k=3)
-        assert out.matched_values == {}
+        out = retrieve_values("zzz qqq xyzzy", index_literals(read_literals(f1_db, schema)), top_k=3)
+        assert out == {}
 
     def test_matches_exist_verbatim_in_column(self, f1_db, stack_db):
         for db, question in (
@@ -294,10 +367,10 @@ class TestRetrieveValues:
             (stack_db, "How many comments did Neil McGuigan write?"),
         ):
             schema = extract_schema(db)
-            out = retrieve_values(question, index_literals(read_literals(db, schema)), schema, top_k=3)
+            out = retrieve_values(question, index_literals(read_literals(db, schema)), top_k=3)
             conn = db.connect()
             try:
-                for (table, column), values in out.matched_values.items():
+                for (table, column), values in out.items():
                     for value in values:
                         row = conn.execute(
                             f'SELECT 1 FROM "{table}" WHERE "{column}" = ? LIMIT 1', (value,)
@@ -308,13 +381,8 @@ class TestRetrieveValues:
 
     def test_numeric_columns_untouched(self, f1_db):
         schema = extract_schema(f1_db)
-        out = retrieve_values("1999 1950 1952", index_literals(read_literals(f1_db, schema)), schema, top_k=3)
-        assert ("races", "year") not in out.matched_values
-
-    def test_bad_top_k(self, f1_db):
-        schema = extract_schema(f1_db)
-        with pytest.raises(ValueError):
-            retrieve_values("q", index_literals(read_literals(f1_db, schema)), schema, top_k=0)
+        out = retrieve_values("1999 1950 1952", index_literals(read_literals(f1_db, schema)), top_k=3)
+        assert ("races", "year") not in out
 
 
 # pieces with repeated characters, whitespace runs and characters whose lowercase changes length
@@ -416,8 +484,7 @@ def _as_literals(columns: list[list[str]]) -> dict:
 
 
 def _assert_index_is_exact(question: str, literals: dict) -> None:
-    schema = context.SchemaContext("db", ())
-    got = retrieve_values(question, index_literals(literals), schema, top_k=3).matched_values
+    got = retrieve_values(question, index_literals(literals), top_k=3)
     # items(), so the column order is compared too
     assert list(got.items()) == list(full_scan_retrieve(question, literals).items())
 
@@ -500,22 +567,19 @@ class TestLiteralIndex:
             value = rng.choice(columns[column])
             question = f"What is the price of the listing whose {'abcde'[column]} is '{value}'? '{value}' refers to it"
             calls.clear()
-            out = retrieve_values(question, literals, schema, top_k=3)
-            assert out.matched_values[("t", "abcde"[column])][0] == value
+            out = retrieve_values(question, literals, top_k=3)
+            assert out[("t", "abcde"[column])][0] == value
             # a full scan would score all 10,000
             assert len(calls) <= total * 0.05, (index, len(calls))
 
 
 class TestBuildPrompt:
-    def _ctx(self, db, include_values=True):
-        from dataclasses import replace
-
-        schema = extract_schema(db)
-        return replace(schema, ddl_text=render_ddl(schema, include_values=include_values))
+    def _ddl(self, db):
+        return render_ddl(extract_schema(db), {}, 3)
 
     def test_contains_instruction_phrase(self, gems_db):
         item = BenchmarkItem(item_id="0", question="How many gems?", db_id="gems", gold_sql="SELECT 1")
-        prompt = build_prompt(item, self._ctx(gems_db))
+        prompt = build_prompt(item, self._ddl(gems_db))
         assert "think step by step" in prompt
         assert "SQLite" in prompt
         assert "How many gems?" in prompt
@@ -528,30 +592,17 @@ class TestBuildPrompt:
             gold_sql="SELECT 1",
             evidence="gems means rows of the gems table",
         )
-        prompt = build_prompt(item, self._ctx(gems_db))
+        prompt = build_prompt(item, self._ddl(gems_db))
         question_section = prompt.split("Question:")[1].split("Instructions:")[0]
         assert "gems means rows of the gems table" in question_section
 
     def test_deterministic(self, gems_db):
         item = BenchmarkItem(item_id="0", question="How many gems?", db_id="gems", gold_sql="SELECT 1")
-        ctx = self._ctx(gems_db)
-        assert build_prompt(item, ctx) == build_prompt(item, ctx)
+        ddl = self._ddl(gems_db)
+        assert build_prompt(item, ddl) == build_prompt(item, ddl)
 
     def test_prompt_length_monotone_in_values_per_column(self, gems_db):
-        from dataclasses import replace
-
         schema = extract_schema(gems_db)
         item = BenchmarkItem(item_id="0", question="How many gems?", db_id="gems", gold_sql="SELECT 1")
-        lengths = []
-        for per_column in (0, 1, 2, 3, 4):
-            ctx = replace(
-                schema, ddl_text=render_ddl(schema, include_values=True, values_per_column=per_column)
-            )
-            lengths.append(len(build_prompt(item, ctx)))
+        lengths = [len(build_prompt(item, render_ddl(schema, {}, per_column))) for per_column in (0, 1, 2, 3, 4)]
         assert lengths == sorted(lengths)
-
-    def test_empty_ddl_rejected(self, gems_db):
-        schema = extract_schema(gems_db)
-        item = BenchmarkItem(item_id="0", question="q", db_id="gems", gold_sql="SELECT 1")
-        with pytest.raises(SchemaError):
-            build_prompt(item, schema)

@@ -9,6 +9,7 @@ import hashlib
 import math
 import random
 import sqlite3
+import time
 import tracemalloc
 from unittest import mock
 
@@ -227,9 +228,10 @@ class TestExecuteSql:
     def test_runaway_query_streaming_no_rows_times_out(self, misc_db):
         # the VM runs without returning a row, so only the progress-handler tick can stop it
         sql = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT count(*) FROM r"
+        start = time.monotonic()
         outcome = execute_sql(misc_db, sql, timeout_seconds=0.5)
         assert outcome.status == STATUS_TIMEOUT
-        assert outcome.elapsed_seconds < 1.0
+        assert time.monotonic() - start < 1.0
 
     def test_short_query_rarely_calls_the_progress_handler(self, big_db, monkeypatch):
         # each call takes the GIL; a GROUP BY over 20k rows ran about 3 ticks at the current step
@@ -477,24 +479,23 @@ class TestOrderSensitivity:
 
 class TestSignatures:
     def test_permuted_multisets_share_signature(self):
-        a = ExecutionOutcome(STATUS_OK, [(1,), (2,), (1,)], 1, None, 0.0)
-        b = ExecutionOutcome(STATUS_OK, [(2,), (1,), (1,)], 1, None, 0.0)
-        assert result_signature(a, False) == result_signature(b, False)
-        assert result_signature(a, True) != result_signature(b, True)
+        a = ExecutionOutcome(STATUS_OK, [(1,), (2,), (1,)], 1, None)
+        b = ExecutionOutcome(STATUS_OK, [(2,), (1,), (1,)], 1, None)
+        assert result_signature(a) == result_signature(b)
 
     def test_failure_statuses_distinguished(self):
-        err = ExecutionOutcome(STATUS_SQL_ERROR, None, 0, "boom", 0.0)
-        timeout = ExecutionOutcome(STATUS_TIMEOUT, None, 0, "slow", 0.0)
-        empty = ExecutionOutcome(STATUS_EMPTY, None, 0, None, 0.0)
-        digests = {result_signature(o, False).digest for o in (err, timeout, empty)}
+        err = ExecutionOutcome(STATUS_SQL_ERROR, None, 0, "boom")
+        timeout = ExecutionOutcome(STATUS_TIMEOUT, None, 0, "slow")
+        empty = ExecutionOutcome(STATUS_EMPTY, None, 0, None)
+        digests = {result_signature(o) for o in (err, timeout, empty)}
         assert len(digests) == 3
 
     def test_big_integers_one_apart_differ(self):
         # 2^60 / REL_TOL and (2^60 + 1) / REL_TOL round to one float
-        a = ExecutionOutcome(STATUS_OK, [(2**60,)], 1, None, 0.0)
-        b = ExecutionOutcome(STATUS_OK, [(2**60 + 1,)], 1, None, 0.0)
+        a = ExecutionOutcome(STATUS_OK, [(2**60,)], 1, None)
+        b = ExecutionOutcome(STATUS_OK, [(2**60 + 1,)], 1, None)
         assert not compare_results(a, b, False)
-        assert result_signature(a, False) != result_signature(b, False)
+        assert result_signature(a) != result_signature(b)
 
     def test_signature_agrees_with_compare_on_random_pairs(self):
         # randomized oracle cross-check: 1000 generated pairs, mixing exact
@@ -510,9 +511,9 @@ class TestSignatures:
                 rng.shuffle(other)
             else:
                 other = [tuple(rng.choice(values) for _ in range(n_cols)) for _ in range(n_rows)]
-            a = ExecutionOutcome(STATUS_OK, rows, n_cols, None, 0.0)
-            b = ExecutionOutcome(STATUS_OK, other, n_cols, None, 0.0)
-            sig_equal = result_signature(a, False) == result_signature(b, False)
+            a = ExecutionOutcome(STATUS_OK, rows, n_cols, None)
+            b = ExecutionOutcome(STATUS_OK, other, n_cols, None)
+            sig_equal = result_signature(a) == result_signature(b)
             cmp_equal = compare_results(a, b, False)
             assert sig_equal == cmp_equal
             agreements += 1
@@ -530,7 +531,7 @@ _cell = st.one_of(
 
 
 def _outcome_from_rows(rows, n_cols):
-    return ExecutionOutcome(STATUS_OK, rows, n_cols, None, 0.0)
+    return ExecutionOutcome(STATUS_OK, rows, n_cols, None)
 
 
 @st.composite
@@ -575,9 +576,8 @@ class TestComparisonProperties:
 
     @given(_outcomes(), _outcomes())
     def test_signature_equality_implies_compare(self, a, b):
-        for sensitive in (False, True):
-            if result_signature(a, sensitive) == result_signature(b, sensitive):
-                assert compare_results(a, b, sensitive)
+        if result_signature(a) == result_signature(b):
+            assert compare_results(a, b, False)
 
     @pytest.mark.parametrize("nan", [lambda: math.nan, lambda: float("nan")], ids=["one_nan_object", "fresh_nans"])
     def test_nan_rows_at_the_chunk_size(self, nan):
@@ -586,13 +586,13 @@ class TestComparisonProperties:
         rows = [(nan(),) if i % 2 else (0.0,) for i in range(_FORMAT_CHUNK_ROWS)]
         a = _outcome_from_rows(rows, 1)
         b = _outcome_from_rows(random.Random(3).sample(rows, len(rows)), 1)
-        assert result_signature(a, False) == result_signature(b, False)
+        assert result_signature(a) == result_signature(b)
         for sensitive in (False, True):
             assert compare_results(b, a, sensitive) == sort_and_walk(b, a, sensitive)
         assert compare_results(b, a, False) and compare_results(a, a, True)
         # NaN sorts apart from ±inf, against which it does not order, so a multiset of both equals its permutations
         c, d = _outcome_from_rows([(nan(),), (math.inf,)], 1), _outcome_from_rows([(math.inf,), (nan(),)], 1)
-        assert compare_results(c, d, False) and result_signature(c, False) == result_signature(d, False)
+        assert compare_results(c, d, False) and result_signature(c) == result_signature(d)
         assert not compare_results(c, d, True)
 
 
@@ -604,52 +604,42 @@ PINNED_SIGNATURES = {
     "int": (
         [(3,), (-1,), (2**52 - 1,), (0,), (3,)],
         "a05eac54a643bb2c89c30a3af979a192ab3236acbf5834f2f8e7e1490d71a34b",
-        "da314b78bba6dbd7b05dd2b8d92d82f76a4fd85e554258cf9a06ef2de11fadbc",
     ),
     "real": (
         [(0.5,), (-0.0,), (1.25,), (3.3333333,), (1e-7,)],
         "2fec99ab3f5fb18c74ac1e91a3c8fb485e8ab302db7f4d2bb789a8fbb7d4cf05",
-        "096a84b8f26ae380865ee7d52d6af29ae999b7e9460b14fa24e1f4b7876bfa2f",
     ),
     "text": (
         [("b ",), ("a'\"\\",), ("é",), ("",), (" a",)],
         "c0fb4a6de2d905d40a15969ec6b56319551f7b745c07023fae6a0cfe82940cb6",
-        "f862eaa76d0cff09ac21f45afaf7a3263f046c2daa40a5b77ab00ce459063a87",
     ),
     "null_and_blob": (
         [(None, _BLOB_B), (None, _BLOB_A)],
         "f872dd3d4896fa6c4fb837332caf346f1b8963458f9e7f03498484cf7026cce1",
-        "1e8065317c75609d2eb0172a3d0605c2278177dc9c088b6d4f9f32300ff6d573",
     ),
     "int_beyond_2_52": (
         [(2**60 + 1,), (2**52,), (-(2**52),), (2**60,)],
         "33ade901affa56c24bf0dceccdd55baa5a4cdb9473598cd835e9c5804d62f650",
-        "a864de898095f9266468e0dc7c8ce0183aa98b7e14c1b436a82633b4405e1372",
     ),
     "off_grid_real": (
         [(math.inf,), (1e303,), (-math.inf,)],
         "a40f86a4ad80b48a3c4c756e3bfd35c7033d34fde63d6f95326fc45c29dfabe4",
-        "cd6847bf80d4f57e3af6b36484d0ce2e64d486d5ed56b8576ae5f2468974048d",
     ),
     "mixed": (
         [(1,), (0.5,), ("a ",), (None,), (2**60,), (math.inf,), (_BLOB_A,)],
         "0ec7f38fa709bf9af5c2edbb95b03ce5cb4f5ddfd088290f3abf32f837c087db",
-        "aab6f9dce3b6772e32df87cb2d3288b6d3fe7b40374f97c54c6870d60e182185",
     ),
     "three_columns": (
         [(2, 0.25, "x"), (1, 0.5, "y "), (2, 0.25, "x")],
         "bea60434ae6ed7f218d19c6121f8235c2970e8d15e1b220332ec4a0f5eb987c5",
-        "87adb6a308ad5862b1ce8e6a1ab685fcc8fd1b5229e608459e4d9195260e2c91",
     ),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_SIGNATURES)
 def test_pinned_signatures(name):
-    rows, unordered_hex, ordered_hex = PINNED_SIGNATURES[name]
-    outcome = _outcome_from_rows(rows, len(rows[0]))
-    assert result_signature(outcome, False).hex == unordered_hex
-    assert result_signature(outcome, True).hex == ordered_hex
+    rows, digest = PINNED_SIGNATURES[name]
+    assert result_signature(_outcome_from_rows(rows, len(rows[0]))) == digest
 
 
 _BOUNDARY_INTS = [2**52 - 1, -(2**52 - 1), 2**52, -(2**52), 2**60, 2**60 + 1]
@@ -694,20 +684,17 @@ def _kinded_outcomes(draw):
     return _outcome_from_rows(rows, n_cols)
 
 
-def reference_digest(outcome: ExecutionOutcome, order_sensitive: bool) -> bytes:
-    """The signature digest as the cell-at-a-time form defines it: the repr of the row-key list."""
-    keys = [_row_key(r) for r in outcome.rows]
-    if not order_sensitive:
-        keys.sort()
-    return hashlib.sha256((f"ok:{outcome.column_count}:" + repr(keys)).encode()).digest()
+def reference_digest(outcome: ExecutionOutcome) -> str:
+    """The signature as the cell-at-a-time form defines it: the hex digest of the repr of the sorted row-key list."""
+    keys = sorted(_row_key(r) for r in outcome.rows)
+    return hashlib.sha256((f"ok:{outcome.column_count}:" + repr(keys)).encode()).hexdigest()
 
 
 class TestColumnWiseCanonicalForm:
     @settings(max_examples=400)
     @given(_kinded_outcomes())
     def test_signature_hashes_the_reference_form(self, outcome):
-        for order_sensitive in (False, True):
-            assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+        assert result_signature(outcome) == reference_digest(outcome)
 
     @settings(max_examples=400)
     @given(_kinded_outcomes())
@@ -730,30 +717,26 @@ class TestSignatureFormatting:
     def test_integer_columns_at_the_product_bound(self, x):
         for rows in ([(x,), (0,), (-1,)], [(x, 7), (x - 1, -7)], [(x,), (2**31 - 2,)]):
             outcome = _outcome_from_rows(rows, len(rows[0]))
-            for order_sensitive in (False, True):
-                assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+            assert result_signature(outcome) == reference_digest(outcome)
 
     def test_text_holding_format_characters(self):
         texts = ["%", "%r", "%%", "{}", "{0} %s %d", "%(a)s", "100% "]
         for rows in ([(t,) for t in texts], [(i, t, 0.5) for i, t in enumerate(texts)]):
             outcome = _outcome_from_rows(rows, len(rows[0]))
-            for order_sensitive in (False, True):
-                assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+            assert result_signature(outcome) == reference_digest(outcome)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, _FORMAT_CHUNK_ROWS + 1])
     def test_results_across_chunk_boundaries(self, extra):
         n = _FORMAT_CHUNK_ROWS + extra
         rows = [(i % 7, f"%r{i % 5}", None if i % 3 else 0.5, 2**31 + i) for i in range(n)]
         outcome = _outcome_from_rows(rows, 4)
-        for order_sensitive in (False, True):
-            assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+        assert result_signature(outcome) == reference_digest(outcome)
 
     @settings(max_examples=300)
     @given(_kinded_outcomes(), st.integers(min_value=1, max_value=3))
     def test_any_chunk_size_hashes_the_reference_form(self, outcome, chunk_rows):
         with mock.patch.object(executor, "_FORMAT_CHUNK_ROWS", chunk_rows):
-            for order_sensitive in (False, True):
-                assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
+            assert result_signature(outcome) == reference_digest(outcome)
 
 
 class TestRowsThatSortAsKeys:
@@ -795,8 +778,8 @@ class TestRowsThatSortAsKeys:
         rows = [tuple(rnd.choice(pool) for pool in pools) for _ in range(n_rows)]
         outcome = _outcome_from_rows(rows, len(pools))
         shuffled = _outcome_from_rows(rnd.sample(rows, len(rows)), len(pools))
+        assert result_signature(outcome) == reference_digest(outcome)
         for order_sensitive in (False, True):
-            assert result_signature(outcome, order_sensitive).digest == reference_digest(outcome, order_sensitive)
             assert compare_results(shuffled, outcome, order_sensitive) == sort_and_walk(shuffled, outcome, order_sensitive)
         assert list(map(id, _sorted_rows(rows)[0])) == list(map(id, sorted(rows, key=_row_key)))
 
@@ -830,9 +813,9 @@ class TestRowsThatSortAsKeys:
         for x, y in ((a, b), (b, a)):
             for order_sensitive in (False, True):
                 assert compare_results(x, y, order_sensitive) == sort_and_walk(x, y, order_sensitive)
-                if result_signature(x, order_sensitive) == result_signature(y, order_sensitive):
-                    assert compare_results(x, y, order_sensitive)
-            assert result_signature(x, False).digest == reference_digest(x, False)
+            if result_signature(x) == result_signature(y):
+                assert compare_results(x, y, False)
+            assert result_signature(x) == reference_digest(x)
             assert list(map(id, _sorted_rows(x.rows)[0])) == list(map(id, sorted(x.rows, key=_row_key)))
 
     def test_signing_large_results_builds_no_key_list(self):
@@ -844,8 +827,8 @@ class TestRowsThatSortAsKeys:
             outcome = _outcome_from_rows(rows, len(rows[0]))
             tracemalloc.start()
             try:
+                result_signature(outcome)
                 for order_sensitive in (False, True):
-                    result_signature(outcome, order_sensitive)
                     compare_results(outcome, outcome, order_sensitive)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:

@@ -33,7 +33,7 @@ def make_record(
     tokens=0,
     first_latency=None,
 ):
-    outcome = ExecutionOutcome(STATUS_OK, [(1,)], 1, None, 0.0)
+    outcome = ExecutionOutcome(STATUS_OK, [(1,)], 1, None)
     candidates = [Candidate(0, "raw", "SELECT 1", first_latency if first_latency is not None else latency, tokens)]
     return EvalRecord(
         item_id=item_id,

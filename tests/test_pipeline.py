@@ -142,9 +142,9 @@ class TestBuildContext:
 
     def test_evidence_literal_retrieved(self, gems_db):
         cfg = _cfg(use_retriever=True)
-        ctx = build_context(self._item(), extract_schema(gems_db), cfg, literal_source(gems_db))
-        assert ctx.matched_values == {("gems", "name"): ["Golden Citrine"]}
-        assert "examples: 'Golden Citrine'" in ctx.ddl_text
+        ddl, matched = build_context(self._item(), extract_schema(gems_db), cfg, literal_source(gems_db))
+        assert matched == {("gems", "name"): ["Golden Citrine"]}
+        assert "examples: 'Golden Citrine'" in ddl
 
     def test_run_sql_d1_prompts_with_evidence_literal(self, gems_db):
         item = self._item()
@@ -166,8 +166,8 @@ class TestRunGenerator:
             MockRule(pattern="gems", trajectory_id=i, reply=sql_reply(f"SELECT {i} FROM gems"))
             for i in range(8)
         ]
-        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        pool = run_generator(build_prompt(item, ctx), cfg, MockBackend(rules), [])
+        ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
+        pool = run_generator(build_prompt(item, ddl), cfg, MockBackend(rules), [])
         assert len(pool) == 8
         extracted = [c.extracted_sql for c in pool]
         assert len(set(extracted)) == 8
@@ -178,14 +178,14 @@ class TestRunGenerator:
 
         item = _item()
         cfg = _cfg(num_candidates=1, temperature=0.8)
-        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        pool = run_generator(build_prompt(item, ctx), cfg, MockBackend(default_reply=sql_reply("SELECT 1")), [])
+        ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
+        pool = run_generator(build_prompt(item, ddl), cfg, MockBackend(default_reply=sql_reply("SELECT 1")), [])
         assert len(pool) == 1
 
 
 def _no_gold_judge(db, cfg):
     """An item judge whose gold query failed, so it judges every result incorrect."""
-    no_gold = ExecutionOutcome(STATUS_EMPTY, None, 0, "no gold query", 0.0)
+    no_gold = ExecutionOutcome(STATUS_EMPTY, None, 0, "no gold query")
     return item_judge(db, "", no_gold, False, cfg.timeout_seconds)
 
 
@@ -199,8 +199,8 @@ class TestRunVerifier:
     def test_ok_candidate_untouched_no_calls(self, gems_db):
         item, cfg, backend = self._setup([])
         candidate = Candidate(0, sql_reply("SELECT 1"), "SELECT 1", 0.0, 2)
-        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, _no_gold_judge(gems_db, cfg), [])
+        ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
+        out = run_verifier(candidate, build_prompt(item, ddl), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         assert out is candidate
         assert backend.calls == []
 
@@ -209,8 +209,8 @@ class TestRunVerifier:
         fixed = "SELECT COUNT(*) FROM gems WHERE carat > 2"
         item, cfg, backend = self._setup([MockRule(pattern=broken, reply=sql_reply(fixed))])
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, _no_gold_judge(gems_db, cfg), [])
+        ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
+        out = run_verifier(candidate, build_prompt(item, ddl), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         assert len(backend.calls) == 1  # exactly one repair generation
         assert out.extracted_sql == fixed
         assert out.token_count > candidate.token_count  # accumulates
@@ -220,8 +220,8 @@ class TestRunVerifier:
         item, cfg, backend = self._setup([], max_iters=2)
         backend.default_reply = sql_reply(broken)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        out = run_verifier(candidate, build_prompt(item, ctx), cfg, backend, _no_gold_judge(gems_db, cfg), [])
+        ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
+        out = run_verifier(candidate, build_prompt(item, ddl), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         assert len(backend.calls) == 2
         assert out.extracted_sql == broken
 
@@ -229,17 +229,17 @@ class TestRunVerifier:
         broken = "SELECT nope FROM nowhere"
         item, cfg, backend = self._setup([], max_iters=0)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
+        ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         judge = _no_gold_judge(gems_db, cfg)
-        assert run_verifier(candidate, build_prompt(item, ctx), cfg, backend, judge, []) is candidate
+        assert run_verifier(candidate, build_prompt(item, ddl), cfg, backend, judge, []) is candidate
         assert backend.calls == []
 
     def test_repair_prompt_contains_sql_and_error(self, gems_db):
         broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
         item, cfg, backend = self._setup([], max_iters=1)
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
-        ctx = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        run_verifier(candidate, build_prompt(item, ctx), cfg, backend, _no_gold_judge(gems_db, cfg), [])
+        ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
+        run_verifier(candidate, build_prompt(item, ddl), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         prompt = backend.calls[0][0]
         assert broken in prompt
         assert "no such table" in prompt
