@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -114,60 +113,25 @@ def _make_backend(args):
     return RemoteBackend(url=args.backend_url, model=args.backend_model)
 
 
-class _DatabaseCache:
-    """Per-run registry of database handles, catalogs, base schema contexts and literal indexes.
+def _load_database(root: Path, layout: str, retrieval: bool, db_id: str):
+    """Read one database for a run: (handle, base schema context, literal index or None).
 
-    Each value is made once, under a lock of its own, so reading one
-    database never holds up a thread that asks for another.
+    With retrieval the context carries sampled values and the text-column
+    literal index is built. Without it, as for ``classify`` and an eval
+    without retrieval, only the catalog and column descriptions are read:
+    no values are sampled and no index is built.
     """
+    handle = load_database(db_id, root, layout=layout)
+    descriptions = context_mod.load_descriptions(handle.path.parent)
+    if not retrieval:
+        return handle, context_mod.read_catalog(handle, descriptions), None
+    schema = context_mod.extract_schema(handle, descriptions)
+    return handle, schema, context_mod.index_literals(context_mod.read_literals(handle, schema))
 
-    def __init__(self, root: Path, layout: str):
-        self.root = root
-        self.layout = layout
-        self._lock = threading.Lock()  # guards _locks
-        self._locks: dict = {}
-        self._values: dict = {}
 
-    def _once(self, kind: str, db_id: str, make):
-        key = (kind, db_id)
-        with self._lock:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            if key not in self._values:
-                self._values[key] = make()
-            return self._values[key]
-
-    def handle(self, db_id: str):
-        return self._once("handle", db_id, lambda: load_database(db_id, self.root, layout=self.layout))
-
-    def catalog(self, db_id: str):
-        """The database's catalog and column descriptions, without sampled values.
-
-        What ``classify`` and an eval without retrieval read: neither shows
-        sample values, so neither pays ``extract_schema``'s per-column
-        sampling queries.
-        """
-        handle = self.handle(db_id)
-
-        def make():
-            return context_mod.read_catalog(handle, context_mod.load_descriptions(handle.path.parent))
-
-        return self._once("catalog", db_id, make)
-
-    def schema(self, db_id: str):
-        handle = self.handle(db_id)
-
-        def make():
-            return context_mod.extract_schema(handle, context_mod.load_descriptions(handle.path.parent))
-
-        return self._once("schema", db_id, make)
-
-    def literals(self, db_id: str):
-        """The database's ``context.index_literals`` index, read and built on the first call."""
-        handle, schema = self.handle(db_id), self.schema(db_id)
-        return self._once(
-            "literals", db_id, lambda: context_mod.index_literals(context_mod.read_literals(handle, schema))
-        )
+def _catalogs(args):
+    """db_id -> that database's catalog, each read once: what the two classify modes read."""
+    return functools.cache(lambda db_id: _load_database(Path(args.db_root), args.db_layout, False, db_id)[1])
 
 
 def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, list[EvalRecord], list[str]]:
@@ -203,6 +167,8 @@ def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, l
 
 
 def cmd_eval(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _pipeline_config(args)
     manifest = _manifest(args, cfg)
     digest = manifest_hash(manifest)
@@ -210,7 +176,6 @@ def cmd_eval(args) -> int:
     # bad inputs end the run here, before it writes anything
     items = load_benchmark(args.benchmark, args.format)
     backend = _make_backend(args)
-    cache = _DatabaseCache(Path(args.db_root), args.db_layout)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -245,29 +210,28 @@ def cmd_eval(args) -> int:
         sort_keys=True,
     )
 
-    def evaluate(item):
-        db_id = item.db_id
-        literals = functools.partial(cache.literals, db_id)
-        schema = cache.schema(db_id) if cfg.use_retriever else cache.catalog(db_id)
-        return run_sql_d1(item, schema, cfg, backend, cache.handle(db_id), literals)
-
     # this run's items whose candidates all failed in transport
     transport_failures = 0
     with open(records_path, "a" if resuming else "w", encoding="utf-8") as out:
         if not resuming:
             out.write(header_line + "\n")
         out.flush()
-        if pending:
-            with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-                for record in pool.map(evaluate, pending):
-                    transport_failures += bool(record.candidates) and all(c.error for c in record.candidates)
-                    out.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-                    out.flush()
-                    records.append(record)
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+            # each database of the pending items is read once; its future is queued ahead of every
+            # item, so an item waits only on a read that a worker has already taken up
+            load = functools.partial(_load_database, Path(args.db_root), args.db_layout, cfg.use_retriever)
+            databases = {db_id: pool.submit(load, db_id) for db_id in dict.fromkeys(i.db_id for i in pending)}
 
-    if not records:
-        print("no records produced", file=sys.stderr)
-        return 2
+            def evaluate(item):
+                db, schema, literals = databases[item.db_id].result()
+                return run_sql_d1(item, schema, cfg, backend, db, literals)
+
+            for record in pool.map(evaluate, pending):
+                transport_failures += bool(record.candidates) and all(c.error for c in record.candidates)
+                out.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+                out.flush()
+                records.append(record)
+
     report = assemble_report(records, strategy=args.track, manifest=manifest)
     _write_report(out_dir, report, digest)
     print(f"evaluated {len(records)} items: EX {report.to_json_dict()['ex_percent']}")
@@ -306,14 +270,17 @@ def cmd_classify(args) -> int:
         print(f"records file not found: {records_path}", file=sys.stderr)
         return 2
     header, records, _lines = _read_records_file(records_path)
-    cache = _DatabaseCache(Path(args.db_root), args.db_layout)
+    if not records:
+        print(f"{args.records}: no records", file=sys.stderr)
+        return 2
+    catalog = _catalogs(args)
 
     labels = []
     lines = []
     for record in records:
         if record.correct:
             continue
-        label = classify_error(record.final_sql, record.gold_sql, cache.catalog(record.db_id))
+        label = classify_error(record.final_sql, record.gold_sql, catalog(record.db_id))
         labels.append(label)
         lines.append(_label_line(record.item_id, label))
     out_dir = Path(args.out) if args.out else records_path.parent
@@ -347,11 +314,11 @@ def cmd_classify_files(args) -> int:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise IngestError(f"{path}: not a predictions file: {exc!r}") from exc
     items = load_benchmark(args.gold, args.format)
-    cache = _DatabaseCache(Path(args.db_root), args.db_layout)
+    catalog = _catalogs(args)
     out = sys.stdout
     for item in items:
         pred_sql = predictions.get(item.item_id)
-        label = classify_error(pred_sql, item.gold_sql, cache.catalog(item.db_id))
+        label = classify_error(pred_sql, item.gold_sql, catalog(item.db_id))
         out.write(_label_line(item.item_id, label) + "\n")
     return 0
 

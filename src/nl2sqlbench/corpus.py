@@ -83,6 +83,8 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
         raise IngestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise IngestError(f"{path}: expected an array of records")
+    if not raw:
+        raise IngestError(f"{path}: no records")
     items: list[BenchmarkItem] = []
     seen: set[str] = set()
     for idx, record in enumerate(raw):

@@ -183,18 +183,18 @@ def _request(prompt: str, cfg: PipelineConfig, temperature: float, num_candidate
 
 
 def build_context(
-    item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfig, literals: Callable[[], LiteralIndex]
+    item: BenchmarkItem, schema: SchemaContext, cfg: PipelineConfig, literals: LiteralIndex | None
 ) -> tuple[str, dict]:
     """The item's rendered DDL, and the values retrieval matched on question plus evidence.
 
-    ``literals`` returns the database's ``context.index_literals`` index; it
-    is called only when retrieval runs. Without retrieval nothing is matched
-    and the DDL shows no example values.
+    ``literals`` is the database's ``context.index_literals`` index, or None
+    when retrieval is off: then nothing is matched and the DDL shows no
+    example values.
     """
     if not cfg.use_retriever:
         return context.render_ddl(schema, {}, 0), {}
     question = f"{item.question} {item.evidence}" if item.evidence else item.question
-    matched = context.retrieve_values(question, literals(), cfg.retrieval_top_k)
+    matched = context.retrieve_values(question, literals, cfg.retrieval_top_k)
     return context.render_ddl(schema, matched, cfg.values_per_column), matched
 
 
@@ -334,12 +334,13 @@ def run_sql_d1(
     cfg: PipelineConfig,
     backend,
     db: DatabaseHandle,
-    literals: Callable[[], LiteralIndex],
+    literals: LiteralIndex | None,
 ) -> EvalRecord:
     """The four-stage agentic flow with stages toggled by the config.
 
     ``schema`` is the database's base context, before retrieval and DDL, and
-    ``literals`` returns its text-column literal index (see ``build_context``).
+    ``literals`` is its text-column literal index, or None without retrieval
+    (see ``build_context``).
     With verifier and selector off and one candidate at temperature 0 this is
     the greedy track. The verifier, the pool and the final record share one
     ``item_judge``, so every distinct SQL string of the item, the gold query

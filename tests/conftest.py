@@ -117,9 +117,8 @@ def database_digest(db: DatabaseHandle) -> str:
 
 
 def literal_source(db: DatabaseHandle):
-    """The ``literals`` argument of run_sql_d1 and build_context: db's literal index, built once."""
-    literals = index_literals(read_literals(db, extract_schema(db)))
-    return lambda: literals
+    """The ``literals`` argument of run_sql_d1 and build_context: db's literal index."""
+    return index_literals(read_literals(db, extract_schema(db)))
 
 
 def write_benchmark(path: Path, records: list[dict]) -> Path:

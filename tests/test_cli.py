@@ -16,7 +16,7 @@ import ablation_suite
 from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB, STACK_DB
 
 from nl2sqlbench import cli, context
-from nl2sqlbench.cli import _DatabaseCache, main
+from nl2sqlbench.cli import main
 from nl2sqlbench.context import render_ddl
 from nl2sqlbench.corpus import DatabaseHandle
 from nl2sqlbench.pipeline import PipelineConfig
@@ -168,6 +168,13 @@ class TestEval:
         code, out = run_eval(workspace, "run_bad_setting", "--track", "maj", "--k", "2", *setting)
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected_before_any_output(self, workspace, capsys, workers):
+        code, out = run_eval(workspace, "run_bad_workers", "--track", "greedy", "--workers", workers)
+        assert code == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_top_k_values_without_retrieval_runs(self, workspace):
@@ -421,8 +428,14 @@ class TestMalformedInputFiles:
 
     @pytest.mark.parametrize(
         "name, text",
-        [("benchmark", "not json"), ("benchmark", "\xff"), ("fixture", "{oops"), ("fixture", '[5]')],
-        ids=["benchmark_invalid_json", "benchmark_not_utf8", "fixture_invalid_json", "fixture_rule_not_object"],
+        [
+            ("benchmark", "not json"), ("benchmark", "\xff"), ("benchmark", "[]"),
+            ("fixture", "{oops"), ("fixture", '[5]'),
+        ],
+        ids=[
+            "benchmark_invalid_json", "benchmark_not_utf8", "benchmark_empty", "fixture_invalid_json",
+            "fixture_rule_not_object",
+        ],
     )
     def test_eval_writes_nothing(self, workspace, capsys, name, text):
         workspace[name].write_text(text, encoding="latin-1")
@@ -509,6 +522,17 @@ class TestClassify:
         for name in ("report.json", "report.csv"):
             assert (full / name).read_bytes() == (fresh / name).read_bytes(), name
         assert json.loads((full / "report.json").read_text())["strategy"] == "greedy"
+
+    def test_records_file_without_records_refused_before_any_output(self, workspace, tmp_path, capsys):
+        _code, out = run_eval(workspace, "cls_empty", "--track", "greedy", "--no-retrieval")
+        records = tmp_path / "header_only" / "records.jsonl"
+        records.parent.mkdir()
+        records.write_text((out / "records.jsonl").read_text().splitlines()[0] + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["classify", "--records", str(records), "--db-root", str(workspace["db_root"])])
+        assert code == 2
+        assert capsys.readouterr().err == f"{records}: no records\n"
+        assert [p.name for p in records.parent.iterdir()] == ["records.jsonl"]
 
     def test_all_correct_gives_empty_labels(self, workspace, tmp_path):
         # an oracle fixture where the default reply is each item's gold is not
@@ -655,7 +679,7 @@ class TestLiteralCache:
             return conn
 
         def slow_read(db, schema):
-            time.sleep(0.05)  # long enough for every worker to ask for the literals while they are read
+            time.sleep(0.05)  # long enough for every worker's item to wait on the database while it is read
             return read_literals(db, schema)
 
         monkeypatch.setattr(DatabaseHandle, "connect", traced)
@@ -686,41 +710,63 @@ def describe_gems(workspace, column, text):
     )
 
 
+def two_database_workspace(workspace, gems_items=2, stack_items=2):
+    """workspace with a stack database beside gems, and a benchmark of gems' items, then stack's."""
+    build_db(workspace["db_root"] / "stack" / "stack.sqlite", STACK_DB)
+    gems = [{"question": f"gems {i}", "db_id": "gems", "query": "SELECT COUNT(*) FROM gems"} for i in range(gems_items)]
+    stack = [
+        {"question": f"stack {i}", "db_id": "stack", "query": "SELECT COUNT(*) FROM users"} for i in range(stack_items)
+    ]
+    write_benchmark(workspace["benchmark"], gems + stack)
+    return workspace
+
+
 class TestDatabaseCache:
-    def test_a_slow_database_holds_up_no_other(self, tmp_path, monkeypatch):
-        build_db(tmp_path / "gems" / "gems.sqlite", GEMS_DB)
-        build_db(tmp_path / "stack" / "stack.sqlite", STACK_DB)
-        entered, release = threading.Event(), threading.Event()
+    """A run reads each database of its pending items once, on the item pool, ahead of the items."""
+
+    def test_a_slow_database_holds_up_no_other(self, workspace, monkeypatch):
+        two_database_workspace(workspace)
+        stack_read, waited = threading.Event(), []
         extract_schema = context.extract_schema
 
         def stalled(db, descriptions=None):
             if db.db_id == "gems":
-                entered.set()
-                release.wait(timeout=30)
-            return extract_schema(db, descriptions)
+                # gems comes first in the benchmark, yet can be read only once stack has been
+                waited.append(stack_read.wait(timeout=10))
+            schema = extract_schema(db, descriptions)
+            if db.db_id == "stack":
+                stack_read.set()
+            return schema
 
         monkeypatch.setattr(context, "extract_schema", stalled)
-        cache = _DatabaseCache(tmp_path, "nested")
-        slow = threading.Thread(target=cache.schema, args=("gems",))
-        slow.start()
-        try:
-            assert entered.wait(timeout=30)
-            got = {}
+        code, out = run_eval(
+            workspace, "slow", "--track", "greedy", "--workers", "2", "--mock-default-reply", "SELECT 1"
+        )
+        assert code == 0
+        assert waited == [True]
+        records = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()[1:]]
+        assert [r["db_id"] for r in records] == ["gems", "gems", "stack", "stack"]
 
-            def read_other():
-                got.update(handle=cache.handle("stack"), schema=cache.schema("stack"))
-
-            other = threading.Thread(target=read_other)
-            other.start()
-            other.join(timeout=10)
-            # stack was read while gems was still being read
-            assert not other.is_alive() and slow.is_alive()
-            assert got["handle"].db_id == "stack"
-            assert {t.name for t in got["schema"].tables} == {"users", "posts", "comments"}
-        finally:
-            release.set()
-            slow.join(timeout=30)
-        assert not slow.is_alive()
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_each_database_of_the_pending_items_loaded_once(self, workspace, monkeypatch, workers):
+        two_database_workspace(workspace, gems_items=3, stack_items=3)
+        loaded = []
+        load_database = cli.load_database
+        monkeypatch.setattr(
+            cli, "load_database", lambda db_id, *a, **k: loaded.append(db_id) or load_database(db_id, *a, **k)
+        )
+        run = ("--track", "greedy", "--workers", workers, "--mock-default-reply", "SELECT 1")
+        code, out = run_eval(workspace, "loads", *run)
+        assert code == 0 and sorted(loaded) == ["gems", "stack"]
+        # nothing pending: no database is read
+        loaded.clear()
+        code, _out = run_eval(workspace, "loads", *run, "--resume")
+        assert code == 0 and loaded == []
+        # only stack's items pending: gems is not read
+        lines = (out / "records.jsonl").read_text().splitlines()
+        (out / "records.jsonl").write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
+        code, _out = run_eval(workspace, "loads", *run, "--resume")
+        assert code == 0 and loaded == ["stack"]
 
     def test_classify_samples_no_values(self, workspace, monkeypatch):
         code, out = run_eval(workspace, "cls", "--track", "sql-d1", "--k", "3")
@@ -764,8 +810,9 @@ class TestDatabaseCache:
 
     def test_catalog_holds_the_descriptions(self, workspace):
         describe_gems(workspace, "name", "the gem's trade name")
-        cache = _DatabaseCache(workspace["db_root"], "nested")
-        unsampled, sampled = cache.catalog("gems"), cache.schema("gems")
+        _handle, unsampled, no_literals = cli._load_database(workspace["db_root"], "nested", False, "gems")
+        handle, sampled, literals = cli._load_database(workspace["db_root"], "nested", True, "gems")
+        assert handle.db_id == "gems" and no_literals is None and literals.entries
         assert sampled.sample_values and unsampled.sample_values == {}
         assert unsampled == replace(sampled, sample_values={})
         assert unsampled.tables[0].columns[1].description == "the gem's trade name"

@@ -68,9 +68,10 @@ class TestLoadBenchmark:
         assert all(item.evidence is None for item in items)
         assert all(item.difficulty == "unlabeled" for item in items)
 
-    def test_empty_array_gives_empty_list(self, tmp_path):
+    def test_empty_array_is_rejected_naming_the_file(self, tmp_path):
         path = write_benchmark(tmp_path / "empty.json", [])
-        assert load_benchmark(path, "bird") == []
+        with pytest.raises(IngestError, match=r"empty\.json: no records"):
+            load_benchmark(path, "bird")
 
     def test_three_record_fixture_round_trips_field_by_field(self, tmp_path):
         # independent oracle: read the raw JSON fields directly
