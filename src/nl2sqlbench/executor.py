@@ -9,6 +9,23 @@ Results are compared positionally, as row sequences when the gold query orders
 its output and as row multisets otherwise; numeric cells use a relative
 tolerance.
 
+Rows are fetched _FETCH_CHUNK_ROWS at a time, each chunk under one
+module-level lock. ``sqlite3`` gives up the GIL for every row step and takes
+it back for the row, so two threads fetching at once hand the GIL to each
+other once per row, which costs both of them CPU; under the lock one fetches
+while the others wait without the GIL. ``cursor.execute`` stays outside the
+lock: its first step, which plans the query and runs a whole GROUP BY
+aggregation, returns no row until it ends, so it overlaps with other
+threads' work. The lock must never be held through a long step, or a
+runaway query would stall every other fetch until its deadline. So the
+progress handler, which runs in the fetching thread, releases the lock if
+that call holds it. A tick means the statement ran another _PROGRESS_STEP
+instructions (a 20k-row fetch ticks a few times), and during a step that
+returns no row there is no per-row handoff to guard against. The rest of
+that chunk is fetched without the lock and the next chunk takes it again,
+so a query that streams rows without end also lets the waiting threads in
+at each tick.
+
 An ``ItemReader`` shares one connection among the queries of one item: it
 opens on the item's first query and closes when the item ends, so the item
 pays for opening the database and parsing its schema once rather than per
@@ -28,10 +45,15 @@ execution hashes its status instead.
 
 When every column holds only integers inside ±EXACT_PRODUCT_BOUND or only text
 that ``rstrip()`` leaves unchanged, cells order and compare as their keys do.
-Such a result is sorted as its rows, with no key list: its signature scales the
-integer cells of one chunk at a time while formatting, and an unordered
-comparison of two such results compares the sorted rows with ``==``. Digests
-and verdicts are those of the key path.
+Such a result is sorted as its rows, with no key list, and an unordered
+comparison of two such results compares the sorted rows with ``==``. Its
+signature formats the cells themselves: an integer x other than 0 has the key
+x * _GRID_STEPS, which prints as x followed by six zeros, so the field of an
+integer column whose cells share one sign appends them to the unscaled cell.
+Only an integer column with cells of both signs or a zero is scaled, one chunk
+at a time, while formatting. Digests and verdicts are those of the key path,
+and the keys that comparisons use stay scaled, so that gold and prediction
+keys are on one grid.
 """
 
 from __future__ import annotations
@@ -40,6 +62,7 @@ import hashlib
 import math
 import re
 import sqlite3
+import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -68,6 +91,15 @@ EXACT_PRODUCT_BOUND = 2**31
 ROW_CAP = 100_000
 # VM instructions between progress-handler ticks; each tick waits for the GIL
 _PROGRESS_STEP = 100_000
+# rows fetched per fetchmany call, the unit of work done under _FETCH_LOCK
+_FETCH_CHUNK_ROWS = 1024
+# held by the thread that fetches a chunk of rows, so that two fetching threads do not hand the GIL to each other
+# once per row; a progress-handler tick releases it (see the module docstring)
+_FETCH_LOCK = threading.Lock()
+# %-fields of numeric keys: a grid value, and an integer cell other than 0, whose grid value is the cell times
+# _GRID_STEPS, a power of ten, and so prints as the cell's digits followed by the power's zeros
+_GRID_FIELD = "(1, %d)"
+_SUFFIXED_INT = "(1, %d" + str(_GRID_STEPS)[1:] + ")"
 # rows formatted per % pass when signing a result: bounds the transient template and argument
 # tuple, and the GIL can change hands between passes
 _FORMAT_CHUNK_ROWS = 1024
@@ -152,9 +184,14 @@ def execute_sql(
     except sqlite3.Error as exc:
         return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc))
     timed_out = False
+    holds_lock = False
 
     def _tick():
-        nonlocal timed_out
+        nonlocal timed_out, holds_lock
+        # the statement has run another _PROGRESS_STEP instructions: let the other threads fetch meanwhile
+        if holds_lock:
+            holds_lock = False
+            _FETCH_LOCK.release()
         if time.monotonic() - start > timeout_seconds:
             timed_out = True
             return 1
@@ -167,7 +204,14 @@ def execute_sql(
         rows: list[tuple] = []
         capped = False
         while True:
-            chunk = cursor.fetchmany(1024)
+            _FETCH_LOCK.acquire()
+            holds_lock = True
+            try:
+                chunk = cursor.fetchmany(_FETCH_CHUNK_ROWS)
+            finally:
+                if holds_lock:
+                    holds_lock = False
+                    _FETCH_LOCK.release()
             if not chunk:
                 break
             if not capped:
@@ -273,53 +317,64 @@ def _canonical_cell(cell):
     return (3, cell.hex())
 
 
-def _column_form(column: tuple) -> tuple[str, map, bool]:
-    """%-format field and sort values of one result column, and whether its cells sort as those values.
+def _column_form(column: tuple) -> tuple[str, map, str | None]:
+    """%-format field and sort values of one result column, and the field for its cells when they sort as those values.
 
     The field formats a sort value as repr(_canonical_cell(cell)). In a
     numeric column on the tolerance grid, or a text column, the type tag is
     constant, so the bare grid values or stripped texts sort like the tagged
-    keys; any other column keeps the tagged keys. The flag is set when the
-    cells themselves order and compare as their sort values do: integers
-    inside ±EXACT_PRODUCT_BOUND, whose value is the cell times _GRID_STEPS,
-    and text that rstrip() leaves unchanged, whose value is the cell.
+    keys; any other column keeps the tagged keys. The cell field is None
+    unless the cells themselves order and compare as their sort values do:
+    integers inside ±EXACT_PRODUCT_BOUND, whose value is the cell times
+    _GRID_STEPS, and text that rstrip() leaves unchanged, whose value is the
+    cell. It is then the field that formats a cell as the repr of its key:
+    _SUFFIXED_INT for an integer column whose cells share one sign, so that
+    it holds no zero; _GRID_FIELD, whose cells are multiplied by _GRID_STEPS
+    before formatting, for any other integer column; and the text field for
+    text.
     """
     kinds = set(map(type, column))
     if kinds == {int}:
         low, high = min(column), max(column)
         if -EXACT_PRODUCT_BOUND < low and high < EXACT_PRODUCT_BOUND:
-            return "(1, %d)", map(mul, column, repeat(_GRID_STEPS)), True
+            cell_field = _SUFFIXED_INT if low > 0 or high < 0 else _GRID_FIELD
+            return _GRID_FIELD, map(mul, column, repeat(_GRID_STEPS)), cell_field
         if -EXACT_INT_FLOOR < low and high < EXACT_INT_FLOOR:
-            return "(1, %d)", map(round, map(truediv, column, repeat(REL_TOL))), False
+            return _GRID_FIELD, map(round, map(truediv, column, repeat(REL_TOL))), None
     elif kinds == {float}:
         grid = list(map(truediv, column, repeat(REL_TOL)))
         if all(map(math.isfinite, grid)):
-            return "(1, %d)", map(round, grid), False
+            return _GRID_FIELD, map(round, grid), None
     elif kinds == {str}:
-        return "(2, %r)", map(str.rstrip, column), all(map(eq, map(str.rstrip, column), column))
-    return "%r", map(_canonical_cell, column), False
+        as_cells = all(map(eq, map(str.rstrip, column), column))
+        return "(2, %r)", map(str.rstrip, column), "(2, %r)" if as_cells else None
+    return "%r", map(_canonical_cell, column), None
 
 
-def _canonical_form(rows: list[tuple]) -> tuple[str, Iterator[tuple], bool]:
-    """Row template, lazy per-row sort keys, and whether the rows sort as their keys do.
+def _row_template(fields: tuple[str, ...]) -> str:
+    return "(" + ", ".join(fields) + ("," if len(fields) == 1 else "") + ")"
+
+
+def _canonical_form(rows: list[tuple]) -> tuple[str, Iterator[tuple], tuple[str, ...] | None]:
+    """Row template, lazy per-row sort keys, and the cell fields when the rows sort as their keys do, else None.
 
     Built a column at a time. Keys order rows as the tuples of their cells'
     canonical keys do, and template % key is the repr of that tuple. When
     every column's cells sort as their values (see ``_column_form``), rows
-    order and compare as their keys, and a row becomes its key once its
-    integer cells are multiplied by _GRID_STEPS.
+    order and compare as their keys, and the row template of the cell
+    fields formats a row as the repr of its key once the cells of its
+    columns with _GRID_FIELD are multiplied by _GRID_STEPS.
     """
     if not rows or not rows[0]:
-        return "()", repeat((), len(rows)), True
+        return "()", repeat((), len(rows)), ()
     # zip(*rows) holds an iterator per row while it transposes, which past one chunk of rows costs more memory
     # than one itemgetter pass per column; below that, it is the cheaper call
     if len(rows) <= _FORMAT_CHUNK_ROWS:
         columns = zip(*rows)
     else:
         columns = (tuple(map(itemgetter(i), rows)) for i in range(len(rows[0])))
-    fields, values, exact = zip(*map(_column_form, columns))
-    template = "(" + ", ".join(fields) + ("," if len(fields) == 1 else "") + ")"
-    return template, zip(*values), all(exact)
+    fields, values, cell_fields = zip(*map(_column_form, columns))
+    return _row_template(fields), zip(*values), None if None in cell_fields else cell_fields
 
 
 def _sorted_rows(rows: list[tuple]) -> tuple[list[tuple], list[tuple] | None]:
@@ -328,8 +383,8 @@ def _sorted_rows(rows: list[tuple]) -> tuple[list[tuple], list[tuple] | None]:
     A stable sort, so ties keep their input order; rows that sort as their
     keys do are sorted with no key list.
     """
-    _, keys, exact = _canonical_form(rows)
-    if exact:
+    _, keys, cell_fields = _canonical_form(rows)
+    if cell_fields is not None:
         return sorted(rows), None
     keys = list(keys)
     order = sorted(range(len(rows)), key=keys.__getitem__)
@@ -391,11 +446,13 @@ def result_signature(outcome: ExecutionOutcome) -> str:
     else:
         assert outcome.rows is not None
         hasher.update(f"ok:{outcome.column_count}:".encode())
-        template, keys, exact = _canonical_form(outcome.rows)
-        if exact:
-            # rows that sort as their keys stand in for them; integer cells are scaled a chunk at a time
+        template, keys, cell_fields = _canonical_form(outcome.rows)
+        if cell_fields is not None:
+            # rows that sort as their keys stand in for them, formatted by their cell fields; only integer columns
+            # whose cells do not share one sign are scaled, a chunk at a time
             keys = sorted(outcome.rows)
-            scaled = [i for i, cell in enumerate(keys[0]) if type(cell) is int] if keys else []
+            template = _row_template(cell_fields)
+            scaled = [i for i, field in enumerate(cell_fields) if field == _GRID_FIELD]
         else:
             keys, scaled = sorted(keys), []
         # repr of the key list, fed to the hash a chunk of rows at a time with one % pass per chunk

@@ -9,8 +9,11 @@ import hashlib
 import math
 import random
 import sqlite3
+import sys
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -438,6 +441,73 @@ class TestItemReader:
             connects[0].execute("SELECT 1")
 
 
+# unbounded recursions that return rows: one streams them, the other returns its first row at once and then one row
+# per million recursions, so that each later step runs many progress-handler ticks without a row
+_STREAMING_RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT n FROM r"
+_SPARSE_RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT n FROM r WHERE n % 1000000 = 1"
+_TWENTY_K_ROWS = (
+    "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r LIMIT 20000) SELECT n, n * 7919 % 10007, n % 5 FROM r"
+)
+
+
+class TestFetchLock:
+    """Chunks are fetched under one lock, which no outcome leaves held and no long step keeps."""
+
+    @pytest.mark.parametrize("runaway", [_STREAMING_RUNAWAY, _SPARSE_RUNAWAY], ids=["streaming", "sparse_rows"])
+    def test_a_runaway_query_holds_up_no_other_fetch(self, misc_db, runaway):
+        # held across a whole fetch loop, or across a chunk through the runaway's progress ticks, the lock would stall
+        # the other fetch until the runaway's limit
+        limit = 3.0
+        outcomes = []
+        runner = threading.Thread(target=lambda: outcomes.append(execute_sql(misc_db, runaway, timeout_seconds=limit)))
+        runner.start()
+        try:
+            time.sleep(0.3)  # the runaway is fetching by now
+            start = time.monotonic()
+            fetched = execute_sql(misc_db, _TWENTY_K_ROWS)
+            elapsed = time.monotonic() - start
+        finally:
+            runner.join(timeout=limit + 10)
+        assert not runner.is_alive()
+        assert [o.status for o in outcomes] == [STATUS_TIMEOUT]
+        assert fetched.status == STATUS_OK and fetched.row_count == 20_000
+        assert elapsed < limit / 3
+
+    @pytest.mark.parametrize(
+        "sql, timeout, status",
+        [
+            (_TWENTY_K_ROWS, 30.0, STATUS_OK),
+            ("SELECT missing FROM t_nums", 30.0, STATUS_SQL_ERROR),
+            (_STREAMING_RUNAWAY, 0.5, STATUS_TIMEOUT),
+            (_SPARSE_RUNAWAY, 0.5, STATUS_TIMEOUT),
+            (f"WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r LIMIT {ROW_CAP + 1}) SELECT n FROM r",
+             30.0, STATUS_SQL_ERROR),
+            (_FAILS_MID_FETCH, 30.0, STATUS_SQL_ERROR),
+        ],
+        ids=["ok", "sql_error", "timeout_streaming", "timeout_sparse_rows", "row_cap", "error_mid_fetch"],
+    )
+    def test_no_outcome_leaves_the_lock_held(self, misc_db, sql, timeout, status):
+        assert execute_sql(misc_db, sql, timeout_seconds=timeout).status == status
+        assert not executor._FETCH_LOCK.locked()
+
+    def test_threads_fetching_at_once_each_get_their_own_result(self, misc_db):
+        # more threads than cores, switching as often as the interpreter allows
+        queries = [
+            (_TWENTY_K_ROWS, 30.0), (_FAILS_MID_FETCH, 30.0), (_STREAMING_RUNAWAY, 0.3), ("SELECT x FROM t_nums", 30.0)
+        ]
+        alone = [_result(execute_sql(misc_db, sql, timeout_seconds=timeout)) for sql, timeout in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(execute_sql, misc_db, *query) for _ in range(3) for query in queries]
+                together = [_result(future.result(timeout=60)) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == alone * 3
+        assert not executor._FETCH_LOCK.locked()
+
+
 # ORDER BY, parentheses and comment markers inside literals, quoted identifiers and comments
 QUOTED_ORDER_BY = [
     'SELECT "order by" FROM t',
@@ -661,6 +731,9 @@ _KIND_CELLS = {
     "text": st.text(alphabet="ab '\"\\é%r{}", max_size=4),
     # integers at and just inside the exact-product bound, whose columns may sort as their rows
     "product_int": st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from(_PRODUCT_BOUNDARY_INTS[:4])),
+    # product-bound integers of one sign, whose columns hold no zero and are signed without scaling
+    "positive_product_int": st.one_of(st.integers(min_value=1, max_value=3), st.just(2**31 - 1)),
+    "negative_product_int": st.one_of(st.integers(min_value=-3, max_value=-1), st.just(-(2**31 - 1))),
     # text that mostly keeps its trailing characters under rstrip(), and sometimes ends in a blank
     "blank_text": st.builds(
         str.__add__, st.text(alphabet="ab\u3000", max_size=3), st.sampled_from(["", "", "", *_TRAILING_BLANKS])
@@ -716,6 +789,33 @@ class TestSignatureFormatting:
     @pytest.mark.parametrize("x", _PRODUCT_BOUNDARY_INTS)
     def test_integer_columns_at_the_product_bound(self, x):
         for rows in ([(x,), (0,), (-1,)], [(x, 7), (x - 1, -7)], [(x,), (2**31 - 2,)]):
+            outcome = _outcome_from_rows(rows, len(rows[0]))
+            assert result_signature(outcome) == reference_digest(outcome)
+
+    @pytest.mark.parametrize(
+        "column, suffixed",
+        [
+            ([5, 1, 3], True),
+            ([-5, -1, -3], True),
+            ([2**31 - 1, 1, 2**31 - 2], True),
+            ([-(2**31 - 1), -1], True),
+            ([0], False),
+            ([7, 0, 3], False),
+            ([-(2**31 - 1), 2**31 - 1], False),
+        ],
+        ids=["no_zero", "all_negative", "at_plus_bound", "at_minus_bound", "single_zero", "holding_zero", "both_signs"],
+    )
+    @pytest.mark.parametrize("n_rows", [1, _FORMAT_CHUNK_ROWS, _FORMAT_CHUNK_ROWS + 1])
+    def test_integer_columns_beside_text_and_reals(self, column, suffixed, n_rows):
+        # a product-bound integer column whose cells share one sign is formatted unscaled with the grid's zeros appended
+        assert (executor._column_form(tuple(column))[2] == executor._SUFFIXED_INT) is suffixed
+        cells = [column[i % len(column)] for i in range(n_rows)]
+        for rows in (
+            [(c,) for c in cells],
+            [(c, f"t{i % 3}", i % 4) for i, c in enumerate(cells)],
+            [(f"%d{i % 2}", c, -1 - i) for i, c in enumerate(cells)],
+            [(c, 0.5 * (i % 3)) for i, c in enumerate(cells)],
+        ):
             outcome = _outcome_from_rows(rows, len(rows[0]))
             assert result_signature(outcome) == reference_digest(outcome)
 
