@@ -58,10 +58,8 @@ def _pipeline_config(args) -> PipelineConfig:
         stages.discard("a_r")
     return PipelineConfig(
         use_retriever="a_r" in stages,
-        use_verifier="a_v" in stages,
-        use_selector="a_s" in stages,
         num_candidates=args.k if "a_s" in stages else 1,
-        verifier_max_iters=args.verifier_iters,
+        verifier_max_iters=args.verifier_iters if "a_v" in stages else 0,
         timeout_seconds=args.timeout,
         temperature=0.0 if args.track == "greedy" else args.temperature,
         max_new_tokens=args.max_new_tokens,
@@ -72,16 +70,19 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _manifest(args, cfg: PipelineConfig) -> dict:
+def _manifest(args, cfg: PipelineConfig, backend) -> dict:
+    # the backend as resolved: a remote one's URL and model from flags or environment, never its API key,
+    # and a mock one's fixture
+    remote = isinstance(backend, RemoteBackend)
     return {
         "benchmark": str(Path(args.benchmark)),
         "format": args.format,
         "db_root": str(Path(args.db_root)),
-        "db_layout": args.db_layout,
         "track": args.track,
         "backend": args.backend,
-        "backend_model": args.backend_model or "",
-        "mock_fixture": str(Path(args.mock_fixture)) if args.mock_fixture else "",
+        "backend_url": backend.url if remote else "",
+        "backend_model": (backend.model or "") if remote else "",
+        "mock_fixture": str(Path(args.mock_fixture)) if args.mock_fixture and not remote else "",
         **{f.name: _manifest_value(getattr(cfg, f.name)) for f in fields(PipelineConfig)},
         "workers": str(args.workers),
     }
@@ -107,22 +108,21 @@ def manifest_hash(manifest: dict) -> str:
 
 def _make_backend(args):
     if args.backend == "mock":
-        if args.mock_fixture:
-            return MockBackend.from_file(args.mock_fixture, default_reply=args.mock_default_reply)
-        return MockBackend(default_reply=args.mock_default_reply)
+        return MockBackend.from_file(args.mock_fixture) if args.mock_fixture else MockBackend()
     return RemoteBackend(url=args.backend_url, model=args.backend_model)
 
 
-def _load_database(root: Path, layout: str, retrieval: bool, db_id: str):
-    """Read one database for a run: (handle, base schema context, literal index or None).
+def _load_database(root: Path, retrieval: bool, db_id: str):
+    """Read one database for an eval: (handle, base schema context, literal index or None).
 
-    With retrieval the context carries sampled values and the text-column
-    literal index is built. Without it, as for ``classify`` and an eval
-    without retrieval, only the catalog and column descriptions are read:
-    no values are sampled and no index is built.
+    Column descriptions come from ``<root>/<db_id>/database_description/``
+    whichever layout the database file has. With retrieval the context
+    carries sampled values and the text-column literal index is built.
+    Without it only the catalog and column descriptions are read: no values
+    are sampled and no index is built.
     """
-    handle = load_database(db_id, root, layout=layout)
-    descriptions = context_mod.load_descriptions(handle.path.parent)
+    handle = load_database(db_id, root)
+    descriptions = context_mod.load_descriptions(root / db_id)
     if not retrieval:
         return handle, context_mod.read_catalog(handle, descriptions), None
     schema = context_mod.extract_schema(handle, descriptions)
@@ -130,8 +130,11 @@ def _load_database(root: Path, layout: str, retrieval: bool, db_id: str):
 
 
 def _catalogs(args):
-    """db_id -> that database's catalog, each read once: what the two classify modes read."""
-    return functools.cache(lambda db_id: _load_database(Path(args.db_root), args.db_layout, False, db_id)[1])
+    """db_id -> that database's catalog, each read once: what the two classify modes read.
+
+    Labels look only at table and column names, so no column descriptions are read.
+    """
+    return functools.cache(lambda db_id: context_mod.read_catalog(load_database(db_id, args.db_root)))
 
 
 def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, list[EvalRecord], list[str]]:
@@ -169,13 +172,12 @@ def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, l
 def cmd_eval(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    cfg = _pipeline_config(args)
-    manifest = _manifest(args, cfg)
-    digest = manifest_hash(manifest)
-
     # bad inputs end the run here, before it writes anything
+    cfg = _pipeline_config(args)
     items = load_benchmark(args.benchmark, args.format)
     backend = _make_backend(args)
+    manifest = _manifest(args, cfg, backend)
+    digest = manifest_hash(manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -219,7 +221,7 @@ def cmd_eval(args) -> int:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             # each database of the pending items is read once; its future is queued ahead of every
             # item, so an item waits only on a read that a worker has already taken up
-            load = functools.partial(_load_database, Path(args.db_root), args.db_layout, cfg.use_retriever)
+            load = functools.partial(_load_database, Path(args.db_root), cfg.use_retriever)
             databases = {db_id: pool.submit(load, db_id) for db_id in dict.fromkeys(i.db_id for i in pending)}
 
             def evaluate(item):
@@ -379,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--benchmark", required=True)
     run.add_argument("--format", required=True, choices=("spider", "bird"))
     run.add_argument("--db-root", required=True)
-    run.add_argument("--db-layout", default="nested", choices=("nested", "flat"))
     run.add_argument("--track", default="greedy", choices=tuple(TRACK_STAGES))
     run.add_argument("--k", type=int, default=defaults.num_candidates, help="candidate pool size for maj/sql-d1")
     run.add_argument("--ablation", default="", help="comma list of a_r,a_g,a_v,a_s (sql-d1 only)")
@@ -389,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-new-tokens", type=int, default=defaults.max_new_tokens)
     run.add_argument("--backend", default="mock", choices=("remote", "mock"))
     run.add_argument("--mock-fixture", default=None)
-    run.add_argument("--mock-default-reply", default="")
     run.add_argument("--backend-url", default=None)
     run.add_argument("--backend-model", default=None)
     run.add_argument("--backend-param", action="append", default=[], dest="backend_params_raw")
@@ -407,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--gold", help="standalone: gold benchmark file")
     cls.add_argument("--format", default="bird", choices=("spider", "bird"))
     cls.add_argument("--db-root", "--db", dest="db_root", required=True)
-    cls.add_argument("--db-layout", default="nested", choices=("nested", "flat"))
     cls.add_argument("--out", default=None)
 
     rep = sub.add_parser("report", help="merge runs into curve and scatter CSVs")

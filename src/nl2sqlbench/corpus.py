@@ -120,15 +120,13 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
     return items
 
 
-def load_database(db_id: str, root, layout: str = "nested") -> DatabaseHandle:
-    """Register root/<db_id>/<db_id>.sqlite (or root/<db_id>.sqlite with layout="flat")."""
+def load_database(db_id: str, root) -> DatabaseHandle:
+    """Register root/<db_id>/<db_id>.sqlite, or root/<db_id>.sqlite when the first does not exist."""
     root = Path(root)
-    if layout == "flat":
-        path = root / f"{db_id}.sqlite"
-    else:
-        path = root / db_id / f"{db_id}.sqlite"
+    nested, flat = root / db_id / f"{db_id}.sqlite", root / f"{db_id}.sqlite"
+    path = nested if nested.is_file() else flat
     if not path.is_file():
-        raise RegistryError(f"database {db_id!r}: no file at {path}")
+        raise RegistryError(f"database {db_id!r}: no file at {nested} or {flat}")
     handle = DatabaseHandle(db_id=db_id, path=path)
     try:
         conn = handle.connect()

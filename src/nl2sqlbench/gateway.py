@@ -7,10 +7,10 @@ the request body untouched, so engine-specific knobs such as diffusion block
 or window sizes pass through without the harness interpreting them.
 
 Concurrency: eval items run on the CLI's ``--workers`` threads. A remote
-backend owns one bounded pool (``max_concurrency`` threads, 8 by default)
-that runs all of its calls, an item's k trajectories and its verifier repairs
-alike; the pool size is the cap on in-flight requests, and a call that is
-retrying keeps its slot through its backoff. A backend without a pool, the
+backend owns one bounded pool (``MAX_CONCURRENCY`` threads) that runs all
+of its calls, an item's k trajectories and its verifier repairs alike; the
+pool size is the cap on in-flight requests, and a call that is retrying
+keeps its slot through its backoff. A backend without a pool, the
 mock included, runs an item's trajectories inline in the item's thread, in
 trajectory order.
 """
@@ -33,9 +33,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.8  # sampling default; greedy forces 0
 DEFAULT_MAX_NEW_TOKENS = 2048
-DEFAULT_TIMEOUT_SECONDS = 120.0
-DEFAULT_RETRIES = 2
-DEFAULT_MAX_CONCURRENCY = 8
+# the remote backend's request timeout, retries after a first failed attempt, and call pool size
+REQUEST_TIMEOUT_SECONDS = 120.0
+RETRIES = 2
+MAX_CONCURRENCY = 8
 
 
 @dataclass(frozen=True)
@@ -178,17 +179,18 @@ class MockBackend:
 
     Fully deterministic given the prompt: replies, latencies, and token
     counts come from the fixture, so end-to-end runs are reproducible
-    byte-for-byte. It keeps no state between calls.
+    byte-for-byte. It keeps no state between calls. A prompt that no rule
+    matches gets an empty reply; a rule with pattern ``""`` matches every
+    prompt, so a fixture that ends with one sets its own fallback.
     """
 
     name = "mock"
 
-    def __init__(self, rules: list[MockRule] | None = None, default_reply: str = ""):
+    def __init__(self, rules: list[MockRule] | None = None):
         self.rules = list(rules or [])
-        self.default_reply = default_reply
 
     @classmethod
-    def from_file(cls, path, default_reply: str = "") -> "MockBackend":
+    def from_file(cls, path) -> "MockBackend":
         try:
             entries = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
@@ -212,13 +214,13 @@ class MockBackend:
                 )
             except ConfigError as exc:
                 raise ConfigError(f"{path}: rule {idx}: {exc}") from exc
-        return cls(rules, default_reply=default_reply)
+        return cls(rules)
 
     def complete(self, request: GenerationRequest, trajectory_id: int) -> BackendReply:
         for rule in self.rules:
             if rule.matches(request.prompt, trajectory_id):
                 return BackendReply(rule.reply, rule.tokens, rule.latency)
-        return BackendReply(self.default_reply, None, 0.0)
+        return BackendReply("", None, 0.0)
 
 
 class RemoteBackend:
@@ -226,15 +228,7 @@ class RemoteBackend:
 
     name = "remote"
 
-    def __init__(
-        self,
-        url: str | None = None,
-        api_key: str | None = None,
-        model: str | None = None,
-        timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
-        retries: int = DEFAULT_RETRIES,
-        max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-    ):
+    def __init__(self, url: str | None = None, api_key: str | None = None, model: str | None = None):
         import requests  # only remote runs pay for the import
 
         self.url = url or os.environ.get("BACKEND_URL")
@@ -242,13 +236,11 @@ class RemoteBackend:
         self.model = model or os.environ.get("BACKEND_MODEL")
         if not self.url:
             raise ConfigError("remote backend needs a URL (flag or BACKEND_URL)")
-        self.timeout_seconds = timeout_seconds
-        self.retries = retries
         self.session = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_concurrency)
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_CONCURRENCY)
         self.session.mount("http://", adapter)
         self.session.mount("https://", adapter)
-        self._pool = ThreadPoolExecutor(max_workers=max_concurrency)
+        self._pool = ThreadPoolExecutor(max_workers=MAX_CONCURRENCY)
 
     def map(self, fn, trajectory_ids):
         return self._pool.map(fn, trajectory_ids)
@@ -272,10 +264,10 @@ class RemoteBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             start = time.monotonic()
             try:
-                response = self.session.post(self.url, json=body, headers=headers, timeout=self.timeout_seconds)
+                response = self.session.post(self.url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_SECONDS)
                 if 400 <= response.status_code < 500 and response.status_code != 429:
                     # the request itself is wrong: a retry cannot help
                     raise BackendError(f"backend rejected the request: HTTP {response.status_code}")
@@ -289,9 +281,9 @@ class RemoteBackend:
                 raise
             except Exception as exc:  # noqa: BLE001 - transport errors vary by stack; also 429, 5xx, bad JSON
                 last_error = exc
-            if attempt < self.retries:  # jittered exponential backoff; the call keeps its pool slot
+            if attempt < RETRIES:  # jittered exponential backoff; the call keeps its pool slot
                 time.sleep(2**attempt * random.uniform(0.5, 1.5))
-        raise BackendError(f"backend unreachable after {self.retries} retries: {last_error}")
+        raise BackendError(f"backend unreachable after {RETRIES} retries: {last_error}")
 
 
 def generate(request: GenerationRequest, backend) -> list[Candidate]:

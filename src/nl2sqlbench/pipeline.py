@@ -21,6 +21,7 @@ from .corpus import BenchmarkItem, DatabaseHandle
 from .context import LiteralIndex, SchemaContext, build_prompt
 from .errors import ConfigError
 from .executor import (
+    DEFAULT_TIMEOUT_SECONDS,
     STATUS_EMPTY,
     ExecutionOutcome,
     ItemReader,
@@ -29,7 +30,7 @@ from .executor import (
     is_order_sensitive,
     result_signature,
 )
-from .gateway import Candidate, GenerationRequest, generate
+from .gateway import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPERATURE, Candidate, GenerationRequest, generate
 
 logger = logging.getLogger(__name__)
 
@@ -43,13 +44,11 @@ REPAIR_TEMPLATE = (
 @dataclass
 class PipelineConfig:
     use_retriever: bool = True
-    use_verifier: bool = True
-    use_selector: bool = True
-    num_candidates: int = 8
-    verifier_max_iters: int = 2
-    timeout_seconds: float = 30.0
-    temperature: float = 0.8
-    max_new_tokens: int = 2048
+    num_candidates: int = 8  # above 1, the selector picks among the pool
+    verifier_max_iters: int = 2  # 0 switches the verifier off
+    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
+    temperature: float = DEFAULT_TEMPERATURE
+    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
     backend_params: dict = field(default_factory=dict)
     seed: int | None = None
     values_per_column: int = 3
@@ -60,8 +59,6 @@ class PipelineConfig:
             raise ConfigError("num_candidates must be at least 1")
         if self.verifier_max_iters < 0:
             raise ConfigError("verifier_max_iters must be non-negative")
-        if not self.use_selector and self.num_candidates > 1:
-            raise ConfigError("a candidate pool (k > 1) needs the selector enabled")
         if self.use_retriever and self.retrieval_top_k < 1:
             raise ConfigError("retrieval_top_k must be at least 1 when retrieval is on")
         # written so that NaN fails too; checked here so a run stops before it writes any output
@@ -341,8 +338,8 @@ def run_sql_d1(
     ``schema`` is the database's base context, before retrieval and DDL, and
     ``literals`` is its text-column literal index, or None without retrieval
     (see ``build_context``).
-    With verifier and selector off and one candidate at temperature 0 this is
-    the greedy track. The verifier, the pool and the final record share one
+    With one candidate at temperature 0 and no repairs this is the greedy
+    track. The verifier, the pool and the final record share one
     ``item_judge``, so every distinct SQL string of the item, the gold query
     included, is executed once. The item's queries share one read-only
     connection, which is closed when the item returns or raises (see
@@ -364,13 +361,13 @@ def run_sql_d1(
         gold_outcome = execute_sql(reader, item.gold_sql, cfg.timeout_seconds)
         judge = item_judge(reader, item.gold_sql, gold_outcome, order_sensitive, cfg.timeout_seconds)
 
-        if cfg.use_verifier:
+        if cfg.verifier_max_iters:
             candidates = [run_verifier(c, prompt, cfg, backend, judge, trace) for c in candidates]
 
         pool = evaluate_pool(candidates, judge)
 
     final = pool[0]
-    if cfg.use_selector:
+    if cfg.num_candidates > 1:
         winner = select_winner(pool)
         if winner:
             final = winner

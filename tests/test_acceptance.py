@@ -86,10 +86,7 @@ def test_c03_selector_correctness(gems_db):
     assert len(SELECTOR_FIXTURE) == 12
     matched = 0
     for specs, winner_id in SELECTOR_FIXTURE:
-        cfg = PipelineConfig(
-            use_retriever=False, use_verifier=False, use_selector=True,
-            num_candidates=max(2, len(specs)), timeout_seconds=10.0,
-        )
+        cfg = PipelineConfig(use_retriever=False, num_candidates=max(2, len(specs)), timeout_seconds=10.0)
         winner = select_winner(_evaluate_pool(_pool_candidates(specs), gems_db, cfg))
         expected = None if winner_id is None else specs[winner_id]
         if (winner.sql if winner else None) == expected:
@@ -106,8 +103,7 @@ def test_c04_verifier_loop(gems_db):
     broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
     fixed = "SELECT COUNT(*) FROM gems WHERE carat > 2"
     cfg = PipelineConfig(
-        use_retriever=False, use_verifier=True, use_selector=False,
-        num_candidates=1, verifier_max_iters=2, temperature=0.0, timeout_seconds=10.0,
+        use_retriever=False, num_candidates=1, verifier_max_iters=2, temperature=0.0, timeout_seconds=10.0,
     )
     prompt = build_prompt(item, build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))[0])
 
@@ -119,7 +115,7 @@ def test_c04_verifier_loop(gems_db):
     gold = execute_sql(gems_db, item.gold_sql, 10.0)
     assert compare_results(final, gold, is_order_sensitive(item.gold_sql)) is True
 
-    stubborn = RecordingBackend(default_reply=sql_reply(broken))
+    stubborn = RecordingBackend([MockRule(pattern="", reply=sql_reply(broken))])
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
     run_verifier(candidate, prompt, cfg, stubborn, _no_gold_judge(gems_db, cfg), [])
     assert len(stubborn.calls) == 2
@@ -134,24 +130,19 @@ def test_c05_ablation_monotonicity(gems_db):
     schema, literals = extract_schema(gems_db), literal_source(gems_db)
 
     def run(cfg):
-        backend = MockBackend(backend_rules, default_reply="no idea")
+        backend = MockBackend(backend_rules + [MockRule(pattern="", reply="no idea")])
         records = [run_sql_d1(item, schema, cfg, backend, gems_db, literals) for item in items]
         return sum(1 for r in records if r.correct) / len(records)
 
     def cfg(**kwargs):
-        base = dict(
-            use_retriever=False, use_verifier=False, use_selector=False,
-            num_candidates=1, temperature=0.0, timeout_seconds=10.0,
-        )
+        base = dict(use_retriever=False, num_candidates=1, verifier_max_iters=0, temperature=0.0, timeout_seconds=10.0)
         base.update(kwargs)
         return PipelineConfig(**base)
 
     baseline = run(cfg())
     with_retrieval = run(cfg(use_retriever=True))
-    with_verifier = run(cfg(use_retriever=True, use_verifier=True))
-    full = run(
-        cfg(use_retriever=True, use_verifier=True, use_selector=True, num_candidates=3, temperature=0.8)
-    )
+    with_verifier = run(cfg(use_retriever=True, verifier_max_iters=2))
+    full = run(cfg(use_retriever=True, verifier_max_iters=2, num_candidates=3, temperature=0.8))
     assert baseline < with_retrieval < with_verifier < full
     assert (baseline, with_retrieval, with_verifier, full) == (0.4, 0.5, 0.6, 0.7)
 

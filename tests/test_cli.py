@@ -1,5 +1,7 @@
 """End-to-end CLI runs: eval, classify, report, determinism, resume."""
 
+import argparse
+import hashlib
 import json
 import os
 import re
@@ -15,7 +17,7 @@ import pytest
 import ablation_suite
 from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB, STACK_DB
 
-from nl2sqlbench import cli, context
+from nl2sqlbench import cli, context, gateway
 from nl2sqlbench.cli import main
 from nl2sqlbench.context import render_ddl
 from nl2sqlbench.corpus import DatabaseHandle
@@ -32,6 +34,12 @@ def workspace(tmp_path):
     fixture = tmp_path / "mock.json"
     fixture.write_text(json.dumps(ablation_suite.rules_as_json(), indent=1), encoding="utf-8")
     return {"root": tmp_path, "db_root": db_root, "benchmark": benchmark, "fixture": fixture}
+
+
+def with_fallback(workspace, reply):
+    """End the workspace's mock fixture with a rule whose empty pattern matches every prompt."""
+    rules = json.loads(workspace["fixture"].read_text(encoding="utf-8"))
+    workspace["fixture"].write_text(json.dumps(rules + [{"pattern": "", "reply": reply}]), encoding="utf-8")
 
 
 def run_eval(workspace, out_name, *extra):
@@ -69,8 +77,8 @@ class TestEval:
         )
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["manifest"]["use_selector"] == "True"
-        assert report["manifest"]["use_verifier"] == "False"
+        assert report["manifest"]["num_candidates"] == "3"
+        assert report["manifest"]["verifier_max_iters"] == "0"
         assert report["ex_percent"] == "60.0"  # 8 base + 2 retrieval + 2 selection
 
     def test_minimal_sql_d1_command_line_takes_the_config_defaults(self):
@@ -127,7 +135,7 @@ class TestEval:
         assert code == 0
         manifest = (out / "manifest.txt").read_text()
         assert "use_retriever = False" in manifest
-        assert "use_verifier = True" in manifest and "use_selector = True" in manifest
+        assert "verifier_max_iters = 2\n" in manifest and "num_candidates = 3\n" in manifest
 
     def test_ablation_outside_sql_d1_rejected(self, workspace, capsys):
         code, out = run_eval(workspace, "run_abl", "--track", "maj", "--ablation", "a_r")
@@ -739,9 +747,8 @@ class TestDatabaseCache:
             return schema
 
         monkeypatch.setattr(context, "extract_schema", stalled)
-        code, out = run_eval(
-            workspace, "slow", "--track", "greedy", "--workers", "2", "--mock-default-reply", "SELECT 1"
-        )
+        with_fallback(workspace, "SELECT 1")
+        code, out = run_eval(workspace, "slow", "--track", "greedy", "--workers", "2")
         assert code == 0
         assert waited == [True]
         records = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()[1:]]
@@ -755,7 +762,8 @@ class TestDatabaseCache:
         monkeypatch.setattr(
             cli, "load_database", lambda db_id, *a, **k: loaded.append(db_id) or load_database(db_id, *a, **k)
         )
-        run = ("--track", "greedy", "--workers", workers, "--mock-default-reply", "SELECT 1")
+        with_fallback(workspace, "SELECT 1")
+        run = ("--track", "greedy", "--workers", workers)
         code, out = run_eval(workspace, "loads", *run)
         assert code == 0 and sorted(loaded) == ["gems", "stack"]
         # nothing pending: no database is read
@@ -810,13 +818,155 @@ class TestDatabaseCache:
 
     def test_catalog_holds_the_descriptions(self, workspace):
         describe_gems(workspace, "name", "the gem's trade name")
-        _handle, unsampled, no_literals = cli._load_database(workspace["db_root"], "nested", False, "gems")
-        handle, sampled, literals = cli._load_database(workspace["db_root"], "nested", True, "gems")
+        _handle, unsampled, no_literals = cli._load_database(workspace["db_root"], False, "gems")
+        handle, sampled, literals = cli._load_database(workspace["db_root"], True, "gems")
         assert handle.db_id == "gems" and no_literals is None and literals.entries
         assert sampled.sample_values and unsampled.sample_values == {}
         assert unsampled == replace(sampled, sample_values={})
         assert unsampled.tables[0].columns[1].description == "the gem's trade name"
         assert render_ddl(unsampled, {}, 0) == render_ddl(sampled, {}, 0)
+
+
+class TestDatabaseLayout:
+    """A database is <db-root>/<db_id>/<db_id>.sqlite, else <db-root>/<db_id>.sqlite; its descriptions sit in
+    <db-root>/<db_id>/database_description/ either way."""
+
+    @staticmethod
+    def flatten(workspace):
+        (workspace["db_root"] / "gems" / "gems.sqlite").rename(workspace["db_root"] / "gems.sqlite")
+
+    @pytest.mark.parametrize("layout", ["nested", "flat"])
+    def test_descriptions_come_from_the_database_directory(self, workspace, layout):
+        describe_gems(workspace, "name", "the gem's trade name")
+        # a description directory right under the root belongs to no database
+        shared = workspace["db_root"] / "database_description"
+        shared.mkdir()
+        (shared / "gems.csv").write_text("original_column_name,column_description\nname,not this\n", encoding="utf-8")
+        if layout == "flat":
+            self.flatten(workspace)
+        handle, schema, _literals = cli._load_database(workspace["db_root"], False, "gems")
+        nested = workspace["db_root"] / "gems" / "gems.sqlite"
+        assert handle.path == (nested if layout == "nested" else workspace["db_root"] / "gems.sqlite")
+        assert schema.tables[0].columns[1].description == "the gem's trade name"
+
+    def test_flat_layout_gives_the_nested_records(self, workspace):
+        describe_gems(workspace, "name", "the gem's trade name")
+        run = ("--track", "sql-d1", "--k", "3", "--seed", "1")
+        code, nested = run_eval(workspace, "nested", *run)
+        assert code == 0
+        self.flatten(workspace)
+        code, flat = run_eval(workspace, "flat", *run)
+        assert code == 0
+        assert (flat / "records.jsonl").read_bytes() == (nested / "records.jsonl").read_bytes()
+
+    def test_missing_database_ends_eval_naming_both_paths(self, workspace, capsys):
+        nested = workspace["db_root"] / "gems" / "gems.sqlite"
+        nested.unlink()
+        code, _out = run_eval(workspace, "none", "--track", "greedy")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: database 'gems': no file at ")
+        assert str(nested) in err and str(workspace["db_root"] / "gems.sqlite") in err
+
+
+class TestClassifyCatalog:
+    def test_classify_reads_no_descriptions_and_labels_as_before(self, workspace, monkeypatch):
+        describe_gems(workspace, "name", "the gem's trade name")
+        code, out = run_eval(workspace, "cls", "--track", "sql-d1", "--k", "3")
+        assert code == 0
+        classify = ["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])]
+        read_catalog, load_descriptions = context.read_catalog, context.load_descriptions
+        with monkeypatch.context() as patched:
+            # the catalog as classify read it before: with the database's column descriptions
+            patched.setattr(
+                context, "read_catalog",
+                lambda db, descriptions=None: read_catalog(db, load_descriptions(workspace["db_root"] / db.db_id)),
+            )
+            assert main(classify) == 0
+        described = (out / "labels.jsonl").read_bytes()
+        calls = []
+        monkeypatch.setattr(context, "load_descriptions", lambda db_dir: calls.append(db_dir) or {})
+        assert main(classify) == 0
+        assert calls == []
+        assert (out / "labels.jsonl").read_bytes() == described
+        assert described.count(b"\n") > 1  # some records were labelled
+
+
+class TestMockFallback:
+    # sha256 of the record lines (the header aside) of this run with --mock-default-reply FALLBACK, the flag
+    # that a catch-all rule replaced, and of the same run with no fallback at all
+    FALLBACK = sql_reply("SELECT COUNT(*) FROM gems")
+    WITH_FALLBACK = "1d7b672c150d5cd447c57df4df5eb1082a38c56f30a1190c03f13f6afd0af9e5"
+    WITHOUT = "0e735677a2bd8437950456acbb36bf233e31955d95d93deb6159fb4fe9fb1e42"
+
+    @staticmethod
+    def record_digest(out):
+        lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    def test_a_catch_all_rule_gives_the_records_of_a_default_reply(self, workspace):
+        # with k=8, trajectories 3-7 of "Which origin has the most gems?" match no rule but the fallback
+        run = ("--track", "sql-d1", "--k", "8", "--seed", "1", "--workers", "1")
+        code, bare = run_eval(workspace, "bare", *run)
+        assert code == 0 and self.record_digest(bare) == self.WITHOUT
+        with_fallback(workspace, self.FALLBACK)
+        code, out = run_eval(workspace, "fallback", *run)
+        assert code == 0 and self.record_digest(out) == self.WITH_FALLBACK
+
+    def test_an_unmatched_prompt_gets_an_empty_reply(self):
+        backend = gateway.MockBackend([gateway.MockRule(pattern="gems", reply="hit")])
+        request = gateway.GenerationRequest(prompt="no rule matches this")
+        assert backend.complete(request, 0) == gateway.BackendReply("", None, 0.0)
+
+
+class TestRemoteManifest:
+    """The manifest records a remote backend's URL and model as resolved, flags or environment; never its key."""
+
+    @pytest.fixture()
+    def remote(self, workspace, monkeypatch):
+        monkeypatch.setenv("BACKEND_MODEL", "model-a")
+        monkeypatch.setenv("BACKEND_API_KEY", "key-that-is-never-recorded")
+        reply = gateway.BackendReply(sql_reply("SELECT 1"), None, 0.0)
+        monkeypatch.setattr(gateway.RemoteBackend, "complete", lambda self, request, trajectory_id: reply)
+
+        def run(name, url, *extra):
+            monkeypatch.setenv("BACKEND_URL", url)
+            return run_eval(workspace, name, "--track", "greedy", "--no-retrieval", "--backend", "remote", *extra)
+
+        return run
+
+    def test_url_and_model_from_the_environment(self, remote):
+        code, out = remote("env", "http://a.test/v1/chat/completions")
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert "backend_url = http://a.test/v1/chat/completions\n" in manifest
+        assert "backend_model = model-a\n" in manifest
+        assert "mock_fixture = \n" in manifest  # the remote backend reads no fixture
+        assert not [p for p in out.iterdir() if b"key-that-is-never-recorded" in p.read_bytes()]
+
+    def test_another_server_is_another_run(self, remote):
+        code, out = remote("a", "http://a.test/v1/chat/completions")
+        assert code == 0
+        code, other = remote("b", "http://b.test/v1/chat/completions")
+        assert code == 0
+        headers = [json.loads((d / "records.jsonl").read_text(encoding="utf-8").splitlines()[0]) for d in (out, other)]
+        assert headers[0]["manifest_hash"] != headers[1]["manifest_hash"]
+        code, _out = remote("a", "http://b.test/v1/chat/completions", "--resume")
+        assert code == 2
+
+
+class TestReadmeFlags:
+    def test_readme_and_parser_name_the_same_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
+        commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {o for action in sub._actions for o in action.option_strings if o.startswith("--")} - {"--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert sorted(documented - set().union(*options.values())) == []
+        for name in ("eval", "classify", "report"):
+            assert sorted(options[name] - documented) == [], name
 
 
 class TestWorkers:

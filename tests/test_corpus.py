@@ -127,8 +127,10 @@ class TestLoadDatabase:
         assert len(rows[0]) == 1
 
     def test_missing_db_names_db_id(self, tmp_path):
-        with pytest.raises(RegistryError, match="nope"):
+        with pytest.raises(RegistryError, match="nope") as raised:
             load_database("nope", tmp_path)
+        assert str(tmp_path / "nope" / "nope.sqlite") in str(raised.value)
+        assert str(tmp_path / "nope.sqlite") in str(raised.value)
 
     def test_corrupt_file_is_an_open_error(self, tmp_path):
         bad = tmp_path / "junk" / "junk.sqlite"
@@ -140,8 +142,15 @@ class TestLoadDatabase:
     def test_flat_layout(self, tmp_path, gems_db):
         flat = tmp_path / "gems.sqlite"
         flat.write_bytes(gems_db.path.read_bytes())
-        handle = load_database("gems", tmp_path, layout="flat")
+        handle = load_database("gems", tmp_path)
         assert handle.path == flat
+
+    def test_nested_file_wins_over_flat(self, tmp_path, gems_db):
+        nested = tmp_path / "gems" / "gems.sqlite"
+        nested.parent.mkdir()
+        nested.write_bytes(gems_db.path.read_bytes())
+        (tmp_path / "gems.sqlite").write_bytes(b"not a database, and never opened")
+        assert load_database("gems", tmp_path).path == nested
 
     def test_uri_characters_in_the_path(self, tmp_path):
         # a '#' once cut the URI short: SQLite created an empty read-write database at 'we' instead

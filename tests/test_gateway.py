@@ -99,14 +99,14 @@ class TestMockBackend:
         assert [c.trajectory_id for c in candidates] == [0, 1, 2]
 
     def test_eight_candidates(self):
-        backend = MockBackend(default_reply=sql_reply("SELECT 1"))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT 1"))])
         candidates = generate(GenerationRequest(prompt="p", num_candidates=8), backend)
         assert len(candidates) == 8
         assert [c.trajectory_id for c in candidates] == list(range(8))
         assert all(c.extracted_sql == "SELECT 1" for c in candidates)
 
     def test_greedy_single(self):
-        backend = MockBackend(default_reply=sql_reply("SELECT 2"))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT 2"))])
         candidates = generate(GenerationRequest(prompt="p", temperature=0.0), backend)
         assert len(candidates) == 1
 
@@ -120,14 +120,13 @@ class TestMockBackend:
 
     def test_exact_match_mode(self):
         backend = MockBackend(
-            [MockRule(pattern="exactly this", prompt_match="exact", reply="hit")],
-            default_reply="miss",
+            [MockRule(pattern="exactly this", prompt_match="exact", reply="hit"), MockRule(pattern="", reply="miss")]
         )
         assert generate(GenerationRequest(prompt="exactly this"), backend)[0].raw_text == "hit"
         assert generate(GenerationRequest(prompt="not exactly this"), backend)[0].raw_text == "miss"
 
     def test_call_log(self):
-        backend = RecordingBackend(default_reply="r")
+        backend = RecordingBackend([MockRule(pattern="", reply="r")])
         generate(GenerationRequest(prompt="p1"), backend)
         generate(GenerationRequest(prompt="p2", num_candidates=2), backend)
         assert len(backend.calls) == 3
@@ -239,7 +238,8 @@ class TestRemoteRetries:
 
     @pytest.fixture()
     def backend(self, monkeypatch):
-        backend = RemoteBackend(url="http://backend.test", model="m", retries=2, max_concurrency=5)
+        monkeypatch.setattr(gateway, "MAX_CONCURRENCY", 5)
+        backend = RemoteBackend(url="http://backend.test", model="m")
         self.posts, self.sleeps, self.status = [], [], 200
 
         def post(url, **kw):
@@ -267,8 +267,8 @@ class TestRemoteRetries:
         self.status = status
         with pytest.raises(BackendError, match="after 2 retries"):
             backend.complete(GenerationRequest(prompt="p"), 0)
-        assert len(self.posts) == backend.retries + 1
-        assert len(self.sleeps) == backend.retries
+        assert len(self.posts) == gateway.RETRIES + 1
+        assert len(self.sleeps) == gateway.RETRIES
         for attempt, delay in enumerate(self.sleeps):
             assert 0.5 * 2**attempt <= delay <= 1.5 * 2**attempt
 
@@ -287,7 +287,7 @@ class TestRemoteRetries:
         monkeypatch.setattr(backend.session, "post", refuse)
         with pytest.raises(BackendError, match="refused"):
             backend.complete(GenerationRequest(prompt="p"), 0)
-        assert len(self.posts) == backend.retries + 1
+        assert len(self.posts) == gateway.RETRIES + 1
 
     def test_session_pool_matches_concurrency_cap(self, backend):
         for scheme in ("http://", "https://"):
@@ -306,7 +306,8 @@ class TestRemoteRetries:
 
 class TestConcurrency:
     def test_remote_in_flight_capped_by_its_pool(self, monkeypatch):
-        backend = RemoteBackend(url="http://backend.test", max_concurrency=3)
+        monkeypatch.setattr(gateway, "MAX_CONCURRENCY", 3)
+        backend = RemoteBackend(url="http://backend.test")
         lock, full = threading.Lock(), threading.Event()
         in_flight, peak, callers = [0], [0], set()
 
@@ -332,7 +333,8 @@ class TestConcurrency:
 
     def test_single_remote_call_runs_on_the_pool(self, monkeypatch):
         # verifier repairs are k=1 generate calls: they too count against the cap
-        backend = RemoteBackend(url="http://backend.test", max_concurrency=2)
+        monkeypatch.setattr(gateway, "MAX_CONCURRENCY", 2)
+        backend = RemoteBackend(url="http://backend.test")
         callers = []
         monkeypatch.setattr(
             backend.session, "post",

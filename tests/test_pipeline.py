@@ -30,9 +30,8 @@ def _item(question="How many gems are listed?", gold="SELECT COUNT(*) FROM gems"
 def _cfg(**kwargs):
     defaults = dict(
         use_retriever=False,
-        use_verifier=False,
-        use_selector=False,
         num_candidates=1,
+        verifier_max_iters=0,
         temperature=0.0,
         timeout_seconds=10.0,
     )
@@ -41,10 +40,6 @@ def _cfg(**kwargs):
 
 
 class TestPipelineConfig:
-    def test_pool_without_selector_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(use_selector=False, num_candidates=8)
-
     def test_negative_verifier_iters_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig(verifier_max_iters=-1)
@@ -82,7 +77,7 @@ class TestRunGreedy:
     def test_oracle_model_is_correct(self, gems_db):
         item = _item()
         cfg = _cfg()
-        backend = MockBackend(default_reply=sql_reply(item.gold_sql))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply(item.gold_sql))])
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert record.outcome.status == STATUS_OK
@@ -90,8 +85,8 @@ class TestRunGreedy:
 
     def test_record_keeps_row_counts_not_rows(self, gems_db):
         item = _item(gold="SELECT name, carat FROM gems")
-        cfg = _cfg(use_selector=True, num_candidates=3, temperature=0.8)
-        backend = MockBackend(default_reply=sql_reply("SELECT name FROM gems"))
+        cfg = _cfg(num_candidates=3, temperature=0.8)
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT name FROM gems"))])
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         rows = execute_sql(gems_db, item.gold_sql).row_count
         assert rows > 1 and record.correct is False
@@ -113,7 +108,7 @@ class TestRunGreedy:
             "ORDER BY AVG(s.AvgScrRead) DESC LIMIT 1"
         )
         cfg = _cfg()
-        backend = MockBackend(default_reply=sql_reply(broken))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply(broken))])
         record = run_sql_d1(
             item, extract_schema(schools_db), cfg, backend, schools_db, literal_source(schools_db)
         )
@@ -123,7 +118,7 @@ class TestRunGreedy:
     def test_permutation_equivalent_query_counts(self, gems_db):
         item = _item(question="names", gold="SELECT name FROM gems")
         cfg = _cfg()
-        backend = MockBackend(default_reply=sql_reply("SELECT name FROM gems ORDER BY name DESC"))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT name FROM gems ORDER BY name DESC"))])
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True  # gold has no ORDER BY
 
@@ -150,7 +145,7 @@ class TestBuildContext:
         item = self._item()
         cfg = _cfg(use_retriever=True)
         rules = [MockRule(pattern="examples: 'Golden Citrine'", reply=sql_reply(item.gold_sql))]
-        backend = MockBackend(rules, default_reply=sql_reply("SELECT 0"))
+        backend = MockBackend(rules + [MockRule(pattern="", reply=sql_reply("SELECT 0"))])
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert ("retrieve", "1 matched values over 1 columns") in record.per_stage_trace
@@ -161,7 +156,7 @@ class TestRunGenerator:
         from nl2sqlbench.pipeline import run_generator
 
         item = _item()
-        cfg = _cfg(use_selector=True, num_candidates=8, temperature=0.8)
+        cfg = _cfg(num_candidates=8, temperature=0.8)
         rules = [
             MockRule(pattern="gems", trajectory_id=i, reply=sql_reply(f"SELECT {i} FROM gems"))
             for i in range(8)
@@ -179,7 +174,8 @@ class TestRunGenerator:
         item = _item()
         cfg = _cfg(num_candidates=1, temperature=0.8)
         ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
-        pool = run_generator(build_prompt(item, ddl), cfg, MockBackend(default_reply=sql_reply("SELECT 1")), [])
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT 1"))])
+        pool = run_generator(build_prompt(item, ddl), cfg, backend, [])
         assert len(pool) == 1
 
 
@@ -192,7 +188,7 @@ def _no_gold_judge(db, cfg):
 class TestRunVerifier:
     def _setup(self, rules, max_iters=2):
         item = _item(question="Count gems heavier than two carats.", gold="SELECT COUNT(*) FROM gems WHERE carat > 2")
-        cfg = _cfg(use_verifier=True, verifier_max_iters=max_iters)
+        cfg = _cfg(verifier_max_iters=max_iters)
         backend = RecordingBackend(rules)
         return item, cfg, backend
 
@@ -218,7 +214,7 @@ class TestRunVerifier:
     def test_always_broken_exactly_two_repairs(self, gems_db):
         broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
         item, cfg, backend = self._setup([], max_iters=2)
-        backend.default_reply = sql_reply(broken)
+        backend.rules.append(MockRule(pattern="", reply=sql_reply(broken)))
         candidate = Candidate(0, sql_reply(broken), broken, 0.0, 5)
         ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
         out = run_verifier(candidate, build_prompt(item, ddl), cfg, backend, _no_gold_judge(gems_db, cfg), [])
@@ -275,7 +271,7 @@ SELECTOR_FIXTURE = [
 class TestRunSelector:
     @pytest.mark.parametrize("specs,winner_id", SELECTOR_FIXTURE, ids=range(len(SELECTOR_FIXTURE)))
     def test_hand_computed_plurality(self, gems_db, specs, winner_id):
-        cfg = _cfg(use_selector=True, num_candidates=max(2, len(specs)))
+        cfg = _cfg(num_candidates=max(2, len(specs)))
         winner = select_winner(_evaluate_pool(_pool_candidates(specs), gems_db, cfg))
         if winner_id is None:
             assert winner is None
@@ -286,7 +282,7 @@ class TestRunSelector:
         assert len(SELECTOR_FIXTURE) == 12
 
     def test_permutation_invariant_choice(self, gems_db):
-        cfg = _cfg(use_selector=True, num_candidates=3)
+        cfg = _cfg(num_candidates=3)
         specs = ["SELECT 2", "SELECT 1", "SELECT 1"]
         entries = _evaluate_pool(_pool_candidates(specs), gems_db, cfg)
         winner = select_winner(entries)
@@ -296,7 +292,7 @@ class TestRunSelector:
 
 
 def _mk_backend():
-    return RecordingBackend(ablation_suite.build_rules(), default_reply="no idea")
+    return RecordingBackend(ablation_suite.build_rules() + [MockRule(pattern="", reply="no idea")])
 
 
 def _run_suite(gems_db, cfg):
@@ -311,11 +307,8 @@ class TestAblation:
         configs = {
             "baseline": _cfg(),
             "retriever": _cfg(use_retriever=True),
-            "retriever+verifier": _cfg(use_retriever=True, use_verifier=True),
-            "full": _cfg(
-                use_retriever=True, use_verifier=True, use_selector=True,
-                num_candidates=3, temperature=0.8,
-            ),
+            "retriever+verifier": _cfg(use_retriever=True, verifier_max_iters=2),
+            "full": _cfg(use_retriever=True, verifier_max_iters=2, num_candidates=3, temperature=0.8),
         }
         accuracy = {}
         for name, cfg in configs.items():
@@ -333,7 +326,7 @@ class TestAblation:
         )
 
     def test_every_backend_call_traced(self, gems_db):
-        cfg = _cfg(use_retriever=True, use_verifier=True, use_selector=True, num_candidates=3, temperature=0.8)
+        cfg = _cfg(use_retriever=True, verifier_max_iters=2, num_candidates=3, temperature=0.8)
         backend = _mk_backend()
         item = ablation_suite.build_items()[16]  # a verifier-repaired item
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
@@ -342,7 +335,7 @@ class TestAblation:
         assert len(generate_lines) + len(verify_lines) == len(backend.calls)
 
     def test_pool_preserved_for_scaling_metrics(self, gems_db):
-        cfg = _cfg(use_retriever=True, use_selector=True, num_candidates=3, temperature=0.8)
+        cfg = _cfg(use_retriever=True, num_candidates=3, temperature=0.8)
         backend = _mk_backend()
         item = ablation_suite.build_items()[18]  # selection-fixed item
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
@@ -354,7 +347,7 @@ class TestAblation:
 class TestRecordSerialization:
     def test_round_trip(self, gems_db):
         cfg = _cfg()
-        backend = MockBackend(default_reply=sql_reply("SELECT COUNT(*) FROM gems"))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT COUNT(*) FROM gems"))])
         item = _item()
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         data = record.to_dict()
@@ -365,7 +358,7 @@ class TestRecordSerialization:
 
     def test_serialized_form_has_no_wall_clock_fields(self, gems_db):
         cfg = _cfg()
-        backend = MockBackend(default_reply=sql_reply("SELECT 1"))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT 1"))])
         item = _item()
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         data = record.to_dict()
@@ -374,8 +367,8 @@ class TestRecordSerialization:
 
 
     def test_absent_optional_keys_take_defaults_unknown_keys_ignored(self, gems_db):
-        cfg = _cfg(use_selector=True, num_candidates=2, temperature=0.8)
-        backend = MockBackend(default_reply=sql_reply("SELECT 1"))
+        cfg = _cfg(num_candidates=2, temperature=0.8)
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT 1"))])
         record = run_sql_d1(_item(), extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         data = record.to_dict()
         data["written_by"] = "an older or newer harness"
@@ -395,7 +388,7 @@ class TestRecordSerialization:
 
 class TestPoolEntry:
     def test_failure_cluster_marking(self, gems_db):
-        cfg = _cfg(use_selector=True, num_candidates=2)
+        cfg = _cfg(num_candidates=2)
         entries = _evaluate_pool(_pool_candidates(["SELECT 1", "SELECT broken FROM"]), gems_db, cfg)
         assert [e.failure for e in entries] == [False, True]
         assert entries[0].status == STATUS_OK
@@ -450,7 +443,7 @@ class TestExecutionsPerItem:
         rules = [MockRule(pattern=broken, reply=sql_reply(fixed))] + [
             MockRule(pattern=item.question, trajectory_id=i, reply=sql_reply(sql)) for i, sql in enumerate(replies)
         ]
-        cfg = _cfg(use_verifier=True, use_selector=True, num_candidates=8, temperature=0.8)
+        cfg = _cfg(verifier_max_iters=2, num_candidates=8, temperature=0.8)
         return item, rules, cfg, (gold, broken, fixed)
 
     @pytest.fixture()
@@ -543,7 +536,7 @@ class TestExecutionsPerItem:
     def test_greedy(self, gems_db, executed):
         item = _item()
         cfg = _cfg()
-        backend = MockBackend(default_reply=sql_reply("SELECT COUNT(id) FROM gems"))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT COUNT(id) FROM gems"))])
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert sorted(executed) == sorted([item.gold_sql, "SELECT COUNT(id) FROM gems"])
@@ -551,7 +544,7 @@ class TestExecutionsPerItem:
     def test_prediction_equal_to_gold_reuses_gold_outcome(self, gems_db, executed):
         item = _item()
         cfg = _cfg()
-        backend = MockBackend(default_reply=sql_reply(item.gold_sql))
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply(item.gold_sql))])
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert executed == [item.gold_sql]
