@@ -137,12 +137,19 @@ def _catalogs(args):
     return functools.cache(lambda db_id: context_mod.read_catalog(load_database(db_id, args.db_root)))
 
 
-def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, list[EvalRecord], list[str]]:
+# the run header's keys that classify, report and --resume read, with their types
+_HEADER_TYPES = {"manifest_hash": str, "benchmark": str, "strategy": str, "manifest": dict}
+
+
+def _read_records_file(path: Path, resume: bool = False) -> tuple[dict, list[EvalRecord], list[str]]:
     """Parse a records file into (header, records, complete lines).
 
-    With tolerate_tail a truncated final line (interrupted write) is dropped
-    instead of raising. Any other line that is not valid JSON, or is not a
-    record, raises IngestError naming the file and the line number.
+    Line 1 must be the run header that eval writes, every later line a
+    record, and the file must hold at least one record. A resume read
+    (``resume``) also takes a file with no records, and drops a truncated
+    final line (an interrupted write); if no complete line is left it
+    returns ({}, [], []), and the run starts afresh. Anything else raises
+    IngestError naming the file, and the line number where there is one.
     """
     header: dict = {}
     records: list[EvalRecord] = []
@@ -155,17 +162,23 @@ def _read_records_file(path: Path, tolerate_tail: bool = False) -> tuple[dict, l
     for idx, (number, line) in enumerate(lines):
         try:
             data = json.loads(line)
-            if data.get("type") == "run_header":
+            if idx > 0:
+                records.append(EvalRecord.from_dict(data))
+            elif isinstance(data, dict) and data.get("type") == "run_header" and all(
+                isinstance(data.get(key), kind) for key, kind in _HEADER_TYPES.items()
+            ):
                 header = data
             else:
-                records.append(EvalRecord.from_dict(data))
+                raise IngestError(f"{path} line {number}: not a run header")
         except json.JSONDecodeError as exc:
-            if tolerate_tail and idx == len(lines) - 1:
+            if resume and idx == len(lines) - 1:
                 break
             raise IngestError(f"{path} line {number}: not valid JSON: {exc}") from exc
         except (AttributeError, KeyError, TypeError) as exc:
             raise IngestError(f"{path} line {number}: not a record: {exc!r}") from exc
         complete.append(line)
+    if not records and not resume:
+        raise IngestError(f"{path}: no records")
     return header, records, complete
 
 
@@ -186,10 +199,9 @@ def cmd_eval(args) -> int:
     records: list[EvalRecord] = []
     resuming = False
     if args.resume and records_path.exists():
-        header, records, complete_lines = _read_records_file(records_path, tolerate_tail=True)
-        if header and header.get("manifest_hash") not in ("", digest):
-            print("refusing to resume: records file belongs to a different run", file=sys.stderr)
-            return 2
+        header, records, complete_lines = _read_records_file(records_path, resume=True)
+        if complete_lines and header["manifest_hash"] != digest:
+            raise ConfigError(f"refusing to resume: {records_path} belongs to a different run")
         resuming = bool(complete_lines)
         sanitized = "\n".join(complete_lines) + "\n" if complete_lines else ""
         if records_path.read_text(encoding="utf-8") != sanitized:
@@ -268,13 +280,7 @@ def _label_line(item_id: str, label) -> str:
 
 def cmd_classify(args) -> int:
     records_path = Path(args.records)
-    if not records_path.exists():
-        print(f"records file not found: {records_path}", file=sys.stderr)
-        return 2
     header, records, _lines = _read_records_file(records_path)
-    if not records:
-        print(f"{args.records}: no records", file=sys.stderr)
-        return 2
     catalog = _catalogs(args)
 
     labels = []
@@ -288,18 +294,15 @@ def cmd_classify(args) -> int:
     out_dir = Path(args.out) if args.out else records_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     labels_path = out_dir / "labels.jsonl"
-    header_line = json.dumps(
-        {"type": "run_header", "manifest_hash": header.get("manifest_hash", "")}, sort_keys=True
-    )
+    header_line = json.dumps({"type": "run_header", "manifest_hash": header["manifest_hash"]}, sort_keys=True)
     labels_path.write_text("\n".join([header_line] + lines) + "\n", encoding="utf-8")
 
     # the report comes from the records read, as eval's does, so report.json and report.csv agree with them
     distribution = count_labels(labels)
     report = assemble_report(
-        records, strategy=header.get("strategy", "unknown"), manifest=header.get("manifest", {}),
-        error_distribution=distribution,
+        records, strategy=header["strategy"], manifest=header["manifest"], error_distribution=distribution
     )
-    _write_report(out_dir, report, header.get("manifest_hash", ""))
+    _write_report(out_dir, report, header["manifest_hash"])
     print("error distribution: " + json.dumps(distribution, sort_keys=True))
     return 0
 
@@ -330,25 +333,17 @@ def cmd_report(args) -> int:
     benchmark_seen: str | None = None
     for path in args.records:
         header, records, _lines = _read_records_file(Path(path))
-        if not records:
-            print(f"{path}: no records", file=sys.stderr)
-            return 2
-        benchmark = header.get("benchmark", "")
+        benchmark = header["benchmark"]
         if benchmark_seen is None:
             benchmark_seen = benchmark
         elif benchmark != benchmark_seen:
-            print(
-                f"refusing to merge runs over different benchmarks: {benchmark_seen!r} vs {benchmark!r}",
-                file=sys.stderr,
-            )
-            return 2
-        strategy = header.get("strategy", Path(path).stem)
-        report = assemble_report(records, strategy=strategy, manifest=header.get("manifest", {}))
-        runs.append((header.get("manifest_hash", ""), report))
+            raise ConfigError(f"refusing to merge runs over different benchmarks: {benchmark_seen!r} vs {benchmark!r}")
+        report = assemble_report(records, strategy=header["strategy"], manifest=header["manifest"])
+        runs.append((header["manifest_hash"], report))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    hashes = ",".join(sorted({h for h, _ in runs if h}))
+    hashes = ",".join(sorted({h for h, _ in runs}))
 
     curves, scatter = [], []
     for _hash, report in runs:
@@ -427,8 +422,7 @@ def main(argv: list[str] | None = None) -> int:
                 return cmd_classify(args)
             if args.pred and args.gold:
                 return cmd_classify_files(args)
-            print("classify needs --records, or --pred with --gold", file=sys.stderr)
-            return 2
+            raise ConfigError("classify needs --records, or --pred with --gold")
         if args.command == "report":
             return cmd_report(args)
     except (ConfigError, IngestError, RegistryError, SchemaError, MetricError, OSError) as exc:

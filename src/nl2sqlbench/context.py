@@ -279,7 +279,7 @@ def read_literals(db: DatabaseHandle, schema: SchemaContext) -> dict:
     characters. A column whose query fails has none, with a warning.
     """
     literals: dict = {}
-    conn = db.connect()
+    conn = _connect(db)
     try:
         for table in schema.tables:
             for col in table.columns:

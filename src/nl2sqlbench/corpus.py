@@ -16,7 +16,7 @@ logger = logging.getLogger(__name__)
 DIFFICULTIES = ("simple", "moderate", "challenging", "unlabeled")
 
 _SPIDER_FIELDS = ("question", "db_id", "query")
-_BIRD_FIELDS = ("question", "evidence", "db_id", "SQL", "difficulty")
+_BIRD_FIELDS = ("question", "evidence", "db_id", "SQL")
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
     """Load a benchmark file (JSON array of records) into BenchmarkItems.
 
     Spider records carry question/db_id/query; BIRD records additionally carry
-    evidence and a difficulty label. Spider-family variants (DK/Syn/Realistic)
-    are read with format="spider".
+    evidence, and may carry a difficulty label. Spider-family variants
+    (DK/Syn/Realistic) are read with format="spider".
     """
     if format not in ("spider", "bird"):
         raise ConfigError(f"unknown benchmark format {format!r}")
@@ -92,8 +92,6 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
             raise IngestError(f"record {idx}: not an object")
         required = _BIRD_FIELDS if format == "bird" else _SPIDER_FIELDS
         for field in required:
-            if field == "difficulty":
-                continue  # optional even in BIRD dumps
             if field not in record:
                 raise IngestError(f"record {idx}: missing field {field!r}")
         item_id = str(record.get("question_id", idx))

@@ -24,7 +24,7 @@ import random
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import BackendError, ConfigError
@@ -184,8 +184,6 @@ class MockBackend:
     prompt, so a fixture that ends with one sets its own fallback.
     """
 
-    name = "mock"
-
     def __init__(self, rules: list[MockRule] | None = None):
         self.rules = list(rules or [])
 
@@ -198,20 +196,16 @@ class MockBackend:
         if not isinstance(entries, list):
             raise ConfigError(f"{path}: mock fixture must be an array of rules")
         rules = []
+        known = {f.name for f in fields(MockRule)}
         for idx, entry in enumerate(entries):
             if not isinstance(entry, dict) or "pattern" not in entry or "reply" not in entry:
                 raise ConfigError(f"{path}: rule {idx} must be an object with 'pattern' and 'reply'")
+            # a misspelt key would otherwise leave its field at the default: a rule for every trajectory, say
+            unknown = sorted(entry.keys() - known)
+            if unknown:
+                raise ConfigError(f"{path}: rule {idx}: unknown key {unknown[0]!r}")
             try:
-                rules.append(
-                    MockRule(
-                        pattern=entry["pattern"],
-                        reply=entry["reply"],
-                        prompt_match=entry.get("prompt_match", "substring"),
-                        trajectory_id=entry.get("trajectory_id"),
-                        latency=entry.get("latency", 0.0),
-                        tokens=entry.get("tokens"),
-                    )
-                )
+                rules.append(MockRule(**entry))
             except ConfigError as exc:
                 raise ConfigError(f"{path}: rule {idx}: {exc}") from exc
         return cls(rules)
@@ -225,8 +219,6 @@ class MockBackend:
 
 class RemoteBackend:
     """Chat-completions client with retries, jittered backoff, and a call pool that caps requests in flight."""
-
-    name = "remote"
 
     def __init__(self, url: str | None = None, api_key: str | None = None, model: str | None = None):
         import requests  # only remote runs pay for the import

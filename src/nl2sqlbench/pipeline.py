@@ -248,6 +248,11 @@ def run_verifier(
     accumulate onto the returned candidate. A candidate that still fails
     after the budget is returned unchanged for selection to down-rank.
     Each SQL string's outcome comes from the item's ``judge``.
+
+    A repair is requested as a one-candidate generation, so the backend sees
+    trajectory 0 whichever candidate is being repaired: a mock rule limited
+    to a trajectory above 0 answers no repair, and a seeded remote backend
+    sends every repair with trajectory 0's seed.
     """
     current = candidate
     for iteration in range(cfg.verifier_max_iters):

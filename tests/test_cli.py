@@ -42,21 +42,22 @@ def with_fallback(workspace, reply):
     workspace["fixture"].write_text(json.dumps(rules + [{"pattern": "", "reply": reply}]), encoding="utf-8")
 
 
+def eval_argv(workspace, out: Path, *extra) -> list[str]:
+    return [
+        "eval",
+        "--benchmark", str(workspace["benchmark"]),
+        "--format", "spider",
+        "--db-root", str(workspace["db_root"]),
+        "--backend", "mock",
+        "--mock-fixture", str(workspace["fixture"]),
+        "--out", str(out),
+        *extra,
+    ]
+
+
 def run_eval(workspace, out_name, *extra):
     out = workspace["root"] / out_name
-    code = main(
-        [
-            "eval",
-            "--benchmark", str(workspace["benchmark"]),
-            "--format", "spider",
-            "--db-root", str(workspace["db_root"]),
-            "--backend", "mock",
-            "--mock-fixture", str(workspace["fixture"]),
-            "--out", str(out),
-            *extra,
-        ]
-    )
-    return code, out
+    return main(eval_argv(workspace, out, *extra)), out
 
 
 class TestEval:
@@ -453,8 +454,14 @@ class TestMalformedInputFiles:
 
     @pytest.mark.parametrize(
         "rule",
-        [{"pattern": 5}, {"reply": None}, {"prompt_match": "regex"}, {"trajectory_id": True}, {"latency": "0.5"}],
-        ids=["pattern_not_text", "reply_not_text", "unknown_prompt_match", "trajectory_id_bool", "latency_text"],
+        [
+            {"pattern": 5}, {"reply": None}, {"prompt_match": "regex"}, {"trajectory_id": True}, {"latency": "0.5"},
+            {"trajectory": 3},
+        ],
+        ids=[
+            "pattern_not_text", "reply_not_text", "unknown_prompt_match", "trajectory_id_bool", "latency_text",
+            "unknown_key",
+        ],
     )
     def test_eval_rejects_a_fixture_rule_of_the_wrong_type(self, workspace, capsys, rule):
         workspace["fixture"].write_text(json.dumps([{"pattern": "gems", "reply": "SELECT 1", **rule}]))
@@ -498,6 +505,88 @@ class TestMalformedInputFiles:
         assert len(capsys.readouterr().out.splitlines()) == len(ablation_suite.build_items())
 
 
+def _files(directory: Path) -> dict | None:
+    """Every file under ``directory`` with its bytes, or None when the directory does not exist."""
+    if not directory.exists():
+        return None
+    return {p.relative_to(directory): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def _write_lines(path: Path, *lines: str) -> Path:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def _refused_argv(case: str, workspace, run: Path, out: Path) -> list[str]:
+    """Write what ``case`` needs beside the greedy run in ``run``, and return its command line."""
+    header, *records = (run / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    variant = workspace["root"] / "variant" / "records.jsonl"
+    missing = workspace["root"] / "missing.jsonl"
+
+    def classify(*records_args):
+        return ["classify", *records_args, "--db-root", str(workspace["db_root"]), "--out", str(out)]
+
+    def report(*paths):
+        return ["report", "--records", *map(str, paths), "--out", str(out)]
+
+    def resume_headerless():  # 3 greedy records with no header, resumed by a maj run
+        _write_lines(run / "records.jsonl", *records[:3])
+        return eval_argv(workspace, run, "--track", "maj", "--k", "8", "--resume")
+
+    other_benchmark = json.dumps({**json.loads(header), "benchmark": "other.json"}, sort_keys=True)
+    return {
+        "classify_missing": lambda: classify("--records", str(missing)),
+        "report_missing": lambda: report(missing),
+        "classify_header_only": lambda: classify("--records", str(_write_lines(variant, header))),
+        "report_header_only": lambda: report(_write_lines(variant, header)),
+        "classify_headerless": lambda: classify("--records", str(_write_lines(variant, *records))),
+        "report_headerless": lambda: report(_write_lines(variant, *records)),
+        "resume_headerless": resume_headerless,
+        "header_not_on_line_1": lambda: classify(
+            "--records", str(_write_lines(variant, records[0], header, *records[1:]))
+        ),
+        "resume_other_run": lambda: eval_argv(workspace, run, "--track", "sample", "--resume"),
+        "report_two_benchmarks": lambda: report(
+            run / "records.jsonl", _write_lines(variant, other_benchmark, *records)
+        ),
+        "classify_neither_mode": classify,
+    }[case]()
+
+
+REFUSALS = {  # case -> a fragment of its error line
+    "classify_missing": "No such file or directory",
+    "report_missing": "No such file or directory",
+    "classify_header_only": "records.jsonl: no records",
+    "report_header_only": "records.jsonl: no records",
+    "classify_headerless": "records.jsonl line 1: not a run header",
+    "report_headerless": "records.jsonl line 1: not a run header",
+    "resume_headerless": "records.jsonl line 1: not a run header",
+    "header_not_on_line_1": "records.jsonl line 1: not a run header",
+    "resume_other_run": "records.jsonl belongs to a different run",
+    "report_two_benchmarks": "refusing to merge runs over different benchmarks",
+    "classify_neither_mode": "classify needs --records, or --pred with --gold",
+}
+
+
+class TestRefusedCommands:
+    """Every refused command exits 2 with one stderr line starting `error: `, and leaves --out as it was."""
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_one_error_line_and_out_untouched(self, workspace, capsys, case):
+        _code, run = run_eval(workspace, "run", "--track", "greedy", "--no-retrieval")
+        out = run if case.startswith("resume") else workspace["root"] / "out"
+        argv = _refused_argv(case, workspace, run, out)
+        before = _files(out)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert REFUSALS[case] in err
+        assert _files(out) == before
+
+
 class TestClassify:
     def test_labels_and_distribution(self, workspace):
         _code, out = run_eval(workspace, "cls", "--track", "greedy", "--no-retrieval")
@@ -539,7 +628,7 @@ class TestClassify:
         capsys.readouterr()
         code = main(["classify", "--records", str(records), "--db-root", str(workspace["db_root"])])
         assert code == 2
-        assert capsys.readouterr().err == f"{records}: no records\n"
+        assert capsys.readouterr().err == f"error: {records}: no records\n"
         assert [p.name for p in records.parent.iterdir()] == ["records.jsonl"]
 
     def test_all_correct_gives_empty_labels(self, workspace, tmp_path):
@@ -653,8 +742,6 @@ class TestBackendFailure:
         from nl2sqlbench.errors import BackendError
 
         class Exploding:
-            name = "remote"
-
             def complete(self, request, trajectory_id):
                 raise BackendError("connection refused")
 

@@ -27,7 +27,7 @@ from nl2sqlbench.context import (
     retrieve_values,
     score_literal,
 )
-from nl2sqlbench.corpus import BenchmarkItem, load_benchmark, load_database
+from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle, load_benchmark, load_database
 from nl2sqlbench.errors import SchemaError
 
 
@@ -244,6 +244,13 @@ class TestReadLiterals:
         assert [r.getMessage() for r in caplog.records] == [
             "value sampling failed for t.b: no such collation sequence: backwards"
         ]
+
+    def test_a_database_that_cannot_be_opened_is_a_schema_error(self, db_factory, tmp_path):
+        # the schema of a database read earlier, and a handle whose file has since gone
+        db = db_factory(["CREATE TABLE t (s TEXT)"])
+        ghost = DatabaseHandle("ghost", tmp_path / "ghost.sqlite")
+        with pytest.raises(SchemaError, match=r"^ghost: cannot open database: "):
+            read_literals(ghost, extract_schema(db))
 
 
 def _question_ngrams(question: str) -> list[str]:

@@ -167,6 +167,13 @@ class TestMockBackend:
         with pytest.raises(ConfigError, match=f"rule 1: '{field}'"):
             MockBackend.from_file(path)
 
+    def test_rule_with_an_unknown_key_rejected_at_load(self, tmp_path):
+        # a misspelt trajectory_id would otherwise leave a rule that answers every trajectory
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"pattern": "a", "reply": "ok"}, {"pattern": "b", "reply": "rb", "trajectory": 3}]))
+        with pytest.raises(ConfigError, match=r"bad\.json: rule 1: unknown key 'trajectory'$"):
+            MockBackend.from_file(path)
+
     def test_rule_types_accepted_at_their_limits(self, tmp_path):
         path = tmp_path / "fixture.json"
         entries = [
@@ -179,8 +186,6 @@ class TestMockBackend:
 
 
 class _ExplodingBackend:
-    name = "exploding"
-
     def complete(self, request, trajectory_id):
         raise BackendError("boom")
 

@@ -241,6 +241,21 @@ class TestRunVerifier:
         assert "no such table" in prompt
         assert "Fix the query" in prompt
 
+    def test_a_repair_is_requested_as_trajectory_0(self, gems_db):
+        # trajectory 3's repair is a one-candidate generation, so the trajectory-0 rule answers it
+        broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
+        fixed = "SELECT COUNT(*) FROM gems WHERE carat > 2"
+        rules = [
+            MockRule(pattern=broken, trajectory_id=3, reply=sql_reply("SELECT 3")),
+            MockRule(pattern=broken, trajectory_id=0, reply=sql_reply(fixed)),
+        ]
+        item, cfg, backend = self._setup(rules, max_iters=1)
+        candidate = Candidate(3, sql_reply(broken), broken, 0.0, 5)
+        ddl, _matched = build_context(item, extract_schema(gems_db), cfg, literal_source(gems_db))
+        out = run_verifier(candidate, build_prompt(item, ddl), cfg, backend, _no_gold_judge(gems_db, cfg), [])
+        assert [trajectory for _prompt, trajectory in backend.calls] == [0]
+        assert out.trajectory_id == 3 and out.extracted_sql == fixed
+
 
 def _pool_candidates(specs):
     return [Candidate(i, sql_reply(sql) if sql else "", sql, 0.0, 1) for i, sql in enumerate(specs)]
