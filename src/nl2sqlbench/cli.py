@@ -82,7 +82,7 @@ def _manifest(args, cfg: PipelineConfig, backend) -> dict:
         "backend": args.backend,
         "backend_url": backend.url if remote else "",
         "backend_model": (backend.model or "") if remote else "",
-        "mock_fixture": str(Path(args.mock_fixture)) if args.mock_fixture and not remote else "",
+        "mock_fixture": "" if remote else str(Path(args.mock_fixture)),
         **{f.name: _manifest_value(getattr(cfg, f.name)) for f in fields(PipelineConfig)},
         "workers": str(args.workers),
     }
@@ -108,7 +108,10 @@ def manifest_hash(manifest: dict) -> str:
 
 def _make_backend(args):
     if args.backend == "mock":
-        return MockBackend.from_file(args.mock_fixture) if args.mock_fixture else MockBackend()
+        # a mock backend with no rules replies empty to every prompt: a run of it would only read EX 0
+        if not args.mock_fixture:
+            raise ConfigError("the mock backend needs --mock-fixture")
+        return MockBackend.from_file(args.mock_fixture)
     return RemoteBackend(url=args.backend_url, model=args.backend_model)
 
 
@@ -345,14 +348,15 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     hashes = ",".join(sorted({h for h, _ in runs}))
 
+    # every row ends with its run's manifest hash, so that two runs of one track stay apart
     curves, scatter = [], []
-    for _hash, report in runs:
+    for digest, report in runs:
         rows = report.to_csv_rows()
-        curves += [row for row in rows if row[2] in ("pass_at_k", "maj_at_k")]
+        curves += [(*row, digest) for row in rows if row[2] in ("pass_at_k", "maj_at_k")]
         values = {metric: value for _strategy, _k, metric, value in rows}
-        scatter.append((report.strategy, *(values[m] for m in SCATTER_METRICS)))
-    _write_csv(out_dir / "curves.csv", hashes, CSV_HEADER, curves)
-    _write_csv(out_dir / "scatter.csv", hashes, ("strategy", *SCATTER_HEADER), scatter)
+        scatter.append((report.strategy, *(values[m] for m in SCATTER_METRICS), digest))
+    _write_csv(out_dir / "curves.csv", hashes, (*CSV_HEADER, "manifest"), curves)
+    _write_csv(out_dir / "scatter.csv", hashes, ("strategy", *SCATTER_HEADER, "manifest"), scatter)
     print(f"wrote curves.csv and scatter.csv for {len(runs)} run(s)")
     return 0
 
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--pred", help="standalone: JSON predictions file")
     cls.add_argument("--gold", help="standalone: gold benchmark file")
     cls.add_argument("--format", default="bird", choices=("spider", "bird"))
-    cls.add_argument("--db-root", "--db", dest="db_root", required=True)
+    cls.add_argument("--db-root", required=True)
     cls.add_argument("--out", default=None)
 
     rep = sub.add_parser("report", help="merge runs into curve and scatter CSVs")

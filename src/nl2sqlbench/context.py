@@ -106,7 +106,7 @@ def read_catalog(db: DatabaseHandle, descriptions: dict | None = None) -> Schema
     """Read the live catalog into a SchemaContext: tables, columns, keys and descriptions; no samples."""
     conn = _connect(db)
     try:
-        return _catalog(conn, db.db_id, descriptions or {})
+        return _catalog(conn, db, descriptions or {})
     finally:
         conn.close()
 
@@ -120,7 +120,7 @@ def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> Sche
     """
     conn = _connect(db)
     try:
-        schema = _catalog(conn, db.db_id, descriptions or {})
+        schema = _catalog(conn, db, descriptions or {})
         samples: dict = {}
         for table in schema.tables:
             for col in table.columns:
@@ -144,10 +144,11 @@ def _connect(db: DatabaseHandle) -> sqlite3.Connection:
     try:
         return db.connect()
     except sqlite3.Error as exc:
-        raise SchemaError(f"{db.db_id}: cannot open database: {exc}") from exc
+        raise SchemaError(f"{db.db_id}: cannot open database: {db.path}: {exc}") from exc
 
 
-def _catalog(conn: sqlite3.Connection, db_id: str, descriptions: dict) -> SchemaContext:
+def _catalog(conn: sqlite3.Connection, db: DatabaseHandle, descriptions: dict) -> SchemaContext:
+    """The catalog read on ``conn``; the first read of a database, so a file that is not one fails here."""
     tables: list[TableInfo] = []
     try:
         names = [
@@ -170,7 +171,7 @@ def _catalog(conn: sqlite3.Connection, db_id: str, descriptions: dict) -> Schema
                 fks.append((local, ref_table, ref_col or ""))
             tables.append(TableInfo(name, tuple(columns), primary_key, tuple(fks)))
     except sqlite3.Error as exc:
-        raise SchemaError(f"{db_id}: catalog query failed: {exc}") from exc
+        raise SchemaError(f"{db.db_id}: catalog query failed: {db.path}: {exc}") from exc
     # resolve implicit foreign-key targets (REFERENCES t with no column = t's primary key)
     by_name = {t.name: t for t in tables}
     resolved = []
@@ -181,7 +182,7 @@ def _catalog(conn: sqlite3.Connection, db_id: str, descriptions: dict) -> Schema
                 ref_col = by_name[ref_table].primary_key[0]
             fks.append((local, ref_table, ref_col))
         resolved.append(replace(table, foreign_keys=tuple(fks)))
-    return SchemaContext(db_id=db_id, tables=tuple(resolved))
+    return SchemaContext(db_id=db.db_id, tables=tuple(resolved))
 
 
 def load_descriptions(db_dir) -> dict:

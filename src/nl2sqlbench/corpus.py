@@ -48,7 +48,7 @@ class DatabaseHandle:
         """Open a fresh read-only connection.
 
         An item's queries share one (``executor.ItemReader``); each set-up
-        read, and each statement of an item that is not a query, opens its own.
+        read opens its own.
         The path is percent-encoded, so a ``#``, ``?`` or ``%`` in it names the
         file rather than ending or escaping the URI.
         """
@@ -119,25 +119,17 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
 
 
 def load_database(db_id: str, root) -> DatabaseHandle:
-    """Register root/<db_id>/<db_id>.sqlite, or root/<db_id>.sqlite when the first does not exist."""
+    """Register root/<db_id>/<db_id>.sqlite, or root/<db_id>.sqlite when the first does not exist.
+
+    Nothing is opened here: a file that is not a database fails its first read
+    (``context.read_catalog`` or ``context.extract_schema``).
+    """
     root = Path(root)
     nested, flat = root / db_id / f"{db_id}.sqlite", root / f"{db_id}.sqlite"
     path = nested if nested.is_file() else flat
     if not path.is_file():
         raise RegistryError(f"database {db_id!r}: no file at {nested} or {flat}")
-    handle = DatabaseHandle(db_id=db_id, path=path)
-    try:
-        conn = handle.connect()
-        try:
-            conn.execute("PRAGMA schema_version").fetchone()  # forces a header read
-            row = conn.execute("SELECT 1").fetchone()
-        finally:
-            conn.close()
-    except sqlite3.Error as exc:
-        raise RegistryError(f"database {db_id!r}: cannot open {path}: {exc}") from exc
-    if row != (1,):
-        raise RegistryError(f"database {db_id!r}: probe query failed")
-    return handle
+    return DatabaseHandle(db_id=db_id, path=path)
 
 
 def stratify(items) -> dict[str, list]:

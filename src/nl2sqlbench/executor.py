@@ -26,14 +26,14 @@ that chunk is fetched without the lock and the next chunk takes it again,
 so a query that streams rows without end also lets the waiting threads in
 at each tick.
 
-An ``ItemReader`` shares one connection among the queries of one item: it
-opens on the item's first query and closes when the item ends, so the item
-pays for opening the database and parsing its schema once rather than per
-statement. Only a statement whose first keyword is SELECT, WITH or VALUES runs
-on it. Any other statement (PRAGMA, ATTACH, BEGIN, EXPLAIN, ...) could change
-connection state that a later query's result depends on, so it runs on a
-fresh connection that is closed afterwards, as every statement does when
-given a bare ``DatabaseHandle``.
+An ``ItemReader`` holds the one read-only connection that the queries of one
+item share: it opens on the item's first query and closes when the item ends,
+so the item pays for opening the database and parsing its schema once rather
+than per statement. Only a statement whose first keyword, after whitespace and
+comments, is SELECT, WITH or VALUES runs at all; any other text (PRAGMA,
+ATTACH, BEGIN, EXPLAIN, a comment alone, ...) is a failed execution with the
+NOT_A_QUERY message and opens no connection, so no statement can change the
+connection state that a later query's result depends on.
 
 A result's signature is the hex sha256 of its canonical form: ``ok:<column
 count>:`` followed by the repr of the sorted list of its row keys, where a row
@@ -105,6 +105,8 @@ _SUFFIXED_INT = "(1, %d" + str(_GRID_STEPS)[1:] + ")"
 _FORMAT_CHUNK_ROWS = 1024
 
 DEFAULT_TIMEOUT_SECONDS = 30.0
+# the error message of a statement that is not a query; it runs on no connection
+NOT_A_QUERY = "not a query: only SELECT, WITH and VALUES statements run"
 
 
 @dataclass
@@ -132,19 +134,18 @@ _QUERY_START = re.compile(r"(?:\s|--[^\n]*\n|/\*(?:[^*]|\*(?!/))*\*/)*(?:SELECT|
 class ItemReader:
     """One read-only connection shared by the queries of one item.
 
-    Pass it to ``execute_sql`` in place of its ``DatabaseHandle``. The
-    connection opens on the first query and closes when the ``with`` block
-    that holds the reader ends; statements that are not queries still get
-    fresh connections (see the module docstring).
+    ``execute_sql`` runs every query on it. The connection opens on the
+    first query and closes when the ``with`` block that holds the reader
+    ends.
     """
 
     def __init__(self, handle: DatabaseHandle):
-        self.handle = handle
+        self._handle = handle
         self._conn: sqlite3.Connection | None = None
 
     def connection(self) -> sqlite3.Connection:
         if self._conn is None:
-            self._conn = self.handle.connect()
+            self._conn = self._handle.connect()
         return self._conn
 
     def __enter__(self) -> "ItemReader":
@@ -156,31 +157,26 @@ class ItemReader:
             self._conn = None
 
 
-def _connection(db: DatabaseHandle | ItemReader, sql: str) -> tuple[sqlite3.Connection, bool]:
-    """The connection to run ``sql`` on, and whether it is the reader's shared one."""
-    if isinstance(db, ItemReader):
-        if _QUERY_START.match(sql):
-            return db.connection(), True
-        db = db.handle
-    return db.connect(), False
-
-
 def execute_sql(
-    db: DatabaseHandle | ItemReader, sql: str | None, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
+    reader: ItemReader, sql: str | None, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
 ) -> ExecutionOutcome:
-    """Run one statement read-only with a hard wall-clock limit.
+    """Run one query on the reader's connection, read-only with a hard wall-clock limit.
 
     Blob cells are replaced by a content digest so outcomes stay hashable and
-    small. Write statements are rejected by the read-only connection and
-    surface as sql_error. On a reader's shared connection the statement's
-    cursor is closed and the progress handler cleared afterwards, so the next
-    query starts as it would on a fresh connection.
+    small. Text that is not a query is a sql_error with the NOT_A_QUERY
+    message, before any connection opens; a query that writes (``WITH ...
+    DELETE``) is rejected by the read-only connection and surfaces as
+    sql_error too. The statement's cursor is closed and the progress handler
+    cleared afterwards, so the next query starts as it would on a fresh
+    connection.
     """
     if sql is None or not sql.strip():
         return ExecutionOutcome(STATUS_EMPTY, None, 0, "empty prediction")
+    if not _QUERY_START.match(sql):
+        return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, NOT_A_QUERY)
     start = time.monotonic()
     try:
-        conn, shared = _connection(db, sql)
+        conn = reader.connection()
     except sqlite3.Error as exc:
         return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc))
     timed_out = False
@@ -233,10 +229,7 @@ def execute_sql(
         return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, str(exc))
     finally:
         cursor.close()
-        if shared:
-            conn.set_progress_handler(None, 0)
-        else:
-            conn.close()
+        conn.set_progress_handler(None, 0)
 
 
 _BLOB_TYPES = frozenset((bytes, memoryview))

@@ -220,11 +220,11 @@ class MockBackend:
 class RemoteBackend:
     """Chat-completions client with retries, jittered backoff, and a call pool that caps requests in flight."""
 
-    def __init__(self, url: str | None = None, api_key: str | None = None, model: str | None = None):
+    def __init__(self, url: str | None = None, model: str | None = None):
         import requests  # only remote runs pay for the import
 
         self.url = url or os.environ.get("BACKEND_URL")
-        self.api_key = api_key or os.environ.get("BACKEND_API_KEY")
+        self.api_key = os.environ.get("BACKEND_API_KEY")
         self.model = model or os.environ.get("BACKEND_MODEL")
         if not self.url:
             raise ConfigError("remote backend needs a URL (flag or BACKEND_URL)")

@@ -217,7 +217,7 @@ Judge = Callable[[str | None], Verdict]
 
 
 def item_judge(
-    db: DatabaseHandle | ItemReader, gold_sql: str, gold_outcome: ExecutionOutcome, order_sensitive: bool,
+    reader: ItemReader, gold_sql: str, gold_outcome: ExecutionOutcome, order_sensitive: bool,
     timeout_seconds: float,
 ) -> Judge:
     """One item's judge of SQL strings, each judged on its first call and stored.
@@ -230,7 +230,7 @@ def item_judge(
 
     def judge(sql: str | None) -> Verdict:
         if sql not in verdicts:
-            outcome = gold_outcome if sql == gold_sql else execute_sql(db, sql, timeout_seconds)
+            outcome = gold_outcome if sql == gold_sql else execute_sql(reader, sql, timeout_seconds)
             correct = gold_outcome.ok and compare_results(outcome, gold_outcome, order_sensitive)
             verdicts[sql] = Verdict(outcome, result_signature(outcome), correct)
         return verdicts[sql]

@@ -11,6 +11,7 @@ import pytest
 
 from nl2sqlbench.context import extract_schema, index_literals, read_literals
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
+from nl2sqlbench.executor import DEFAULT_TIMEOUT_SECONDS, ExecutionOutcome, ItemReader, execute_sql
 from nl2sqlbench.gateway import MockBackend
 
 
@@ -114,6 +115,12 @@ def db_factory(tmp_path):
 def database_digest(db: DatabaseHandle) -> str:
     """Content hash of the database file, for mutation checks."""
     return hashlib.sha256(db.path.read_bytes()).hexdigest()
+
+
+def run_sql(db: DatabaseHandle, sql: str | None, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS) -> ExecutionOutcome:
+    """``execute_sql`` on a fresh ``ItemReader`` of ``db``, closed when the statement returns."""
+    with ItemReader(db) as reader:
+        return execute_sql(reader, sql, timeout_seconds)
 
 
 def literal_source(db: DatabaseHandle):

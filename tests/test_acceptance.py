@@ -16,7 +16,7 @@ import pytest
 import ablation_suite
 from case_studies import CASES, EXPECTED_DISTRIBUTION
 from conftest import (
-    build_db, database_digest, dump_benchmark, literal_source, sql_reply, write_benchmark, GEMS_DB,
+    build_db, database_digest, dump_benchmark, literal_source, run_sql, sql_reply, write_benchmark, GEMS_DB,
     RecordingBackend,
 )
 from test_executor import COMPARISON_PAIRS, MISC_DB, oracle_compare
@@ -29,7 +29,6 @@ from nl2sqlbench.corpus import BenchmarkItem
 from nl2sqlbench.diagnoser import classify_error, count_labels
 from nl2sqlbench.executor import (
     STATUS_SQL_ERROR,
-    execute_sql,
     compare_results,
     is_order_sensitive,
 )
@@ -56,8 +55,8 @@ def test_c01_execution_comparison_oracle(misc_db):
     assert len(COMPARISON_PAIRS) == 27
     agreed = 0
     for pred_sql, gold_sql in COMPARISON_PAIRS:
-        gold = execute_sql(misc_db, gold_sql)
-        pred = execute_sql(misc_db, pred_sql)
+        gold = run_sql(misc_db, gold_sql)
+        pred = run_sql(misc_db, pred_sql)
         sensitive = is_order_sensitive(gold_sql)
         if compare_results(pred, gold, sensitive) == oracle_compare(pred, gold, sensitive):
             agreed += 1
@@ -111,8 +110,8 @@ def test_c04_verifier_loop(gems_db):
     candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
     repaired = run_verifier(candidate, prompt, cfg, backend, _no_gold_judge(gems_db, cfg), [])
     assert len(backend.calls) == 1
-    final = execute_sql(gems_db, repaired.extracted_sql, 10.0)
-    gold = execute_sql(gems_db, item.gold_sql, 10.0)
+    final = run_sql(gems_db, repaired.extracted_sql, 10.0)
+    gold = run_sql(gems_db, item.gold_sql, 10.0)
     assert compare_results(final, gold, is_order_sensitive(item.gold_sql)) is True
 
     stubborn = RecordingBackend([MockRule(pattern="", reply=sql_reply(broken))])
@@ -222,7 +221,7 @@ def test_c09_safety(gems_db):
         "SELECT 1; DROP TABLE gems",
     ]
     for sql in attacks:
-        outcome = execute_sql(gems_db, sql, 10.0)
+        outcome = run_sql(gems_db, sql, 10.0)
         assert outcome.status == STATUS_SQL_ERROR, sql
     assert database_digest(gems_db) == before
 

@@ -21,6 +21,7 @@ from nl2sqlbench import cli, context, gateway
 from nl2sqlbench.cli import main
 from nl2sqlbench.context import render_ddl
 from nl2sqlbench.corpus import DatabaseHandle
+from nl2sqlbench.executor import NOT_A_QUERY
 from nl2sqlbench.pipeline import PipelineConfig
 
 
@@ -199,6 +200,7 @@ class TestEval:
                 "--format", "spider",
                 "--db-root", str(workspace["db_root"] / "missing"),
                 "--backend", "mock",
+                "--mock-fixture", str(workspace["fixture"]),
                 "--out", str(workspace["root"] / "bad"),
             ]
         )
@@ -283,8 +285,11 @@ EXPECTED = Path(__file__).resolve().parent / "expected" / "sql_d1_k8"
 class TestCommittedOutputs:
     """The sql-d1 k=8 chain reproduces committed output bytes, so a format drift fails."""
 
-    def test_sql_d1_k8_chain_matches_expected_files(self, workspace):
-        outputs = run_chain(workspace, "k8", "--track", "sql-d1", "--k", "8", "--seed", "7")
+    def test_sql_d1_k8_chain_matches_expected_files(self, workspace, monkeypatch):
+        # relative paths give the run one manifest hash wherever it runs; curves.csv and scatter.csv rows carry it
+        monkeypatch.chdir(workspace["root"])
+        relative = {key: path.relative_to(workspace["root"]) for key, path in workspace.items()}
+        outputs = run_chain(relative, "k8", "--track", "sql-d1", "--k", "8", "--seed", "7")
         expected = sorted(p.name for p in EXPECTED.iterdir())
         assert expected == ["curves.csv", "labels.jsonl", "records.jsonl", "report.csv", "scatter.csv"]
         for name in expected:
@@ -530,6 +535,11 @@ def _refused_argv(case: str, workspace, run: Path, out: Path) -> list[str]:
     def report(*paths):
         return ["report", "--records", *map(str, paths), "--out", str(out)]
 
+    def mock_without_fixture():  # no backend flags at all: a rule-less mock would read EX 0.0 and exit 0
+        argv = eval_argv(workspace, out, "--track", "maj", "--k", "8")
+        flag = argv.index("--mock-fixture")
+        return argv[:flag] + argv[flag + 2 :]
+
     def resume_headerless():  # 3 greedy records with no header, resumed by a maj run
         _write_lines(run / "records.jsonl", *records[:3])
         return eval_argv(workspace, run, "--track", "maj", "--k", "8", "--resume")
@@ -551,6 +561,7 @@ def _refused_argv(case: str, workspace, run: Path, out: Path) -> list[str]:
             run / "records.jsonl", _write_lines(variant, other_benchmark, *records)
         ),
         "classify_neither_mode": classify,
+        "mock_without_fixture": mock_without_fixture,
     }[case]()
 
 
@@ -566,6 +577,7 @@ REFUSALS = {  # case -> a fragment of its error line
     "resume_other_run": "records.jsonl belongs to a different run",
     "report_two_benchmarks": "refusing to merge runs over different benchmarks",
     "classify_neither_mode": "classify needs --records, or --pred with --gold",
+    "mock_without_fixture": "the mock backend needs --mock-fixture",
 }
 
 
@@ -585,6 +597,69 @@ class TestRefusedCommands:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
         assert REFUSALS[case] in err
         assert _files(out) == before
+
+
+class TestUnreadableDatabase:
+    """A file that is not a database ends the command at its first read, naming the database and its file."""
+
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_one_error_line(self, workspace, capsys, command):
+        _code, run = run_eval(workspace, "run", "--track", "greedy", "--no-retrieval")
+        gems = workspace["db_root"] / "gems" / "gems.sqlite"
+        gems.write_bytes(b"this is not a sqlite file" * 10)
+        argv = {
+            "eval": eval_argv(workspace, workspace["root"] / "junk", "--track", "greedy"),
+            "classify": ["classify", "--records", str(run / "records.jsonl"), "--db-root", str(workspace["db_root"])],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: gems: catalog query failed: {gems}: file is not a database\n"
+
+
+# one question over an unordered table: three replies that answer nothing, two correct ones and three that fail
+NON_ANSWERS = ["-- no answer", "BEGIN", "PRAGMA table_info(t)"]
+POOL_REPLIES = NON_ANSWERS + ["SELECT x FROM t ORDER BY x"] * 2 + [
+    "SELECT y FROM t", "SELECT x FROM nowhere", "SELECT x FROM t WHERE"
+]
+
+
+class TestNonQueries:
+    """A reply that is not a query is a failed execution: voting discards it and the verifier repairs it."""
+
+    @pytest.fixture()
+    def pool_workspace(self, tmp_path):
+        db_root = tmp_path / "databases"
+        build_db(db_root / "t" / "t.sqlite", ["CREATE TABLE t (x)", "INSERT INTO t VALUES (2), (1), (3)"])
+        question = "List every x."
+        item = {"question": question, "db_id": "t", "query": "SELECT x FROM t"}
+        benchmark = write_benchmark(tmp_path / "bench.json", [item])
+        # a repair prompt holds the question too, so the repair rule comes first
+        rules = [{"pattern": "not a query", "reply": sql_reply("SELECT x FROM t")}] + [
+            {"pattern": question, "trajectory_id": i, "reply": sql_reply(sql)} for i, sql in enumerate(POOL_REPLIES)
+        ]
+        fixture = tmp_path / "mock.json"
+        fixture.write_text(json.dumps(rules), encoding="utf-8")
+        return {"root": tmp_path, "db_root": db_root, "benchmark": benchmark, "fixture": fixture}
+
+    def _record(self, workspace, name, *extra):
+        code, out = run_eval(workspace, name, "--k", "8", "--seed", "1", *extra)
+        assert code == 0
+        return json.loads((out / "records.jsonl").read_text().splitlines()[1])
+
+    def test_majority_vote_picks_a_correct_candidate(self, pool_workspace):
+        # run as queries, the comment and BEGIN would give one empty result, tie the correct pair and win as trajectory 0
+        record = self._record(pool_workspace, "maj", "--track", "maj")
+        assert record["final_sql"] == "SELECT x FROM t ORDER BY x" and record["correct"] is True
+        assert [c["extracted_sql"] for c in record["candidates"]] == POOL_REPLIES
+        assert [e["status"] for e in record["pool"][:3]] == ["sql_error"] * 3
+
+    def test_sql_d1_repairs_each_non_answer(self, pool_workspace):
+        record = self._record(pool_workspace, "d1", "--track", "sql-d1", "--verifier-iters", "1")
+        repairs = [text for stage, text in record["per_stage_trace"] if stage == "verify" and " iter " in text]
+        refused = [text for text in repairs if text.endswith(f"sql_error: {NOT_A_QUERY}")]
+        assert [text.split()[1] for text in refused] == ["0", "1", "2"]
+        assert [c["extracted_sql"] for c in record["candidates"][:3]] == ["SELECT x FROM t"] * 3
+        assert record["correct"] is True
 
 
 class TestClassify:
@@ -694,6 +769,22 @@ class TestReport:
         assert code == 0
         scatter = (rep / "scatter.csv").read_text().splitlines()
         assert len(scatter) == 4  # comment, header, 2 rows
+
+    def test_rows_name_their_run(self, workspace):
+        # two runs of one track: without the manifest column their rows could not be told apart
+        runs = [run_eval(workspace, f"k{k}", "--track", "sql-d1", "--k", k, "--seed", "1")[1] for k in ("2", "3")]
+        hashes = [json.loads((out / "report.json").read_text())["manifest_hash"] for out in runs]
+        rep = workspace["root"] / "two_k"
+        assert main(["report", "--records", *(str(out / "records.jsonl") for out in runs), "--out", str(rep)]) == 0
+        for name, key_columns in (("curves.csv", 3), ("scatter.csv", 1)):
+            first, header, *rows = (rep / name).read_text().splitlines()
+            assert first == f"# manifest {','.join(sorted(hashes))}" and header.endswith(",manifest")
+            rows = [row.split(",") for row in rows]
+            assert sorted({row[-1] for row in rows}) == sorted(hashes)
+            keys = [(*row[:key_columns], row[-1]) for row in rows]
+            assert len(set(keys)) == len(keys)
+        scatter = [row.split(",") for row in (rep / "scatter.csv").read_text().splitlines()[2:]]
+        assert [(row[0], row[-1]) for row in scatter] == [("sql-d1", h) for h in hashes]
 
     def test_pass_at_k_csv_non_decreasing(self, workspace):
         _code, out = run_eval(workspace, "curve", "--track", "sql-d1", "--k", "3")

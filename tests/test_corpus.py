@@ -6,8 +6,9 @@ import sqlite3
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import build_db, dump_benchmark, write_benchmark
+from conftest import build_db, dump_benchmark, run_sql, write_benchmark
 
+from nl2sqlbench.context import extract_schema, read_catalog
 from nl2sqlbench.corpus import (
     BenchmarkItem,
     DatabaseHandle,
@@ -15,8 +16,7 @@ from nl2sqlbench.corpus import (
     load_database,
     stratify,
 )
-from nl2sqlbench.errors import ConfigError, IngestError, RegistryError
-from nl2sqlbench.executor import execute_sql
+from nl2sqlbench.errors import ConfigError, IngestError, RegistryError, SchemaError
 
 
 BIRD_RECORDS = [
@@ -115,17 +115,6 @@ class TestLoadDatabase:
         handle = load_database("gems", gems_db.path.parent.parent)
         assert handle == DatabaseHandle("gems", gems_db.path)
 
-    def test_probe_query_returns_one(self, gems_db):
-        # oracle: run the probe by hand on the raw file
-        handle = load_database("gems", gems_db.path.parent.parent)
-        conn = handle.connect()
-        try:
-            rows = conn.execute("SELECT 1").fetchall()
-        finally:
-            conn.close()
-        assert rows == [(1,)]
-        assert len(rows[0]) == 1
-
     def test_missing_db_names_db_id(self, tmp_path):
         with pytest.raises(RegistryError, match="nope") as raised:
             load_database("nope", tmp_path)
@@ -133,11 +122,15 @@ class TestLoadDatabase:
         assert str(tmp_path / "nope.sqlite") in str(raised.value)
 
     def test_corrupt_file_is_an_open_error(self, tmp_path):
+        # registering opens nothing: the database's first read, of either kind, names the database and its file
         bad = tmp_path / "junk" / "junk.sqlite"
         bad.parent.mkdir()
         bad.write_bytes(b"this is not a sqlite file" * 10)
-        with pytest.raises(RegistryError, match="junk"):
-            load_database("junk", tmp_path)
+        handle = load_database("junk", tmp_path)
+        for read in (read_catalog, extract_schema):
+            with pytest.raises(SchemaError, match=r"^junk: ") as raised:
+                read(handle)
+            assert f": {bad}: file is not a database" in str(raised.value)
 
     def test_flat_layout(self, tmp_path, gems_db):
         flat = tmp_path / "gems.sqlite"
@@ -157,7 +150,7 @@ class TestLoadDatabase:
         root = tmp_path / "we#ird%41 ?dir"
         build_db(root / "t" / "t.sqlite", ["CREATE TABLE t (v)", "INSERT INTO t VALUES (1), (2)"])
         handle = load_database("t", root)
-        assert execute_sql(handle, "SELECT v FROM t ORDER BY v").rows == [(1,), (2,)]
+        assert run_sql(handle, "SELECT v FROM t ORDER BY v").rows == [(1,), (2,)]
         conn = handle.connect()
         try:
             conn.execute("PRAGMA query_only = OFF")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from case_studies import CASES, EXPECTED_DISTRIBUTION
+from conftest import run_sql
 
 from nl2sqlbench.context import extract_schema
 from nl2sqlbench.diagnoser import (
@@ -14,7 +15,7 @@ from nl2sqlbench.diagnoser import (
     classify_error,
     count_labels,
 )
-from nl2sqlbench.executor import compare_results, execute_sql, is_order_sensitive
+from nl2sqlbench.executor import compare_results, is_order_sensitive
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +37,9 @@ class TestCaseStudies:
         # sanity: the golden set only makes sense if every pred is wrong
         for db_name, _q, pred_sql, gold_sql, _cat, _sub in CASES:
             db = dbs[db_name]
-            gold = execute_sql(db, gold_sql)
+            gold = run_sql(db, gold_sql)
             assert gold.ok, gold_sql
-            pred = execute_sql(db, pred_sql)
+            pred = run_sql(db, pred_sql)
             assert not compare_results(pred, gold, is_order_sensitive(gold_sql)), pred_sql
 
     @pytest.mark.parametrize("case", CASES, ids=[f"case{i + 1}" for i in range(len(CASES))])

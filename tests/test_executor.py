@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import database_digest
+from conftest import database_digest, run_sql
 from test_sqlast import CORPUS
 
 from nl2sqlbench import executor
@@ -33,6 +33,7 @@ from nl2sqlbench.executor import (
     REL_TOL,
     _FORMAT_CHUNK_ROWS,
     ROW_CAP,
+    NOT_A_QUERY,
     ExecutionOutcome,
     ItemReader,
     _canonical_cell,
@@ -171,9 +172,9 @@ class TestCompareOracle:
         assert len(COMPARISON_PAIRS) == 27
         agreements = 0
         for pred_sql, gold_sql in COMPARISON_PAIRS:
-            gold = execute_sql(misc_db, gold_sql)
+            gold = run_sql(misc_db, gold_sql)
             assert gold.status == STATUS_OK
-            pred = execute_sql(misc_db, pred_sql)
+            pred = run_sql(misc_db, pred_sql)
             sensitive = is_order_sensitive(gold_sql)
             got = compare_results(pred, gold, sensitive)
             expected = oracle_compare(pred, gold, sensitive)
@@ -183,8 +184,8 @@ class TestCompareOracle:
 
     def test_known_verdicts(self, misc_db):
         def verdict(pred_sql, gold_sql):
-            gold = execute_sql(misc_db, gold_sql)
-            pred = execute_sql(misc_db, pred_sql)
+            gold = run_sql(misc_db, gold_sql)
+            pred = run_sql(misc_db, pred_sql)
             return compare_results(pred, gold, is_order_sensitive(gold_sql))
 
         assert verdict("SELECT x FROM t_nums ORDER BY x DESC", "SELECT x FROM t_nums") is True
@@ -207,13 +208,13 @@ class TestCompareOracle:
 
 class TestExecuteSql:
     def test_select_one(self, misc_db):
-        outcome = execute_sql(misc_db, "SELECT 1")
+        outcome = run_sql(misc_db, "SELECT 1")
         assert outcome.status == STATUS_OK
         assert outcome.rows == [(1,)]
         assert outcome.column_count == 1
 
     def test_unknown_column_is_sql_error(self, schools_db):
-        outcome = execute_sql(
+        outcome = run_sql(
             schools_db,
             "SELECT s.District FROM satscores s JOIN schools sch ON s.cds = sch.CDSCode "
             "WHERE sch.StatusType = 'Active' GROUP BY s.District "
@@ -224,7 +225,7 @@ class TestExecuteSql:
 
     def test_runaway_query_times_out(self, misc_db):
         sql = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT * FROM r"
-        outcome = execute_sql(misc_db, sql, timeout_seconds=0.5)
+        outcome = run_sql(misc_db, sql, timeout_seconds=0.5)
         assert outcome.status in (STATUS_TIMEOUT, STATUS_SQL_ERROR)
         assert outcome.status == STATUS_TIMEOUT
 
@@ -232,7 +233,7 @@ class TestExecuteSql:
         # the VM runs without returning a row, so only the progress-handler tick can stop it
         sql = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT count(*) FROM r"
         start = time.monotonic()
-        outcome = execute_sql(misc_db, sql, timeout_seconds=0.5)
+        outcome = run_sql(misc_db, sql, timeout_seconds=0.5)
         assert outcome.status == STATUS_TIMEOUT
         assert time.monotonic() - start < 1.0
 
@@ -257,13 +258,13 @@ class TestExecuteSql:
                 return getattr(self._conn, name)
 
         monkeypatch.setattr(DatabaseHandle, "connect", lambda handle: CountingConnection(connect(handle)))
-        outcome = execute_sql(big_db, "SELECT g, count(*), sum(v) FROM big GROUP BY g")
+        outcome = run_sql(big_db, "SELECT g, count(*), sum(v) FROM big GROUP BY g")
         assert outcome.status == STATUS_OK and outcome.row_count == 97
         assert len(calls) <= 10
 
     def test_empty_prediction(self, misc_db):
-        assert execute_sql(misc_db, None).status == STATUS_EMPTY
-        assert execute_sql(misc_db, "   ").status == STATUS_EMPTY
+        assert run_sql(misc_db, None).status == STATUS_EMPTY
+        assert run_sql(misc_db, "   ").status == STATUS_EMPTY
 
     def test_writes_rejected_and_file_unchanged(self, misc_db):
         before = database_digest(misc_db)
@@ -274,13 +275,17 @@ class TestExecuteSql:
             "DROP TABLE t_nums",
             "CREATE TABLE evil (a)",
             "ALTER TABLE t_dup ADD COLUMN w INTEGER",
+            # these start as queries, so the read-only connection is what refuses them
+            "WITH v(n) AS (VALUES (9)) INSERT INTO t_dup SELECT n FROM v",
+            "WITH v(n) AS (VALUES (1)) DELETE FROM t_dup WHERE v IN (SELECT n FROM v)",
         ):
-            outcome = execute_sql(misc_db, sql)
+            outcome = run_sql(misc_db, sql)
             assert outcome.status == STATUS_SQL_ERROR, sql
+            assert (outcome.error_message == NOT_A_QUERY) == (not sql.startswith("WITH")), sql
         assert database_digest(misc_db) == before
 
     def test_multiple_statements_rejected(self, misc_db):
-        outcome = execute_sql(misc_db, "SELECT 1; DROP TABLE t_nums")
+        outcome = run_sql(misc_db, "SELECT 1; DROP TABLE t_nums")
         assert outcome.status == STATUS_SQL_ERROR
 
     def test_row_cap(self, misc_db):
@@ -289,18 +294,18 @@ class TestExecuteSql:
             "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r LIMIT 200000) "
             "SELECT * FROM r"
         )
-        outcome = execute_sql(misc_db, sql, timeout_seconds=30.0)
+        outcome = run_sql(misc_db, sql, timeout_seconds=30.0)
         assert outcome.status == STATUS_SQL_ERROR
         assert "too large" in outcome.error_message
 
     def test_blobs_digested(self, misc_db):
-        outcome = execute_sql(misc_db, "SELECT x'00ff' UNION ALL SELECT 1")
+        outcome = run_sql(misc_db, "SELECT x'00ff' UNION ALL SELECT 1")
         assert outcome.status == STATUS_OK
         assert outcome.rows == [(hashlib.sha256(b"\x00\xff").digest()[:16],), (1,)]
         assert type(outcome.rows[1][0]) is int
 
     def test_cells_without_blobs_come_back_unchanged(self, misc_db):
-        outcome = execute_sql(misc_db, "SELECT x, y, 'a ', NULL FROM t_nums ORDER BY x")
+        outcome = run_sql(misc_db, "SELECT x, y, 'a ', NULL FROM t_nums ORDER BY x")
         assert outcome.rows == [(1, 1.5, "a ", None), (2, 2.5, "a ", None), (3, 3.5, "a ", None)]
         assert [type(c) for c in outcome.rows[0]] == [int, float, str, type(None)]
 
@@ -336,7 +341,7 @@ _FAILS_MID_FETCH = (
 
 
 class TestItemReader:
-    """Queries share the reader's connection; anything else, and any failure, leaves it as a fresh one."""
+    """Queries share the reader's connection; anything else runs on no connection, and no failure changes it."""
 
     @pytest.mark.parametrize(
         "sql",
@@ -352,7 +357,7 @@ class TestItemReader:
         with ItemReader(misc_db) as reader:
             outcomes = [execute_sql(reader, sql) for _ in range(3)]
         assert len(connects) == 1
-        assert [_result(o) for o in outcomes] == [_result(execute_sql(misc_db, sql))] * 3
+        assert [_result(o) for o in outcomes] == [_result(run_sql(misc_db, sql))] * 3
 
     @pytest.mark.parametrize(
         "sql",
@@ -367,11 +372,14 @@ class TestItemReader:
         ],
     )
     def test_other_statements_get_a_fresh_connection(self, misc_db, connects, sql):
+        # refused before any connection opens, and again once the reader's is open
+        refused = (STATUS_SQL_ERROR, None, 0, NOT_A_QUERY)
         with ItemReader(misc_db) as reader:
+            assert _result(execute_sql(reader, sql)) == refused
+            assert connects == []
             execute_sql(reader, "SELECT 1")
-            execute_sql(reader, sql)
-            execute_sql(reader, sql)
-        assert len(connects) == 3
+            assert _result(execute_sql(reader, sql)) == refused
+        assert len(connects) == 1  # the reader's, opened by the query
 
     @pytest.mark.parametrize(
         "statement, query",
@@ -384,10 +392,11 @@ class TestItemReader:
         ],
     )
     def test_state_changes_do_not_reach_later_queries(self, misc_db, statement, query):
-        fresh = _result(execute_sql(misc_db, query))
+        # the statement is refused, so the later query answers as on a fresh reader
+        fresh = _result(run_sql(misc_db, query))
         with ItemReader(misc_db) as reader:
             execute_sql(reader, "SELECT 1")
-            assert execute_sql(reader, statement).status == STATUS_OK
+            assert _result(execute_sql(reader, statement)) == (STATUS_SQL_ERROR, None, 0, NOT_A_QUERY)
             assert _result(execute_sql(reader, query)) == fresh
             assert not reader.connection().in_transaction
             # the shared connection itself still answers as a fresh one would
@@ -413,7 +422,7 @@ class TestItemReader:
             # no handler is left on the connection; after the timeout, its deadline has passed
             assert reader.connection().execute(_SLOW).fetchone() == (300000,)
             assert not reader.connection().in_transaction
-            assert _result(execute_sql(reader, follow_up)) == _result(execute_sql(misc_db, follow_up))
+            assert _result(execute_sql(reader, follow_up)) == _result(run_sql(misc_db, follow_up))
             slow = execute_sql(reader, _SLOW, timeout_seconds=30.0)
             assert slow.status == STATUS_OK and slow.rows == [(300000,)]
         assert len(connects) == 2  # the reader's, and the fresh one the follow-up is compared against
@@ -441,6 +450,48 @@ class TestItemReader:
             connects[0].execute("SELECT 1")
 
 
+# statement heads, and whether each is a query
+_HEADS = {
+    "SELECT 1": True,
+    "WITH a(v) AS (SELECT 1) SELECT v FROM a": True,
+    "VALUES (1)": True,
+    "PRAGMA table_info(t_nums)": False,
+    "BEGIN": False,
+    "EXPLAIN SELECT 1": False,
+    "": False,
+}
+# comment texts that hold a query keyword, a lone star, or another comment's opener
+_COMMENT_TEXTS = st.sampled_from(["", " x ", "SELECT", "PRAGMA", "*", "/*", "--", "'"])
+_LEAD = st.one_of(
+    st.sampled_from([" ", "\n", "\t", "\r\n"]),
+    _COMMENT_TEXTS.map(lambda text: f"--{text}\n"),
+    _COMMENT_TEXTS.map(lambda text: f"/*{text}*/"),
+)
+
+
+class TestQueryGate:
+    """Only text that whitespace and comments lead into SELECT, WITH or VALUES runs."""
+
+    @given(
+        lead=st.lists(_LEAD, max_size=4),
+        head=st.sampled_from(list(_HEADS)),
+        trail=st.sampled_from(["", " ", "\n", "-- done", "/* done */"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_only_queries_run(self, misc_db, lead, head, trail):
+        text = "".join(lead) + head + trail
+        with mock.patch.object(DatabaseHandle, "connect", autospec=True, side_effect=DatabaseHandle.connect) as connect:
+            with ItemReader(misc_db) as reader:
+                outcome = execute_sql(reader, text)
+        assert outcome.ok == _HEADS[head], text
+        if outcome.ok:
+            assert outcome.column_count >= 1
+        if not executor._QUERY_START.match(text):
+            assert connect.call_count == 0
+            refused = (STATUS_SQL_ERROR, NOT_A_QUERY) if text.strip() else (STATUS_EMPTY, "empty prediction")
+            assert (outcome.status, outcome.error_message) == refused
+
+
 # unbounded recursions that return rows: one streams them, the other returns its first row at once and then one row
 # per million recursions, so that each later step runs many progress-handler ticks without a row
 _STREAMING_RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT n FROM r"
@@ -459,12 +510,12 @@ class TestFetchLock:
         # the other fetch until the runaway's limit
         limit = 3.0
         outcomes = []
-        runner = threading.Thread(target=lambda: outcomes.append(execute_sql(misc_db, runaway, timeout_seconds=limit)))
+        runner = threading.Thread(target=lambda: outcomes.append(run_sql(misc_db, runaway, timeout_seconds=limit)))
         runner.start()
         try:
             time.sleep(0.3)  # the runaway is fetching by now
             start = time.monotonic()
-            fetched = execute_sql(misc_db, _TWENTY_K_ROWS)
+            fetched = run_sql(misc_db, _TWENTY_K_ROWS)
             elapsed = time.monotonic() - start
         finally:
             runner.join(timeout=limit + 10)
@@ -487,7 +538,7 @@ class TestFetchLock:
         ids=["ok", "sql_error", "timeout_streaming", "timeout_sparse_rows", "row_cap", "error_mid_fetch"],
     )
     def test_no_outcome_leaves_the_lock_held(self, misc_db, sql, timeout, status):
-        assert execute_sql(misc_db, sql, timeout_seconds=timeout).status == status
+        assert run_sql(misc_db, sql, timeout_seconds=timeout).status == status
         assert not executor._FETCH_LOCK.locked()
 
     def test_threads_fetching_at_once_each_get_their_own_result(self, misc_db):
@@ -495,12 +546,12 @@ class TestFetchLock:
         queries = [
             (_TWENTY_K_ROWS, 30.0), (_FAILS_MID_FETCH, 30.0), (_STREAMING_RUNAWAY, 0.3), ("SELECT x FROM t_nums", 30.0)
         ]
-        alone = [_result(execute_sql(misc_db, sql, timeout_seconds=timeout)) for sql, timeout in queries]
+        alone = [_result(run_sql(misc_db, sql, timeout_seconds=timeout)) for sql, timeout in queries]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(execute_sql, misc_db, *query) for _ in range(3) for query in queries]
+                futures = [pool.submit(run_sql, misc_db, *query) for _ in range(3) for query in queries]
                 together = [_result(future.result(timeout=60)) for future in futures]
         finally:
             sys.setswitchinterval(interval)

@@ -3,13 +3,13 @@
 import pytest
 
 import ablation_suite
-from conftest import RecordingBackend, literal_source, sql_reply
+from conftest import RecordingBackend, literal_source, run_sql, sql_reply
 
 from nl2sqlbench import pipeline
 from nl2sqlbench.context import build_prompt, extract_schema
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 from nl2sqlbench.errors import ConfigError
-from nl2sqlbench.executor import STATUS_EMPTY, STATUS_OK, STATUS_SQL_ERROR, ExecutionOutcome, execute_sql
+from nl2sqlbench.executor import STATUS_EMPTY, STATUS_OK, STATUS_SQL_ERROR, ExecutionOutcome, ItemReader
 from nl2sqlbench.gateway import Candidate, MockBackend, MockRule
 from nl2sqlbench.pipeline import (
     EvalRecord,
@@ -88,7 +88,7 @@ class TestRunGreedy:
         cfg = _cfg(num_candidates=3, temperature=0.8)
         backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT name FROM gems"))])
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
-        rows = execute_sql(gems_db, item.gold_sql).row_count
+        rows = run_sql(gems_db, item.gold_sql).row_count
         assert rows > 1 and record.correct is False
         assert (record.outcome.status, record.outcome.rows, record.outcome.row_count) == (STATUS_OK, None, rows)
         assert (record.gold_outcome.status, record.gold_outcome.rows, record.gold_outcome.row_count) == (STATUS_OK, None, rows)
@@ -180,9 +180,14 @@ class TestRunGenerator:
 
 
 def _no_gold_judge(db, cfg):
-    """An item judge whose gold query failed, so it judges every result incorrect."""
+    """An item judge whose gold query failed, so it judges every result incorrect; each call reads on a fresh reader."""
     no_gold = ExecutionOutcome(STATUS_EMPTY, None, 0, "no gold query")
-    return item_judge(db, "", no_gold, False, cfg.timeout_seconds)
+
+    def judge(sql):
+        with ItemReader(db) as reader:
+            return item_judge(reader, "", no_gold, False, cfg.timeout_seconds)(sql)
+
+    return judge
 
 
 class TestRunVerifier:
@@ -486,27 +491,29 @@ class TestExecutionsPerItem:
 
     def test_judge_reuses_the_gold_outcome(self, gems_db, executed, judged):
         gold = "SELECT COUNT(*) FROM gems"
-        gold_outcome = execute_sql(gems_db, gold, 10.0)
-        judge = item_judge(gems_db, gold, gold_outcome, False, 10.0)
-        verdict = judge(gold)
-        assert verdict.outcome is gold_outcome and verdict.correct is True
-        assert judge(gold) is verdict
-        assert executed == [] and len(judged["compare_results"]) == len(judged["result_signature"]) == 1
-        broken = "SELECT nope FROM gems"
-        assert item_judge(gems_db, broken, execute_sql(gems_db, broken, 10.0), False, 10.0)(broken).correct is False
+        gold_outcome = run_sql(gems_db, gold, 10.0)
+        with ItemReader(gems_db) as reader:
+            judge = item_judge(reader, gold, gold_outcome, False, 10.0)
+            verdict = judge(gold)
+            assert verdict.outcome is gold_outcome and verdict.correct is True
+            assert judge(gold) is verdict
+            assert executed == [] and len(judged["compare_results"]) == len(judged["result_signature"]) == 1
+            broken = "SELECT nope FROM gems"
+            assert item_judge(reader, broken, run_sql(gems_db, broken, 10.0), False, 10.0)(broken).correct is False
 
     def test_verifier_and_pool_read_one_stored_verdict(self, gems_db, executed):
         item, rules, cfg, (gold, broken, fixed) = self._repair_item()
-        judge = item_judge(gems_db, gold, execute_sql(gems_db, gold, 10.0), False, cfg.timeout_seconds)
         seen = []
+        with ItemReader(gems_db) as reader:
+            judge = item_judge(reader, gold, run_sql(gems_db, gold, 10.0), False, cfg.timeout_seconds)
 
-        def recording(sql):
-            seen.append((sql, judge(sql)))
-            return seen[-1][1]
+            def recording(sql):
+                seen.append((sql, judge(sql)))
+                return seen[-1][1]
 
-        candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
-        repaired = run_verifier(candidate, "the prompt", cfg, MockBackend(rules), recording, [])
-        entry, = evaluate_pool([repaired], recording)
+            candidate = Candidate(0, sql_reply(broken), broken, 0.0, 1)
+            repaired = run_verifier(candidate, "the prompt", cfg, MockBackend(rules), recording, [])
+            entry, = evaluate_pool([repaired], recording)
         assert [sql for sql, _verdict in seen] == [broken, fixed, fixed]
         assert seen[2][1] is seen[1][1]  # the pool's verdict for the repaired SQL is the verifier's
         assert executed == [broken, fixed]
