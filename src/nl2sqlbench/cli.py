@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -362,12 +363,23 @@ def cmd_report(args) -> int:
 
 
 def _parse_backend_params(pairs: list[str]) -> dict:
+    """The ``--backend-param`` pairs by key; a value that reads as a JSON scalar is sent as that scalar.
+
+    ``64``, ``true`` and ``null`` are sent as a number, a boolean and null,
+    and ``"64"`` as the string 64. Any other value is sent as its text.
+    """
     params = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ConfigError(f"--backend-param needs key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        params[key] = value
+        try:
+            parsed = json.loads(value)
+        except ValueError:
+            parsed = value
+        # arrays and objects stay text, and so do NaN and ±Infinity, which strict JSON lacks
+        scalar = parsed is None or isinstance(parsed, (str, int)) or isinstance(parsed, float) and math.isfinite(parsed)
+        params[key] = parsed if scalar else value
     return params
 
 

@@ -37,11 +37,12 @@ connection state that a later query's result depends on.
 
 A result's signature is the hex sha256 of its canonical form: ``ok:<column
 count>:`` followed by the repr of the sorted list of its row keys, where a row
-key is the tuple of its cells' ``(type tag, value)`` keys and numbers sit on
-the tolerance grid. Row order does not enter it. The selector clusters on it,
-and records store it. The form is built a column at a time and formatted by
-one ``%`` template per chunk of rows, with the bytes of that repr. A failed
-execution hashes its status instead.
+key is the tuple of its cells' ``(type tag, value)`` keys, numbers sit on
+the tolerance grid and a blob's value is a digest of its bytes. Row order
+does not enter it. The selector clusters on it, and records store it. The
+form is built a column at a time and formatted by one ``%`` template per
+chunk of rows, with the bytes of that repr. A failed execution hashes its
+status instead.
 
 When every column holds only integers inside ±EXACT_PRODUCT_BOUND or only text
 that ``rstrip()`` leaves unchanged, cells order and compare as their keys do.
@@ -162,13 +163,12 @@ def execute_sql(
 ) -> ExecutionOutcome:
     """Run one query on the reader's connection, read-only with a hard wall-clock limit.
 
-    Blob cells are replaced by a content digest so outcomes stay hashable and
-    small. Text that is not a query is a sql_error with the NOT_A_QUERY
-    message, before any connection opens; a query that writes (``WITH ...
-    DELETE``) is rejected by the read-only connection and surfaces as
-    sql_error too. The statement's cursor is closed and the progress handler
-    cleared afterwards, so the next query starts as it would on a fresh
-    connection.
+    Cells come back as SQLite gave them, blobs included. Text that is not a
+    query is a sql_error with the NOT_A_QUERY message, before any connection
+    opens; a query that writes (``WITH ... DELETE``) is rejected by the
+    read-only connection and surfaces as sql_error too. The statement's
+    cursor is closed and the progress handler cleared afterwards, so the next
+    query starts as it would on a fresh connection.
     """
     if sql is None or not sql.strip():
         return ExecutionOutcome(STATUS_EMPTY, None, 0, "empty prediction")
@@ -220,8 +220,6 @@ def execute_sql(
         if capped:
             return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, f"result too large (more than {ROW_CAP} rows)")
         column_count = len(cursor.description) if cursor.description else 0
-        if not _BLOB_TYPES.isdisjoint(map(type, chain.from_iterable(rows))):
-            rows = [tuple(map(_sanitize_cell, row)) for row in rows]
         return ExecutionOutcome(STATUS_OK, rows, column_count, None)
     except (sqlite3.Error, sqlite3.Warning, OverflowError, ValueError) as exc:
         if timed_out:
@@ -230,15 +228,6 @@ def execute_sql(
     finally:
         cursor.close()
         conn.set_progress_handler(None, 0)
-
-
-_BLOB_TYPES = frozenset((bytes, memoryview))
-
-
-def _sanitize_cell(cell):
-    if type(cell) in _BLOB_TYPES:
-        return hashlib.sha256(bytes(cell)).digest()[:16]
-    return cell
 
 
 # string literals, quoted identifiers and comments: none of them can hold the outer ORDER BY
@@ -307,7 +296,8 @@ def _canonical_cell(cell):
         return (4, cell)
     if isinstance(cell, str):
         return (2, cell.rstrip())
-    return (3, cell.hex())
+    # a blob keys as the hex of its sha256's first 16 bytes, so a long blob costs its key 32 characters
+    return (3, hashlib.sha256(cell).hexdigest()[:32])
 
 
 def _column_form(column: tuple) -> tuple[str, map, str | None]:

@@ -22,6 +22,7 @@ import logging
 import os
 import random
 import re
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -80,7 +81,7 @@ class BackendReply:
 def count_tokens(raw_text: str, backend_usage: int | None = None) -> int:
     """Backend-reported usage when available, else a whitespace-split approximation."""
     if backend_usage is not None:
-        return int(backend_usage)
+        return backend_usage
     return len(raw_text.split())
 
 
@@ -162,8 +163,13 @@ class MockRule:
             value = getattr(self, name)
             if value is not None and type(value) is not int:  # bool is rejected too
                 raise ConfigError(f"{name!r} must be an integer or null, not {value!r}")
+        if self.tokens is not None and self.tokens < 0:
+            raise ConfigError(f"'tokens' must not be negative, not {self.tokens!r}")
         if isinstance(self.latency, bool) or not isinstance(self.latency, (int, float)):
             raise ConfigError(f"'latency' must be a number, not {self.latency!r}")
+        # written so that NaN fails too: json reads NaN and Infinity, which would reach the report
+        if not 0 <= self.latency <= sys.float_info.max:
+            raise ConfigError(f"'latency' must be finite and not negative, not {self.latency!r}")
         self.latency = float(self.latency)
 
     def matches(self, prompt: str, trajectory_id: int) -> bool:
@@ -268,6 +274,10 @@ class RemoteBackend:
                 text = payload["choices"][0]["message"]["content"]
                 usage = payload.get("usage") or {}
                 tokens = usage.get("completion_tokens", usage.get("total_tokens"))
+                # a field of the wrong type is retried like bad JSON, rather than failing the item where it is read
+                bad_usage = tokens is not None and (type(tokens) is not int or tokens < 0)
+                if bad_usage or not isinstance(text, (str, type(None))):
+                    raise ValueError(f"malformed reply: content {text!r:.80}, usage {tokens!r:.80}")
                 return BackendReply(text or "", tokens, time.monotonic() - start)
             except BackendError:
                 raise
@@ -275,7 +285,7 @@ class RemoteBackend:
                 last_error = exc
             if attempt < RETRIES:  # jittered exponential backoff; the call keeps its pool slot
                 time.sleep(2**attempt * random.uniform(0.5, 1.5))
-        raise BackendError(f"backend unreachable after {RETRIES} retries: {last_error}")
+        raise BackendError(f"no usable reply after {RETRIES} retries: {last_error}")
 
 
 def generate(request: GenerationRequest, backend) -> list[Candidate]:

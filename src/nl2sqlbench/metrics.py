@@ -8,6 +8,7 @@ clustering over stored pool prefixes, so reports never need live databases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .corpus import stratify
@@ -77,7 +78,7 @@ def efficiency_stats(records: list[EvalRecord]) -> tuple[float, float]:
     """(mean total latency seconds, mean total tokens) over records."""
     if not records:
         return (0.0, 0.0)
-    latency = sum(r.total_latency_seconds for r in records) / len(records)
+    latency = math.fsum(r.total_latency_seconds for r in records) / len(records)
     tokens = sum(r.total_tokens for r in records) / len(records)
     return (latency, tokens)
 
@@ -87,7 +88,7 @@ def single_pass_latency(records: list[EvalRecord]) -> float:
     firsts = [r.candidates[0].latency_seconds for r in records if r.candidates]
     if not firsts:
         return 0.0
-    return sum(firsts) / len(firsts)
+    return math.fsum(firsts) / len(firsts)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -208,7 +209,7 @@ def run_generator(prompt: str, cfg: PipelineConfig, backend, trace: list) -> lis
 class Verdict(NamedTuple):
     """What an item's judge stores for one SQL string."""
 
-    outcome: ExecutionOutcome  # rows included: they are kept until the item ends
+    outcome: ExecutionOutcome  # without rows, which nothing reads once judged; row_count stays
     signature: str  # result_signature of the outcome
     correct: bool
 
@@ -224,7 +225,9 @@ def item_judge(
 
     Judging executes the string (the gold SQL reuses ``gold_outcome``),
     compares the result with the gold one and signs it. A result is never
-    correct when the gold query failed.
+    correct when the gold query failed. The stored verdict drops the
+    result's rows, so an item holds gold's rows, which every comparison
+    reads, and the rows of the one result being judged.
     """
     verdicts: dict[str | None, Verdict] = {}
 
@@ -232,7 +235,7 @@ def item_judge(
         if sql not in verdicts:
             outcome = gold_outcome if sql == gold_sql else execute_sql(reader, sql, timeout_seconds)
             correct = gold_outcome.ok and compare_results(outcome, gold_outcome, order_sensitive)
-            verdicts[sql] = Verdict(outcome, result_signature(outcome), correct)
+            verdicts[sql] = Verdict(replace(outcome, rows=None), result_signature(outcome), correct)
         return verdicts[sql]
 
     return judge
@@ -385,8 +388,7 @@ def run_sql_d1(
     else:
         trace.append(("select", "disabled: single candidate"))
 
-    # records keep row counts, not rows: a finished record may wait in memory for the items ahead of it
-    outcome = replace(judge(final.sql).outcome, rows=None)
+    outcome = judge(final.sql).outcome
     trace.append(("execute", f"final status {outcome.status}"))
     if not gold_outcome.ok:
         trace.append(("execute", f"gold invalid: {gold_outcome.status}"))
@@ -400,11 +402,12 @@ def run_sql_d1(
         final_sql=final.sql,
         candidates=candidates,
         outcome=outcome,
+        # a record keeps row counts, not rows: a finished record may wait in memory for the items ahead of it
         gold_outcome=replace(gold_outcome, rows=None),
         correct=final.correct,
         order_sensitive=order_sensitive,
         per_stage_trace=trace,
-        total_latency_seconds=sum(c.latency_seconds for c in candidates),
+        total_latency_seconds=math.fsum(c.latency_seconds for c in candidates),
         total_tokens=sum(c.token_count for c in candidates),
         pool=pool,
     )

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -461,11 +462,11 @@ class TestMalformedInputFiles:
         "rule",
         [
             {"pattern": 5}, {"reply": None}, {"prompt_match": "regex"}, {"trajectory_id": True}, {"latency": "0.5"},
-            {"trajectory": 3},
+            {"trajectory": 3}, {"latency": math.nan}, {"latency": math.inf}, {"latency": -1}, {"tokens": -5},
         ],
         ids=[
             "pattern_not_text", "reply_not_text", "unknown_prompt_match", "trajectory_id_bool", "latency_text",
-            "unknown_key",
+            "unknown_key", "latency_nan", "latency_infinite", "latency_negative", "tokens_negative",
         ],
     )
     def test_eval_rejects_a_fixture_rule_of_the_wrong_type(self, workspace, capsys, rule):
@@ -1131,6 +1132,49 @@ class TestRemoteManifest:
         assert headers[0]["manifest_hash"] != headers[1]["manifest_hash"]
         code, _out = remote("a", "http://b.test/v1/chat/completions", "--resume")
         assert code == 2
+
+
+class TestBackendParams:
+    """A --backend-param value that reads as a JSON scalar reaches the request body and the manifest as that scalar."""
+
+    ARGS = ["steps=64", "block_length=32", "threshold=0.9", "remask=true", "stop=null", "name=low_conf", 'tag="64"']
+    PARSED = {
+        "steps": 64, "block_length": 32, "threshold": 0.9, "remask": True, "stop": None, "name": "low_conf", "tag": "64"
+    }
+
+    def test_request_body(self):
+        params = cli._parse_backend_params(self.ARGS + ["ids=[1, 2]", "limit=NaN", "huge=1e999"])
+        body = gateway.RemoteBackend(url="http://backend.test").build_body(
+            gateway.GenerationRequest(prompt="p", backend_params=params), 0
+        )
+        # an array, NaN and an overflowing number are not JSON scalars, so they are sent as their text
+        assert {key: body[key] for key in params} == {**self.PARSED, "ids": "[1, 2]", "limit": "NaN", "huge": "1e999"}
+        assert type(body["steps"]) is int and type(body["threshold"]) is float
+
+    def test_manifest(self, workspace):
+        argv = ["--track", "greedy", "--no-retrieval"]
+        code, out = run_eval(workspace, "params", *argv, *(f"--backend-param={arg}" for arg in self.ARGS))
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert f"backend_params = {json.dumps(self.PARSED, sort_keys=True)}\n" in manifest
+        code, quoted = run_eval(workspace, "quoted", *argv, '--backend-param=steps="64"')
+        assert code == 0
+        assert 'backend_params = {"steps": "64"}\n' in (quoted / "manifest.txt").read_text(encoding="utf-8")
+
+
+class TestLatencyTotals:
+    def test_candidate_latencies_sum_alike_on_every_python(self, workspace):
+        # sum() of 0.1, 0.2 and 0.3 gives 0.6000000000000001 before Python 3.12 and 0.6 from 3.12 on
+        workspace["fixture"].write_text(json.dumps([
+            {"pattern": "", "reply": sql_reply("SELECT 1"), "trajectory_id": i, "latency": latency}
+            for i, latency in enumerate([0.1, 0.2, 0.3])
+        ]), encoding="utf-8")
+        code, out = run_eval(workspace, "latency", "--track", "maj", "--k", "3", "--no-retrieval")
+        assert code == 0
+        _header, *lines = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines and {json.loads(line)["total_latency_seconds"] for line in lines} == {0.6}
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["mean_latency_seconds"] == 0.6
 
 
 class TestReadmeFlags:

@@ -299,10 +299,12 @@ class TestExecuteSql:
         assert "too large" in outcome.error_message
 
     def test_blobs_digested(self, misc_db):
+        # the result holds the blob's bytes, and its canonical key holds their digest
         outcome = run_sql(misc_db, "SELECT x'00ff' UNION ALL SELECT 1")
         assert outcome.status == STATUS_OK
-        assert outcome.rows == [(hashlib.sha256(b"\x00\xff").digest()[:16],), (1,)]
+        assert outcome.rows == [(b"\x00\xff",), (1,)]
         assert type(outcome.rows[1][0]) is int
+        assert _canonical_cell(outcome.rows[0][0]) == (3, hashlib.sha256(b"\x00\xff").hexdigest()[:32])
 
     def test_cells_without_blobs_come_back_unchanged(self, misc_db):
         outcome = run_sql(misc_db, "SELECT x, y, 'a ', NULL FROM t_nums ORDER BY x")
@@ -718,7 +720,10 @@ class TestComparisonProperties:
 
 
 # digests computed by the cell-at-a-time canonical form that preceded the column-wise one;
-# a change to any of them changes every recorded pool signature
+# a change to any of them changes every recorded pool signature. The two cases with blob cells
+# are re-pinned since blobs are digested inside their canonical key: each is the digest the old
+# form gave once execute_sql had replaced every blob by its 16-byte sha256 prefix, which is
+# what a recorded result of a real query held (TestBlobIdentity pins that the two agree)
 _BLOB_A = bytes(range(16))
 _BLOB_B = bytes(range(255, 239, -1))
 PINNED_SIGNATURES = {
@@ -736,7 +741,7 @@ PINNED_SIGNATURES = {
     ),
     "null_and_blob": (
         [(None, _BLOB_B), (None, _BLOB_A)],
-        "f872dd3d4896fa6c4fb837332caf346f1b8963458f9e7f03498484cf7026cce1",
+        "e7ba31b375941159fd44753f2635a2a364fb8402b88ce336a8d7d2f893235552",
     ),
     "int_beyond_2_52": (
         [(2**60 + 1,), (2**52,), (-(2**52),), (2**60,)],
@@ -748,7 +753,7 @@ PINNED_SIGNATURES = {
     ),
     "mixed": (
         [(1,), (0.5,), ("a ",), (None,), (2**60,), (math.inf,), (_BLOB_A,)],
-        "0ec7f38fa709bf9af5c2edbb95b03ce5cb4f5ddfd088290f3abf32f837c087db",
+        "5177b0769a56da19cd96a118390c1fe574934b27dad655bf398bed7f0b39f55c",
     ),
     "three_columns": (
         [(2, 0.25, "x"), (1, 0.5, "y "), (2, 0.25, "x")],
@@ -761,6 +766,35 @@ PINNED_SIGNATURES = {
 def test_pinned_signatures(name):
     rows, digest = PINNED_SIGNATURES[name]
     assert result_signature(_outcome_from_rows(rows, len(rows[0]))) == digest
+
+
+class TestBlobIdentity:
+    """Real queries with blob cells sign, sort and compare as when execute_sql replaced each blob by a digest.
+
+    The values were computed by that code, which digested blobs after the fetch and keyed the digest's hex.
+    """
+
+    BLOB_DB = [
+        "CREATE TABLE t_blob (k INTEGER, b BLOB)",
+        "INSERT INTO t_blob VALUES (1, x'00ff'), (2, x''), (3, x'0a0b0c'), (4, x'00ff'), (5, NULL), (6, x'ff')",
+    ]
+
+    def test_a_blob_beside_an_integer(self, misc_db):
+        outcome = run_sql(misc_db, "SELECT x'00ff' UNION ALL SELECT 1")
+        assert result_signature(outcome) == "becf436e9040d2f2af2bae75c5434f52f6ed39cffb07a9be5fbf2263a16fc0fc"
+
+    def test_a_blob_table_ordered_and_unordered(self, db_factory):
+        db = db_factory(self.BLOB_DB)
+        ordered = run_sql(db, "SELECT b, k FROM t_blob ORDER BY b, k")
+        unordered = run_sql(db, "SELECT b, k FROM t_blob ORDER BY k DESC")
+        blobs_only = run_sql(db, "SELECT b FROM t_blob WHERE k IN (1, 4, 6)")
+        for outcome in (ordered, unordered):
+            assert result_signature(outcome) == "cc55ad9885da405c1630e49fc3d12956308b013160646fda1821b825e40de06a"
+            # the canonical order: NULL first, then the blobs by digest, the two x'00ff' by k
+            assert [row[1] for row in _sorted_rows(outcome.rows)[0]] == [5, 1, 4, 3, 6, 2]
+        assert result_signature(blobs_only) == "903a1da32ce3dae883307f308be50f90ae8c3218e36be3fe7866fb59cc7415c9"
+        assert compare_results(ordered, unordered, False) and compare_results(unordered, unordered, True)
+        assert not compare_results(ordered, unordered, True)
 
 
 _BOUNDARY_INTS = [2**52 - 1, -(2**52 - 1), 2**52, -(2**52), 2**60, 2**60 + 1]

@@ -1,6 +1,7 @@
 """SQL extraction, token accounting, and the scripted/remote backends."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -159,6 +160,9 @@ class TestMockBackend:
             ("trajectory_id", True), ("trajectory_id", "0"), ("trajectory_id", 1.0),
             ("latency", "0.5"), ("latency", None), ("latency", False),
             ("tokens", 1.5), ("tokens", "40"), ("tokens", True),
+            # json reads NaN and Infinity, and a latency or token count below 0 is no cost
+            ("latency", math.nan), ("latency", math.inf), ("latency", -math.inf), ("latency", -1),
+            ("latency", -0.5), pytest.param("latency", 10**400, id="latency-int_beyond_floats"), ("tokens", -5),
         ],
     )
     def test_rule_of_the_wrong_type_rejected_at_load(self, tmp_path, field, value):
@@ -178,7 +182,7 @@ class TestMockBackend:
         path = tmp_path / "fixture.json"
         entries = [
             {"pattern": "", "reply": "", "prompt_match": "exact", "trajectory_id": None, "latency": 1, "tokens": None},
-            {"pattern": "b", "reply": "rb", "prompt_match": "substring", "trajectory_id": 0, "tokens": 0},
+            {"pattern": "b", "reply": "rb", "prompt_match": "substring", "trajectory_id": 0, "tokens": 0, "latency": 0},
         ]
         path.write_text(json.dumps(entries))
         rules = MockBackend.from_file(path).rules
@@ -293,6 +297,28 @@ class TestRemoteRetries:
         with pytest.raises(BackendError, match="refused"):
             backend.complete(GenerationRequest(prompt="p"), 0)
         assert len(self.posts) == gateway.RETRIES + 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"choices": [{"message": {"content": sql_reply("SELECT 1")}}], "usage": {"completion_tokens": "n/a"}},
+            {"choices": [{"message": {"content": sql_reply("SELECT 1")}}], "usage": {"completion_tokens": -3}},
+            {"choices": [{"message": {"content": [{"type": "text", "text": sql_reply("SELECT 1")}]}}]},
+        ],
+        ids=["usage_not_an_integer", "usage_negative", "content_parts"],
+    )
+    def test_a_malformed_reply_is_retried_then_fails_its_trajectory(self, backend, monkeypatch, reply):
+        def post(url, **kw):
+            self.posts.append(kw)
+            response = requests.Response()
+            response.status_code, response._content = 200, json.dumps(reply).encode()
+            return response
+
+        monkeypatch.setattr(backend.session, "post", post)
+        candidate, = generate(GenerationRequest(prompt="p"), backend)
+        assert len(self.posts) == gateway.RETRIES + 1 and len(self.sleeps) == gateway.RETRIES
+        assert candidate.failed and candidate.token_count == 0
+        assert candidate.error.startswith("no usable reply after 2 retries: malformed reply: ")
 
     def test_session_pool_matches_concurrency_cap(self, backend):
         for scheme in ("http://", "https://"):

@@ -1,5 +1,7 @@
 """Stage orchestration: greedy config, verifier repair loop, selector, ablations, executions."""
 
+from dataclasses import replace
+
 import pytest
 
 import ablation_suite
@@ -9,7 +11,15 @@ from nl2sqlbench import pipeline
 from nl2sqlbench.context import build_prompt, extract_schema
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 from nl2sqlbench.errors import ConfigError
-from nl2sqlbench.executor import STATUS_EMPTY, STATUS_OK, STATUS_SQL_ERROR, ExecutionOutcome, ItemReader
+from nl2sqlbench.executor import (
+    STATUS_EMPTY,
+    STATUS_OK,
+    STATUS_SQL_ERROR,
+    ExecutionOutcome,
+    ItemReader,
+    compare_results,
+    result_signature,
+)
 from nl2sqlbench.gateway import Candidate, MockBackend, MockRule
 from nl2sqlbench.pipeline import (
     EvalRecord,
@@ -495,11 +505,47 @@ class TestExecutionsPerItem:
         with ItemReader(gems_db) as reader:
             judge = item_judge(reader, gold, gold_outcome, False, 10.0)
             verdict = judge(gold)
-            assert verdict.outcome is gold_outcome and verdict.correct is True
+            # the verdict is gold's outcome without its rows, which the judge keeps for the comparisons
+            assert verdict.outcome == replace(gold_outcome, rows=None) and verdict.correct is True
             assert judge(gold) is verdict
             assert executed == [] and len(judged["compare_results"]) == len(judged["result_signature"]) == 1
             broken = "SELECT nope FROM gems"
             assert item_judge(reader, broken, run_sql(gems_db, broken, 10.0), False, 10.0)(broken).correct is False
+
+    def test_a_judged_result_keeps_no_rows(self, db_factory):
+        # the item holds gold's rows, and the rows of a result only while it is judged
+        db = db_factory([
+            "CREATE TABLE t (x INTEGER, y REAL)",
+            "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 300) "
+            "INSERT INTO t SELECT n, n * 0.25 FROM r",
+        ])
+        gold = "SELECT x, y FROM t"
+        gold_outcome = run_sql(db, gold, 10.0)
+        distinct = [
+            "SELECT x, y FROM t ORDER BY y DESC",  # gold's rows in another order: correct
+            "SELECT x, y + 0.0 FROM t",  # correct
+            "SELECT x, y FROM t WHERE x > 1",
+            "SELECT y, x FROM t",
+            "SELECT x, y * 2 FROM t",
+            "SELECT x FROM t",
+            "SELECT x, y FROM t LIMIT 5",
+            "SELECT nope FROM t",
+        ]
+        with ItemReader(db) as reader:
+            judge = item_judge(reader, gold, gold_outcome, False, 10.0)
+            verdicts = [judge(sql) for sql in [gold, *distinct]]
+            later = [judge("SELECT x, y FROM t ORDER BY x DESC"), judge("SELECT x, y FROM t WHERE x <> 7 OR y > 99")]
+        assert len(gold_outcome.rows) == 300  # the reference is left whole
+        for sql, verdict in zip([gold, *distinct], verdicts):
+            full = run_sql(db, sql, 10.0)
+            assert verdict.outcome.rows is None and verdict.outcome.row_count == full.row_count, sql
+            assert verdict.outcome == replace(full, rows=None), sql
+            assert verdict.correct == compare_results(full, gold_outcome, False), sql
+            assert verdict.signature == result_signature(full), sql
+        assert [v.correct for v in verdicts] == [True, True, True] + [False] * 6
+        assert [v.outcome.row_count for v in verdicts[:4]] == [300, 300, 300, 299]
+        # SQL judged after the others still meets gold's rows: one equal to gold, one a row short
+        assert [v.correct for v in later] == [True, False] and later[1].outcome.row_count == 299
 
     def test_verifier_and_pool_read_one_stored_verdict(self, gems_db, executed):
         item, rules, cfg, (gold, broken, fixed) = self._repair_item()
