@@ -366,13 +366,16 @@ def _parse_backend_params(pairs: list[str]) -> dict:
     """The ``--backend-param`` pairs by key; a value that reads as a JSON scalar is sent as that scalar.
 
     ``64``, ``true`` and ``null`` are sent as a number, a boolean and null,
-    and ``"64"`` as the string 64. Any other value is sent as its text.
+    and ``"64"`` as the string 64. Any other value is sent as its text. An
+    empty key, or a key in ``RemoteBackend.BODY_FIELDS``, is refused.
     """
     params = {}
     for pair in pairs or []:
-        if "=" not in pair:
+        key, sep, value = pair.partition("=")
+        if not key or not sep:
             raise ConfigError(f"--backend-param needs key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
+        if key in RemoteBackend.BODY_FIELDS:
+            raise ConfigError(f"--backend-param cannot set {key!r}: the harness sets that body field itself")
         try:
             parsed = json.loads(value)
         except ValueError:

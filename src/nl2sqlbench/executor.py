@@ -23,8 +23,8 @@ that call holds it. A tick means the statement ran another _PROGRESS_STEP
 instructions (a 20k-row fetch ticks a few times), and during a step that
 returns no row there is no per-row handoff to guard against. The rest of
 that chunk is fetched without the lock and the next chunk takes it again,
-so a query that streams rows without end also lets the waiting threads in
-at each tick.
+so a query that streams rows until its limit or the row cap also lets the
+waiting threads in at each tick.
 
 An ``ItemReader`` holds the one read-only connection that the queries of one
 item share: it opens on the item's first query and closes when the item ends,
@@ -88,7 +88,7 @@ _GRID_STEPS = round(1 / REL_TOL)
 # round() lands on x * _GRID_STEPS exactly; such integers take the product, which is cheaper.
 # Near 2^39 the two first disagree, so larger integers keep the rounded quotient.
 EXACT_PRODUCT_BOUND = 2**31
-# predictions returning more rows than this are treated as failed
+# a result of more rows than this fails at its first row over, whatever the time limit
 ROW_CAP = 100_000
 # VM instructions between progress-handler ticks; each tick waits for the GIL
 _PROGRESS_STEP = 100_000
@@ -166,9 +166,11 @@ def execute_sql(
     Cells come back as SQLite gave them, blobs included. Text that is not a
     query is a sql_error with the NOT_A_QUERY message, before any connection
     opens; a query that writes (``WITH ... DELETE``) is rejected by the
-    read-only connection and surfaces as sql_error too. The statement's
-    cursor is closed and the progress handler cleared afterwards, so the next
-    query starts as it would on a fresh connection.
+    read-only connection and surfaces as sql_error too. A result of more
+    than ROW_CAP rows is a sql_error at its first row over the cap, whatever
+    the limit; a timeout is a query whose limit passed first. The
+    statement's cursor is closed and the progress handler cleared
+    afterwards, so the next query starts as it would on a fresh connection.
     """
     if sql is None or not sql.strip():
         return ExecutionOutcome(STATUS_EMPTY, None, 0, "empty prediction")
@@ -198,7 +200,6 @@ def execute_sql(
     try:
         cursor.execute(sql)
         rows: list[tuple] = []
-        capped = False
         while True:
             _FETCH_LOCK.acquire()
             holds_lock = True
@@ -210,15 +211,9 @@ def execute_sql(
                     _FETCH_LOCK.release()
             if not chunk:
                 break
-            if not capped:
-                rows.extend(chunk)
-                if len(rows) > ROW_CAP:
-                    # keep draining (discarding) so a finite oversized result is
-                    # distinguishable from a runaway query hitting the deadline
-                    capped = True
-                    rows.clear()
-        if capped:
-            return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, f"result too large (more than {ROW_CAP} rows)")
+            rows.extend(chunk)
+            if len(rows) > ROW_CAP:
+                return ExecutionOutcome(STATUS_SQL_ERROR, None, 0, f"result too large (more than {ROW_CAP} rows)")
         column_count = len(cursor.description) if cursor.description else 0
         return ExecutionOutcome(STATUS_OK, rows, column_count, None)
     except (sqlite3.Error, sqlite3.Warning, OverflowError, ValueError) as exc:

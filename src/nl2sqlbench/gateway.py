@@ -146,7 +146,6 @@ def _select_suffix(text: str) -> str | None:
 class MockRule:
     pattern: str
     reply: str
-    prompt_match: str = "substring"  # or "exact"
     trajectory_id: int | None = None
     latency: float = 0.0
     tokens: int | None = None
@@ -157,8 +156,6 @@ class MockRule:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ConfigError(f"{name!r} must be a string, not {value!r}")
-        if self.prompt_match not in ("substring", "exact"):
-            raise ConfigError(f"'prompt_match' must be 'substring' or 'exact', not {self.prompt_match!r}")
         for name in ("trajectory_id", "tokens"):
             value = getattr(self, name)
             if value is not None and type(value) is not int:  # bool is rejected too
@@ -175,8 +172,6 @@ class MockRule:
     def matches(self, prompt: str, trajectory_id: int) -> bool:
         if self.trajectory_id is not None and self.trajectory_id != trajectory_id:
             return False
-        if self.prompt_match == "exact":
-            return prompt == self.pattern
         return self.pattern in prompt
 
 
@@ -243,6 +238,10 @@ class RemoteBackend:
     def map(self, fn, trajectory_ids):
         return self._pool.map(fn, trajectory_ids)
 
+    # the body fields that build_body sets; a backend parameter may not name one, or the manifest would record a
+    # value that the server never saw
+    BODY_FIELDS = frozenset({"model", "messages", "temperature", "max_tokens", "n", "seed"})
+
     def build_body(self, request: GenerationRequest, trajectory_id: int) -> dict:
         body = {
             "model": self.model,
@@ -273,7 +272,8 @@ class RemoteBackend:
                 payload = response.json()
                 text = payload["choices"][0]["message"]["content"]
                 usage = payload.get("usage") or {}
-                tokens = usage.get("completion_tokens", usage.get("total_tokens"))
+                # total_tokens counts the prompt too, so without completion_tokens the count is approximated
+                tokens = usage.get("completion_tokens")
                 # a field of the wrong type is retried like bad JSON, rather than failing the item where it is read
                 bad_usage = tokens is not None and (type(tokens) is not int or tokens < 0)
                 if bad_usage or not isinstance(text, (str, type(None))):

@@ -124,7 +124,6 @@ def rules_as_json() -> list[dict]:
         {
             "pattern": rule.pattern,
             "reply": rule.reply,
-            "prompt_match": rule.prompt_match,
             **({"trajectory_id": rule.trajectory_id} if rule.trajectory_id is not None else {}),
         }
         for rule in build_rules()

@@ -14,6 +14,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+import requests
 
 import ablation_suite
 from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB, STACK_DB
@@ -461,7 +462,7 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize(
         "rule",
         [
-            {"pattern": 5}, {"reply": None}, {"prompt_match": "regex"}, {"trajectory_id": True}, {"latency": "0.5"},
+            {"pattern": 5}, {"reply": None}, {"prompt_match": "exact"}, {"trajectory_id": True}, {"latency": "0.5"},
             {"trajectory": 3}, {"latency": math.nan}, {"latency": math.inf}, {"latency": -1}, {"tokens": -5},
         ],
         ids=[
@@ -524,6 +525,10 @@ def _write_lines(path: Path, *lines: str) -> Path:
     return path
 
 
+# the request body fields that the harness sets, which --backend-param may not replace
+HARNESS_BODY_FIELDS = ("model", "messages", "temperature", "max_tokens", "n", "seed")
+
+
 def _refused_argv(case: str, workspace, run: Path, out: Path) -> list[str]:
     """Write what ``case`` needs beside the greedy run in ``run``, and return its command line."""
     header, *records = (run / "records.jsonl").read_text(encoding="utf-8").splitlines()
@@ -563,6 +568,11 @@ def _refused_argv(case: str, workspace, run: Path, out: Path) -> list[str]:
         ),
         "classify_neither_mode": classify,
         "mock_without_fixture": mock_without_fixture,
+        "backend_param_empty_key": lambda: eval_argv(workspace, out, "--backend-param", "=5"),
+        **{
+            f"backend_param_{key}": lambda key=key: eval_argv(workspace, out, "--backend-param", f"{key}=1")
+            for key in HARNESS_BODY_FIELDS
+        },
     }[case]()
 
 
@@ -579,6 +589,11 @@ REFUSALS = {  # case -> a fragment of its error line
     "report_two_benchmarks": "refusing to merge runs over different benchmarks",
     "classify_neither_mode": "classify needs --records, or --pred with --gold",
     "mock_without_fixture": "the mock backend needs --mock-fixture",
+    "backend_param_empty_key": "--backend-param needs key=value, got '=5'",
+    **{
+        f"backend_param_{key}": f"--backend-param cannot set '{key}': the harness sets that body field itself"
+        for key in HARNESS_BODY_FIELDS
+    },
 }
 
 
@@ -1150,6 +1165,27 @@ class TestBackendParams:
         # an array, NaN and an overflowing number are not JSON scalars, so they are sent as their text
         assert {key: body[key] for key in params} == {**self.PARSED, "ids": "[1, 2]", "limit": "NaN", "huge": "1e999"}
         assert type(body["steps"]) is int and type(body["threshold"]) is float
+
+    def test_the_harness_body_fields_are_the_refused_keys(self):
+        body = gateway.RemoteBackend(url="http://backend.test").build_body(gateway.GenerationRequest("p", seed=1), 0)
+        assert set(body) == gateway.RemoteBackend.BODY_FIELDS == set(HARNESS_BODY_FIELDS)
+
+    def test_an_unreserved_key_reaches_the_request_body(self, workspace, monkeypatch):
+        bodies = []
+
+        def post(session, url, **kw):
+            bodies.append(kw["json"])
+            response = requests.Response()
+            response.status_code = 200
+            response._content = json.dumps({"choices": [{"message": {"content": sql_reply("SELECT 1")}}]}).encode()
+            return response
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setenv("BACKEND_URL", "http://backend.test")
+        argv = ["--track", "greedy", "--no-retrieval", "--backend", "remote", "--seed", "3", "--backend-param", "steps=64"]
+        code, _out = run_eval(workspace, "steps", *argv)
+        assert code == 0 and bodies
+        assert {(body["steps"], body["seed"], body["temperature"], body["n"]) for body in bodies} == {(64, 3, 0.0, 1)}
 
     def test_manifest(self, workspace):
         argv = ["--track", "greedy", "--no-retrieval"]

@@ -72,6 +72,8 @@ def big_db(tmp_path_factory):
             "CREATE TABLE big (id INTEGER PRIMARY KEY, g INTEGER, v REAL)",
             "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r WHERE n < 20000) "
             "INSERT INTO big SELECT n, n % 97, n * 0.5 FROM r",
+            "CREATE TABLE t3k (n INTEGER)",
+            "INSERT INTO t3k SELECT id FROM big WHERE id <= 3000",
         ],
     )
 
@@ -224,10 +226,10 @@ class TestExecuteSql:
         assert "District" in outcome.error_message
 
     def test_runaway_query_times_out(self, misc_db):
-        sql = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT * FROM r"
-        outcome = run_sql(misc_db, sql, timeout_seconds=0.5)
-        assert outcome.status in (STATUS_TIMEOUT, STATUS_SQL_ERROR)
+        # it streams rows until its limit, staying far under the row cap
+        outcome = run_sql(misc_db, _STREAMING_RUNAWAY, timeout_seconds=0.5)
         assert outcome.status == STATUS_TIMEOUT
+        assert outcome.error_message == "timed out after 0.5s"
 
     def test_runaway_query_streaming_no_rows_times_out(self, misc_db):
         # the VM runs without returning a row, so only the progress-handler tick can stop it
@@ -289,14 +291,19 @@ class TestExecuteSql:
         assert outcome.status == STATUS_SQL_ERROR
 
     def test_row_cap(self, misc_db):
-        # 3 * 3 * 3 * ... cross joins quickly exceed the cap? keep it direct:
         sql = (
             "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r LIMIT 200000) "
             "SELECT * FROM r"
         )
         outcome = run_sql(misc_db, sql, timeout_seconds=30.0)
-        assert outcome.status == STATUS_SQL_ERROR
-        assert "too large" in outcome.error_message
+        assert _result(outcome) == _TOO_LARGE
+
+    @pytest.mark.parametrize("limit", [1.0, 30.0])
+    def test_an_oversized_result_fails_at_the_cap_whatever_the_limit(self, big_db, limit):
+        # 9M rows: fetching them all takes seconds, so a fetch that went on past the cap would time out at 1 s
+        sql = "SELECT a.n, b.n FROM t3k a, t3k b"
+        outcome = run_sql(big_db, sql, timeout_seconds=limit)
+        assert _result(outcome) == _TOO_LARGE
 
     def test_blobs_digested(self, misc_db):
         # the result holds the blob's bytes, and its canonical key holds their digest
@@ -317,6 +324,9 @@ def _result(outcome: ExecutionOutcome):
     return outcome.status, outcome.rows, outcome.column_count, outcome.error_message
 
 
+_TOO_LARGE = (STATUS_SQL_ERROR, None, 0, f"result too large (more than {ROW_CAP} rows)")
+
+
 @pytest.fixture()
 def connects(monkeypatch):
     """Every connection opened through ``DatabaseHandle.connect``, in order."""
@@ -331,6 +341,11 @@ def connects(monkeypatch):
     return opened
 
 
+# unbounded recursions that return rows: one streams them, a row per 100 recursions, which keeps it under the row
+# cap until a limit of some seconds (about 16k rows in 1 s on one Xeon core); the other returns its first row at
+# once and then one row per million recursions, so that each later step runs many progress-handler ticks without a row
+_STREAMING_RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT n FROM r WHERE n % 100 = 1"
+_SPARSE_RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT n FROM r WHERE n % 1000000 = 1"
 # an unbounded count that never returns a row: only the progress handler can stop it
 _RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT count(*) FROM r"
 # a finite count of some millions of VM instructions, far more than one progress-handler step
@@ -494,10 +509,6 @@ class TestQueryGate:
             assert (outcome.status, outcome.error_message) == refused
 
 
-# unbounded recursions that return rows: one streams them, the other returns its first row at once and then one row
-# per million recursions, so that each later step runs many progress-handler ticks without a row
-_STREAMING_RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT n FROM r"
-_SPARSE_RUNAWAY = "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r) SELECT n FROM r WHERE n % 1000000 = 1"
 _TWENTY_K_ROWS = (
     "WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n+1 FROM r LIMIT 20000) SELECT n, n * 7919 % 10007, n % 5 FROM r"
 )
@@ -506,11 +517,13 @@ _TWENTY_K_ROWS = (
 class TestFetchLock:
     """Chunks are fetched under one lock, which no outcome leaves held and no long step keeps."""
 
-    @pytest.mark.parametrize("runaway", [_STREAMING_RUNAWAY, _SPARSE_RUNAWAY], ids=["streaming", "sparse_rows"])
-    def test_a_runaway_query_holds_up_no_other_fetch(self, misc_db, runaway):
+    # a 1 s limit keeps the streaming runaway under the row cap on a host up to 6 times faster than its note's
+    @pytest.mark.parametrize(
+        "runaway, limit", [(_STREAMING_RUNAWAY, 1.0), (_SPARSE_RUNAWAY, 3.0)], ids=["streaming", "sparse_rows"]
+    )
+    def test_a_runaway_query_holds_up_no_other_fetch(self, misc_db, runaway, limit):
         # held across a whole fetch loop, or across a chunk through the runaway's progress ticks, the lock would stall
         # the other fetch until the runaway's limit
-        limit = 3.0
         outcomes = []
         runner = threading.Thread(target=lambda: outcomes.append(run_sql(misc_db, runaway, timeout_seconds=limit)))
         runner.start()

@@ -119,13 +119,6 @@ class TestMockBackend:
         assert [c.raw_text for c in first] == [c.raw_text for c in second]
         assert [c.latency_seconds for c in first] == [c.latency_seconds for c in second]
 
-    def test_exact_match_mode(self):
-        backend = MockBackend(
-            [MockRule(pattern="exactly this", prompt_match="exact", reply="hit"), MockRule(pattern="", reply="miss")]
-        )
-        assert generate(GenerationRequest(prompt="exactly this"), backend)[0].raw_text == "hit"
-        assert generate(GenerationRequest(prompt="not exactly this"), backend)[0].raw_text == "miss"
-
     def test_call_log(self):
         backend = RecordingBackend([MockRule(pattern="", reply="r")])
         generate(GenerationRequest(prompt="p1"), backend)
@@ -156,7 +149,6 @@ class TestMockBackend:
         "field, value",
         [
             ("pattern", 5), ("pattern", None), ("reply", ["x"]),
-            ("prompt_match", "regex"), ("prompt_match", None),
             ("trajectory_id", True), ("trajectory_id", "0"), ("trajectory_id", 1.0),
             ("latency", "0.5"), ("latency", None), ("latency", False),
             ("tokens", 1.5), ("tokens", "40"), ("tokens", True),
@@ -181,8 +173,8 @@ class TestMockBackend:
     def test_rule_types_accepted_at_their_limits(self, tmp_path):
         path = tmp_path / "fixture.json"
         entries = [
-            {"pattern": "", "reply": "", "prompt_match": "exact", "trajectory_id": None, "latency": 1, "tokens": None},
-            {"pattern": "b", "reply": "rb", "prompt_match": "substring", "trajectory_id": 0, "tokens": 0, "latency": 0},
+            {"pattern": "", "reply": "", "trajectory_id": None, "latency": 1, "tokens": None},
+            {"pattern": "b", "reply": "rb", "trajectory_id": 0, "tokens": 0, "latency": 0},
         ]
         path.write_text(json.dumps(entries))
         rules = MockBackend.from_file(path).rules
@@ -319,6 +311,23 @@ class TestRemoteRetries:
         assert len(self.posts) == gateway.RETRIES + 1 and len(self.sleeps) == gateway.RETRIES
         assert candidate.failed and candidate.token_count == 0
         assert candidate.error.startswith("no usable reply after 2 retries: malformed reply: ")
+
+    def test_generated_tokens_come_from_completion_tokens_only(self, backend, monkeypatch):
+        # total_tokens counts the prompt too, so a reply without completion_tokens gets the whitespace count
+        text = sql_reply("SELECT 1")
+        reply = {"choices": [{"message": {"content": text}}], "usage": {"prompt_tokens": 1400, "total_tokens": 1402}}
+
+        def post(url, **kw):
+            response = requests.Response()
+            response.status_code, response._content = 200, json.dumps(reply).encode()
+            return response
+
+        monkeypatch.setattr(backend.session, "post", post)
+        candidate, = generate(GenerationRequest(prompt="p"), backend)
+        assert (candidate.token_count, candidate.tokens_approximate) == (len(text.split()), True)
+        reply["usage"]["completion_tokens"] = 2
+        candidate, = generate(GenerationRequest(prompt="p"), backend)
+        assert (candidate.token_count, candidate.tokens_approximate) == (2, False)
 
     def test_session_pool_matches_concurrency_cap(self, backend):
         for scheme in ("http://", "https://"):
