@@ -32,6 +32,8 @@ MAX_LITERAL_LENGTH = 200
 GRAM_LENGTH = 4
 # distinct values extract_schema samples per column as DDL annotations
 SAMPLE_VALUES_PER_COLUMN = 5
+# rows of a column extract_schema's bounded probe keeps: see extract_schema
+_SAMPLE_PROBE_ROWS = 64 * SAMPLE_VALUES_PER_COLUMN
 
 _TEXT_TYPE = re.compile(r"CHAR|TEXT|CLOB|STRING", re.I)
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -115,8 +117,12 @@ def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> Sche
     """Read the live catalog into a SchemaContext, with sampled column values.
 
     ``descriptions`` optionally maps (table, column) to free-text descriptions
-    (see load_descriptions for the BIRD CSV layout). Up to SAMPLE_VALUES_PER_COLUMN
-    distinct values per column are sampled as representative annotations.
+    (see load_descriptions for the BIRD CSV layout). A column's samples are
+    its SAMPLE_VALUES_PER_COLUMN smallest distinct non-NULL values in the
+    column's collation, blobs dropped. A bounded probe reads them from the
+    column's _SAMPLE_PROBE_ROWS smallest rows, which hold every row up to the
+    last of them when it finds that many; otherwise the full sort of the
+    column decides. A column whose query fails has none, with a warning.
     """
     conn = _connect(db)
     try:
@@ -124,14 +130,21 @@ def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> Sche
         samples: dict = {}
         for table in schema.tables:
             for col in table.columns:
+                column, source = _quote(col.name), _quote(table.name)
                 try:
                     rows = conn.execute(
-                        f"SELECT DISTINCT {_quote(col.name)} FROM {_quote(table.name)} "
-                        f"WHERE {_quote(col.name)} IS NOT NULL ORDER BY 1 LIMIT ?",
-                        (SAMPLE_VALUES_PER_COLUMN,),
+                        f"SELECT DISTINCT v FROM (SELECT {column} AS v FROM {source} WHERE {column} IS NOT NULL "
+                        "ORDER BY 1 LIMIT ?) ORDER BY 1 LIMIT ?",
+                        (_SAMPLE_PROBE_ROWS, SAMPLE_VALUES_PER_COLUMN),
                     ).fetchall()
-                except sqlite3.Error:
-                    continue  # virtual/odd columns: annotation is best-effort
+                    if len(rows) < SAMPLE_VALUES_PER_COLUMN:
+                        rows = conn.execute(
+                            f"SELECT DISTINCT {column} FROM {source} WHERE {column} IS NOT NULL ORDER BY 1 LIMIT ?",
+                            (SAMPLE_VALUES_PER_COLUMN,),
+                        ).fetchall()
+                except sqlite3.Error as exc:
+                    logger.warning("no example values for column %s.%s: %s", table.name, col.name, exc)
+                    continue
                 values = [v for (v,) in rows if not isinstance(v, bytes)]
                 if values:
                     samples[(table.name, col.name)] = values

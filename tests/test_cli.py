@@ -860,8 +860,11 @@ class TestBackendFailure:
         assert all(not json.loads(l)["correct"] for l in lines[1:])
 
 
-# the query context.extract_schema runs for each column's sample values
-_SAMPLING_QUERY = re.compile(r'SELECT DISTINCT "(.+)" FROM "(.+)" WHERE "\1" IS NOT NULL ORDER BY 1 LIMIT \d+$')
+# the bounded probe context.extract_schema runs first for each column's sample values
+_SAMPLING_QUERY = re.compile(
+    r'SELECT DISTINCT v FROM \(SELECT "(.+)" AS v FROM "(.+)" WHERE "\1" IS NOT NULL ORDER BY 1 LIMIT \d+\) '
+    r"ORDER BY 1 LIMIT \d+$"
+)
 # the query context.read_literals runs for each text column
 _LITERAL_QUERY = re.compile(r'SELECT DISTINCT "(.+)" FROM "(.+)" WHERE "\1" IS NOT NULL LIMIT \d+$')
 

@@ -17,6 +17,7 @@ from nl2sqlbench.context import (
     MATCH_THRESHOLD,
     MAX_LITERAL_LENGTH,
     NGRAM_MAX_WORDS,
+    SAMPLE_VALUES_PER_COLUMN,
     build_prompt,
     extract_schema,
     index_literals,
@@ -70,6 +71,119 @@ class TestExtractSchema:
                 assert [c.name for c in table.columns] == [r[1] for r in raw]
         finally:
             conn.close()
+
+    def test_probe_decides_a_high_cardinality_column_alone(self, db_factory, monkeypatch):
+        # 20,000 rows: v is distinct in every row, so its probe finds 5 values; k holds 3 values, so its probe
+        # finds too few and the full sort runs after it
+        db = db_factory(
+            [
+                "CREATE TABLE t (v INTEGER, k INTEGER)",
+                "INSERT INTO t WITH RECURSIVE r(n) AS (SELECT 0 UNION ALL SELECT n + 1 FROM r WHERE n < 19999) "
+                "SELECT 19999 - n, n % 3 FROM r",
+            ]
+        )
+        statements = []
+        connect = DatabaseHandle.connect
+
+        def traced(handle):
+            conn = connect(handle)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(DatabaseHandle, "connect", traced)
+        schema = extract_schema(db)
+        assert schema.sample_values == {("t", "v"): [0, 1, 2, 3, 4], ("t", "k"): [0, 1, 2]}
+        probe = (
+            'SELECT DISTINCT v FROM (SELECT "{0}" AS v FROM "t" WHERE "{0}" IS NOT NULL '
+            f"ORDER BY 1 LIMIT {context._SAMPLE_PROBE_ROWS}) ORDER BY 1 LIMIT {SAMPLE_VALUES_PER_COLUMN}"
+        )
+        full_sort = f'SELECT DISTINCT "k" FROM "t" WHERE "k" IS NOT NULL ORDER BY 1 LIMIT {SAMPLE_VALUES_PER_COLUMN}'
+        assert [s for s in statements if "DISTINCT" in s] == [probe.format("v"), probe.format("k"), full_sort]
+
+
+_DECLARED_TYPES = ("", "INTEGER", "REAL", "TEXT", "NUMERIC", "BLOB")
+# groups of values that compare equal in some column (as numbers, under NOCASE or under RTRIM), so that a
+# query keeping another representative of a group shows; blobs and NULLs are groups of their own. The numbers
+# share one branch, since a number group keeps its members apart only in untyped and BLOB columns, and a text
+# group in every declared type
+_VALUE_GROUP = st.one_of(
+    st.sampled_from(((0, 0.0, -0.0, "0"), (1, 1.0, "1"), (b"a",), (b"\x00",), (None,), ("",))),
+    st.one_of(st.integers(-3, 12).map(lambda n: (n, float(n), str(n))), st.integers(-3, 12).map(lambda n: (n / 2,))),
+    st.text("ab", min_size=1, max_size=3).map(lambda s: (s, s.upper(), s + " ", s.upper() + "  ")),
+)
+
+
+@st.composite
+def _sampled_table(draw):
+    """DDL and rows of a table whose column c is sampled: runs of value groups, and some distinct filler."""
+    declared = draw(st.sampled_from(_DECLARED_TYPES)) + draw(st.sampled_from(("", " COLLATE NOCASE", " COLLATE RTRIM")))
+    # a seeded Random, since hypothesis's own would record a choice per row
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    # runs of up to 400 rows, so that a few small values can fill the probe's 320 rows
+    runs = draw(st.lists(st.tuples(_VALUE_GROUP, st.integers(1, 400)), max_size=6))
+    values = [rng.choice(group) for group, count in runs for _ in range(count)]
+    kind = draw(st.sampled_from((int, lambda n: n + 0.5, str)))
+    values += [kind(n) for n in range(draw(st.sampled_from((0, 0, 0, 3, 400, 1000))))]
+    if draw(st.booleans()):
+        rng.shuffle(values)
+    if draw(st.booleans()):
+        ids = list(range(len(values)))
+        rng.shuffle(ids)
+        statements = [f"CREATE TABLE t (id INTEGER PRIMARY KEY, c {declared}) WITHOUT ROWID"]
+        rows = list(zip(ids, values))
+    else:
+        statements = [f"CREATE TABLE t (c {declared})"]
+        rows = [(value,) for value in values]
+    # a DESC index is scanned backwards, so that the last of equal rows comes first
+    index = draw(st.sampled_from((None, " COLLATE BINARY", " COLLATE NOCASE", " DESC", " COLLATE NOCASE DESC")))
+    if index is not None:
+        statements.append(f"CREATE INDEX i ON t (c{index})")
+    return statements, rows
+
+
+def _full_sort_samples(db: DatabaseHandle) -> dict:
+    """extract_schema's samples as the full sort of each column gives them."""
+    samples = {}
+    conn = sqlite3.connect(db.path)
+    try:
+        for table in read_catalog(db).tables:
+            for col in table.columns:
+                rows = conn.execute(
+                    f'SELECT DISTINCT "{col.name}" FROM "{table.name}" WHERE "{col.name}" IS NOT NULL '
+                    "ORDER BY 1 LIMIT ?",
+                    (SAMPLE_VALUES_PER_COLUMN,),
+                ).fetchall()
+                values = [v for (v,) in rows if not isinstance(v, bytes)]
+                if values:
+                    samples[(table.name, col.name)] = values
+    finally:
+        conn.close()
+    return samples
+
+
+def _typed(samples: dict) -> dict:
+    # repr tells -0.0 from 0.0, and type tells 1 from 1.0 and '1'
+    return {key: [(type(v), repr(v)) for v in values] for key, values in samples.items()}
+
+
+@settings(max_examples=250, deadline=None)
+@given(_sampled_table())
+def test_samples_are_the_full_sorts(tmp_path_factory, table):
+    """extract_schema's samples, values and types, are the full sort's, whether the probe decides or not."""
+    statements, rows = table
+    path = tmp_path_factory.mktemp("sampled") / "t.sqlite"
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute("PRAGMA synchronous = OFF")  # a throwaway file: no fsync per example
+        for statement in statements:
+            conn.execute(statement)
+        if rows:
+            conn.executemany(f"INSERT INTO t VALUES ({', '.join('?' * len(rows[0]))})", rows)
+        conn.commit()
+    finally:
+        conn.close()
+    db = DatabaseHandle("t", path)
+    assert _typed(extract_schema(db).sample_values) == _typed(_full_sort_samples(db))
 
 
 class TestLoadDescriptions:
@@ -242,7 +356,8 @@ class TestReadLiterals:
         literals = read_literals(db, extract_schema(db))
         assert literals == {("t", "a"): (("x", "x"),), ("t", "b"): ()}
         assert [r.getMessage() for r in caplog.records] == [
-            "value sampling failed for t.b: no such collation sequence: backwards"
+            "no example values for column t.b: no such collation sequence: backwards",
+            "value sampling failed for t.b: no such collation sequence: backwards",
         ]
 
     def test_a_database_that_cannot_be_opened_is_a_schema_error(self, db_factory, tmp_path):
@@ -515,17 +630,20 @@ def _literal_and_question(draw):
     return question, columns
 
 
+# the thresholds of test_threshold_length_is_the_smallest_passing_length; the index is built under each.
+# A module-level function: a parametrized @given method runs each parameter on a new instance, which
+# hypothesis's differing_executors health check fails
+@pytest.mark.parametrize("threshold", [MATCH_THRESHOLD, 0.55, 0.05092592592592593])
+@settings(max_examples=200, deadline=None)
+@given(_literal_and_question())
+def test_literal_index_matches_the_full_scan(threshold, case):
+    question, columns = case
+    with mock.patch.object(context, "MATCH_THRESHOLD", threshold):
+        _assert_index_is_exact(question, _as_literals(columns))
+
+
 class TestLiteralIndex:
     """Index-backed retrieve_values against full_scan_retrieve, and how many literals it scores."""
-
-    # the thresholds of test_threshold_length_is_the_smallest_passing_length; the index is built under each
-    @pytest.mark.parametrize("threshold", [MATCH_THRESHOLD, 0.55, 0.05092592592592593])
-    @settings(max_examples=200, deadline=None)
-    @given(_literal_and_question())
-    def test_matches_the_full_scan(self, threshold, case):
-        question, columns = case
-        with mock.patch.object(context, "MATCH_THRESHOLD", threshold):
-            _assert_index_is_exact(question, _as_literals(columns))
 
     def test_short_literals_are_scored_unindexed(self):
         # "ab" (L0 = 2) and "abcde" (L0 = 3) sit below GRAM_LENGTH; "abcdef" (L0 = 4) is indexed
