@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import context as context_mod
-from .corpus import load_benchmark, load_database
+from .corpus import database_path, load_benchmark, load_database
 from .diagnoser import classify_error, count_labels
 from .errors import ConfigError, IngestError, MetricError, RegistryError, SchemaError
 from .gateway import MockBackend, RemoteBackend
@@ -43,6 +43,12 @@ CSV_HEADER = ("strategy", "k", "metric", "value")
 # scatter.csv columns after the strategy, and the report.csv metric each one takes its value from
 SCATTER_HEADER = ("ex_percent", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
 SCATTER_METRICS = ("ex", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
+# with the mock backend and no --workers, a run whose databases are all smaller than this takes one worker:
+# a query on such a database does microseconds of SQLite work, which runs without the GIL, against tens of
+# microseconds of Python, so a second item thread has nothing to overlap and only adds GIL hand-offs.
+# Measured on 2 cores: under 48 KiB a second thread saved at most 9% of eval wall time for 6-31% more
+# CPU; at 48-172 KiB it saved 9-21% on the sql-d1 and maj workloads
+SMALL_DATABASE_BYTES = 48 * 1024
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -73,7 +79,7 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def _manifest(args, cfg: PipelineConfig, backend) -> dict:
     # the backend as resolved: a remote one's URL and model from flags or environment, never its API key,
-    # and a mock one's fixture
+    # and a mock one's fixture; cmd_eval adds ``workers`` once it has resolved the count
     remote = isinstance(backend, RemoteBackend)
     return {
         "benchmark": str(Path(args.benchmark)),
@@ -85,7 +91,6 @@ def _manifest(args, cfg: PipelineConfig, backend) -> dict:
         "backend_model": (backend.model or "") if remote else "",
         "mock_fixture": "" if remote else str(Path(args.mock_fixture)),
         **{f.name: _manifest_value(getattr(cfg, f.name)) for f in fields(PipelineConfig)},
-        "workers": str(args.workers),
     }
 
 
@@ -114,6 +119,27 @@ def _make_backend(args):
             raise ConfigError("the mock backend needs --mock-fixture")
         return MockBackend.from_file(args.mock_fixture)
     return RemoteBackend(url=args.backend_url, model=args.backend_model)
+
+
+def _worker_count(args, backend, db_ids) -> int:
+    """``--workers``, else its default: ``min(8, os.cpu_count())``, or 1 for a mock run on small databases.
+
+    A mock run takes one worker when every database of ``db_ids`` is smaller
+    than ``SMALL_DATABASE_BYTES``. A missing database counts for nothing
+    here: the first item that needs it reports it.
+    """
+    if args.workers is not None:
+        return args.workers
+    cap = min(8, os.cpu_count() or 1)
+    if isinstance(backend, RemoteBackend):
+        return cap
+    largest = 0
+    for db_id in db_ids:
+        try:
+            largest = max(largest, database_path(db_id, args.db_root).stat().st_size)
+        except RegistryError:
+            pass
+    return 1 if largest < SMALL_DATABASE_BYTES else cap
 
 
 def _load_database(root: Path, retrieval: bool, db_id: str):
@@ -187,7 +213,7 @@ def _read_records_file(path: Path, resume: bool = False) -> tuple[dict, list[Eva
 
 
 def cmd_eval(args) -> int:
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     # bad inputs end the run here, before it writes anything
     cfg = _pipeline_config(args)
@@ -211,11 +237,12 @@ def cmd_eval(args) -> int:
         if records_path.read_text(encoding="utf-8") != sanitized:
             # drop a truncated tail left by an interrupted write
             records_path.write_text(sanitized, encoding="utf-8")
-    # the manifest lands on disk before any evaluation starts, and only for a run that goes ahead
-    (out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
-
     done_ids = {record.item_id for record in records}
     pending = [item for item in items if item.item_id not in done_ids]
+    workers = _worker_count(args, backend, {item.db_id for item in pending})
+    manifest["workers"] = str(workers)
+    # the manifest lands on disk before any evaluation starts, and only for a run that goes ahead
+    (out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
     header_line = json.dumps(
         {
             "type": "run_header",
@@ -234,7 +261,7 @@ def cmd_eval(args) -> int:
         if not resuming:
             out.write(header_line + "\n")
         out.flush()
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             # each database of the pending items is read once; its future is queued ahead of every
             # item, so an item waits only on a read that a worker has already taken up
             load = functools.partial(_load_database, Path(args.db_root), cfg.use_retriever)
@@ -410,7 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--values-per-column", type=int, default=defaults.values_per_column)
     run.add_argument("--top-k-values", type=int, default=defaults.retrieval_top_k)
     run.add_argument("--no-retrieval", action="store_true")
-    run.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
+    run.add_argument(
+        "--workers", type=int, default=None,
+        help="item threads; default min(8, CPUs), or 1 with the mock backend when every database is under "
+        f"{SMALL_DATABASE_BYTES // 1024} KiB",
+    )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", required=True)
     run.add_argument("--resume", action="store_true")

@@ -118,18 +118,26 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
     return items
 
 
-def load_database(db_id: str, root) -> DatabaseHandle:
-    """Register root/<db_id>/<db_id>.sqlite, or root/<db_id>.sqlite when the first does not exist.
+def database_path(db_id: str, root) -> Path:
+    """root/<db_id>/<db_id>.sqlite, or root/<db_id>.sqlite when the first does not exist.
 
-    Nothing is opened here: a file that is not a database fails its first read
-    (``context.read_catalog`` or ``context.extract_schema``).
+    Raises RegistryError naming both paths when neither is a file.
     """
     root = Path(root)
     nested, flat = root / db_id / f"{db_id}.sqlite", root / f"{db_id}.sqlite"
     path = nested if nested.is_file() else flat
     if not path.is_file():
         raise RegistryError(f"database {db_id!r}: no file at {nested} or {flat}")
-    return DatabaseHandle(db_id=db_id, path=path)
+    return path
+
+
+def load_database(db_id: str, root) -> DatabaseHandle:
+    """Register the database's file (``database_path``).
+
+    Nothing is opened here: a file that is not a database fails its first read
+    (``context.read_catalog`` or ``context.extract_schema``).
+    """
+    return DatabaseHandle(db_id=db_id, path=database_path(db_id, root))
 
 
 def stratify(items) -> dict[str, list]:

@@ -84,7 +84,12 @@ def efficiency_stats(records: list[EvalRecord]) -> tuple[float, float]:
 
 
 def single_pass_latency(records: list[EvalRecord]) -> float:
-    """Mean first-candidate latency (the single-pass cost of the model)."""
+    """Mean first-candidate latency (the single-pass cost of the model).
+
+    A candidate's latency includes its verifier repairs (``pipeline.run_verifier``
+    adds each one's), so on a run with the verifier a repaired trajectory 0
+    counts its repairs too. The first attempt's latency alone is not recorded.
+    """
     firsts = [r.candidates[0].latency_seconds for r in records if r.candidates]
     if not firsts:
         return 0.0

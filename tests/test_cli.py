@@ -1141,6 +1141,10 @@ class TestRemoteManifest:
         assert "mock_fixture = \n" in manifest  # the remote backend reads no fixture
         assert not [p for p in out.iterdir() if b"key-that-is-never-recorded" in p.read_bytes()]
 
+    def test_default_workers_are_the_cpu_cap_whatever_the_database_size(self, remote):
+        code, out = remote("workers", "http://a.test/v1/chat/completions")
+        assert code == 0 and recorded_workers(out) == CPU_CAP
+
     def test_another_server_is_another_run(self, remote):
         code, out = remote("a", "http://a.test/v1/chat/completions")
         assert code == 0
@@ -1230,19 +1234,64 @@ class TestReadmeFlags:
             assert sorted(options[name] - documented) == [], name
 
 
+def recorded_workers(out: Path) -> str:
+    return re.search(r"^workers = (.*)$", (out / "manifest.txt").read_text(encoding="utf-8"), re.M).group(1)
+
+
+CPU_CAP = str(min(8, os.cpu_count() or 1))
+
+
 class TestWorkers:
-    def test_parallel_eval_matches_serial(self, workspace):
+    @staticmethod
+    def assert_same_but_workers(one: Path, other: Path, workers: str, other_workers: str):
         # outputs match byte for byte, apart from the recorded worker count itself
+        for name, entry in (("records.jsonl", '"workers": "{}"'), ("report.json", '"workers": "{}"'),
+                            ("manifest.txt", "workers = {}\n")):
+            mine, theirs = (entry.format(w).encode() for w in (workers, other_workers))
+            one_bytes = (one / name).read_bytes()
+            assert one_bytes.count(mine) == 1, name
+            assert one_bytes.replace(mine, theirs) == (other / name).read_bytes(), name
+
+    def test_parallel_eval_matches_serial(self, workspace):
         for run, track in (
             ("greedy", ("--track", "greedy", "--no-retrieval")),
             ("k8", ("--track", "sql-d1", "--k", "8")),
         ):
             _c1, serial = run_eval(workspace, f"{run}_w1", *track, "--workers", "1")
             _c2, parallel = run_eval(workspace, f"{run}_w4", *track, "--workers", "4")
-            for name in ("records.jsonl", "report.json"):
-                serial_bytes = (serial / name).read_bytes()
-                assert serial_bytes.count(b'"workers": "1"') == 1
-                assert serial_bytes.replace(b'"workers": "1"', b'"workers": "4"') == (parallel / name).read_bytes()
+            self.assert_same_but_workers(serial, parallel, "1", "4")
+
+    def test_small_databases_take_one_worker_by_default(self, workspace):
+        code, out = run_eval(workspace, "default", "--track", "greedy")
+        assert code == 0 and recorded_workers(out) == "1"
+
+    def test_a_database_at_the_threshold_takes_the_cpu_cap(self, workspace, monkeypatch):
+        size = (workspace["db_root"] / "gems" / "gems.sqlite").stat().st_size
+        monkeypatch.setattr(cli, "SMALL_DATABASE_BYTES", size + 1)
+        code, under = run_eval(workspace, "under", "--track", "greedy")
+        assert code == 0 and recorded_workers(under) == "1"
+        monkeypatch.setattr(cli, "SMALL_DATABASE_BYTES", size)
+        code, at = run_eval(workspace, "at", "--track", "greedy")
+        assert code == 0 and recorded_workers(at) == CPU_CAP
+        # only the pending items' databases count: with none pending, a resume takes one worker
+        code, _out = run_eval(workspace, "at", "--track", "greedy", "--resume")
+        assert code == 0 and recorded_workers(at) == "1"
+
+    def test_an_explicit_worker_count_wins(self, workspace, monkeypatch):
+        code, out = run_eval(workspace, "three", "--track", "greedy", "--workers", "3")
+        assert code == 0 and recorded_workers(out) == "3"
+        monkeypatch.setattr(cli, "SMALL_DATABASE_BYTES", 0)
+        code, out = run_eval(workspace, "one", "--track", "greedy", "--workers", "1")
+        assert code == 0 and recorded_workers(out) == "1"
+
+    def test_default_eval_matches_two_workers(self, workspace):
+        for run, track in (
+            ("greedy", ("--track", "greedy")),
+            ("k8", ("--track", "sql-d1", "--k", "8", "--seed", "1")),
+        ):
+            _c1, default = run_eval(workspace, f"{run}_default", *track)
+            _c2, two = run_eval(workspace, f"{run}_w2", *track, "--workers", "2")
+            self.assert_same_but_workers(default, two, "1", "2")
 
 
 class TestBenchSpans:

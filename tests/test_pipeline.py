@@ -21,6 +21,7 @@ from nl2sqlbench.executor import (
     result_signature,
 )
 from nl2sqlbench.gateway import Candidate, MockBackend, MockRule
+from nl2sqlbench.metrics import single_pass_latency
 from nl2sqlbench.pipeline import (
     EvalRecord,
     PipelineConfig,
@@ -270,6 +271,22 @@ class TestRunVerifier:
         out = run_verifier(candidate, build_prompt(item, ddl), cfg, backend, _no_gold_judge(gems_db, cfg), [])
         assert [trajectory for _prompt, trajectory in backend.calls] == [0]
         assert out.trajectory_id == 3 and out.extracted_sql == fixed
+
+    def test_single_pass_latency_includes_trajectory_0s_repairs(self, gems_db):
+        # a repaired candidate carries its generation's latency plus its repairs', and single_pass_latency
+        # reads candidate 0, so a repaired trajectory 0 counts its repairs as single-pass time
+        broken = "SELECT COUNT(*) FROM gemstones WHERE carat > 2"
+        fixed = "SELECT COUNT(*) FROM gems WHERE carat > 2"
+        item = _item(question="Count gems heavier than two carats.", gold=fixed)
+        rules = [
+            MockRule(pattern=broken, reply=sql_reply(fixed), latency=0.5),  # only a repair prompt holds broken
+            MockRule(pattern=item.question, trajectory_id=0, reply=sql_reply(broken), latency=0.25),
+            MockRule(pattern=item.question, reply=sql_reply(fixed), latency=0.125),
+        ]
+        cfg = _cfg(verifier_max_iters=2, num_candidates=2, temperature=0.8)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, MockBackend(rules), gems_db, literal_source(gems_db))
+        assert [c.latency_seconds for c in record.candidates] == [0.75, 0.125]
+        assert single_pass_latency([record]) == 0.75
 
 
 def _pool_candidates(specs):
