@@ -35,6 +35,13 @@ ATTACH, BEGIN, EXPLAIN, a comment alone, ...) is a failed execution with the
 NOT_A_QUERY message and opens no connection, so no statement can change the
 connection state that a later query's result depends on.
 
+``ItemReader.program`` lists a query's compiled program with ``EXPLAIN`` on
+that connection. Strings with one program return one result, so an item's
+judge executes, compares and signs each distinct compiled program once
+(``pipeline.item_judge``). A string has no program, and is judged by itself,
+when it is empty or not a query, when EXPLAIN fails, and when its program
+holds a literal that EXPLAIN lists lossily (a REAL or a blob).
+
 A result's signature is the hex sha256 of its canonical form: ``ok:<column
 count>:`` followed by the repr of the sorted list of its row keys, where a row
 key is the tuple of its cells' ``(type tag, value)`` keys, numbers sit on
@@ -132,12 +139,18 @@ class ExecutionOutcome:
 _QUERY_START = re.compile(r"(?:\s|--[^\n]*\n|/\*(?:[^*]|\*(?!/))*\*/)*(?:SELECT|WITH|VALUES)\b", re.I)
 
 
+# opcodes whose P4 operand EXPLAIN lists lossily: a Real prints with 16 significant digits (0.1 and
+# 0.10000000000000002 both list as '0.1'), and a blob literal's bytes print as text cut at the first NUL. A Blob
+# with no P4 is a zero-filled buffer of P1 bytes, such as a join's Bloom filter, and lists exactly
+_LOSSY_OPCODES = ("Real", "Blob")
+
+
 class ItemReader:
     """One read-only connection shared by the queries of one item.
 
-    ``execute_sql`` runs every query on it. The connection opens on the
-    first query and closes when the ``with`` block that holds the reader
-    ends.
+    ``execute_sql`` runs every query on it, and ``program`` lists their
+    compiled programs. The connection opens on the first query and closes
+    when the ``with`` block that holds the reader ends.
     """
 
     def __init__(self, handle: DatabaseHandle):
@@ -148,6 +161,32 @@ class ItemReader:
         if self._conn is None:
             self._conn = self._handle.connect()
         return self._conn
+
+    def program(self, sql: str | None) -> tuple | None:
+        """The statement's compiled program as ``EXPLAIN`` lists it, or None when the listing cannot stand for it.
+
+        Two statements with one listing return the same result on one
+        database: the listing holds every opcode and operand, but no alias,
+        column name, comment or layout. It is None, and the statement must
+        be judged by itself, when the text is empty or not a query (no
+        connection opens and no EXPLAIN runs), when EXPLAIN fails (the
+        statement's own execution then reports the error), and when the
+        program holds a literal that the listing prints lossily
+        (_LOSSY_OPCODES).
+        """
+        if sql is None or not _QUERY_START.match(sql):
+            return None
+        try:
+            cursor = self.connection().execute("EXPLAIN " + sql)
+            try:
+                listing = cursor.fetchall()
+            finally:
+                cursor.close()
+        except (sqlite3.Error, sqlite3.Warning, OverflowError, ValueError):
+            return None
+        if any(op[1] in _LOSSY_OPCODES and op[5] is not None for op in listing):
+            return None
+        return tuple(listing)
 
     def __enter__(self) -> "ItemReader":
         return self
@@ -225,9 +264,10 @@ def execute_sql(
         conn.set_progress_handler(None, 0)
 
 
-# string literals, quoted identifiers and comments: none of them can hold the outer ORDER BY
+# string literals, quoted identifiers and comments: none of them can hold the outer ORDER BY. A block comment
+# with no closing */ runs to the end of the input, as SQLite reads it
 _NOT_CLAUSE_TEXT = re.compile(
-    r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`|\[[^\]]*\]|--[^\n]*|/\*.*?\*/", re.S
+    r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|`(?:[^`]|``)*`|\[[^\]]*\]|--[^\n]*|/\*.*?(?:\*/|\Z)", re.S
 )
 
 

@@ -10,6 +10,7 @@ independently so ablation configurations can be measured side by side.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -221,21 +222,38 @@ def item_judge(
     reader: ItemReader, gold_sql: str, gold_outcome: ExecutionOutcome, order_sensitive: bool,
     timeout_seconds: float,
 ) -> Judge:
-    """One item's judge of SQL strings, each judged on its first call and stored.
+    """One item's judge of SQL strings, each distinct compiled program judged once and stored.
 
-    Judging executes the string (the gold SQL reuses ``gold_outcome``),
-    compares the result with the gold one and signs it. A result is never
-    correct when the gold query failed. The stored verdict drops the
-    result's rows, so an item holds gold's rows, which every comparison
-    reads, and the rows of the one result being judged.
+    Judging executes the string, compares the result with the gold one and
+    signs it. A result is never correct when the gold query failed. Verdicts
+    are stored by string and by the string's compiled program
+    (``ItemReader.program``), so strings that differ only in aliases,
+    layout or the like share one verdict, and a string whose program is
+    gold's reuses ``gold_outcome``; a string with no program key is judged
+    by itself. A statement whose result can change between runs
+    (``random()``, ``'now'``) therefore runs once per program, as a
+    repeated string does. The stored verdict drops the result's rows, so an
+    item holds gold's rows, which every comparison reads, and the rows of
+    the one result being judged.
     """
     verdicts: dict[str | None, Verdict] = {}
+    by_program: dict[tuple, Verdict] = {}
+    gold_program = functools.cache(lambda: reader.program(gold_sql))
 
     def judge(sql: str | None) -> Verdict:
         if sql not in verdicts:
-            outcome = gold_outcome if sql == gold_sql else execute_sql(reader, sql, timeout_seconds)
-            correct = gold_outcome.ok and compare_results(outcome, gold_outcome, order_sensitive)
-            verdicts[sql] = Verdict(replace(outcome, rows=None), result_signature(outcome), correct)
+            program = gold_program() if sql == gold_sql else reader.program(sql)
+            verdict = by_program.get(program)
+            if verdict is None:
+                if sql == gold_sql or program is not None and program == gold_program():
+                    outcome = gold_outcome
+                else:
+                    outcome = execute_sql(reader, sql, timeout_seconds)
+                correct = gold_outcome.ok and compare_results(outcome, gold_outcome, order_sensitive)
+                verdict = Verdict(replace(outcome, rows=None), result_signature(outcome), correct)
+                if program is not None:
+                    by_program[program] = verdict
+            verdicts[sql] = verdict
         return verdicts[sql]
 
     return judge
@@ -348,8 +366,8 @@ def run_sql_d1(
     (see ``build_context``).
     With one candidate at temperature 0 and no repairs this is the greedy
     track. The verifier, the pool and the final record share one
-    ``item_judge``, so every distinct SQL string of the item, the gold query
-    included, is executed once. The item's queries share one read-only
+    ``item_judge``, so each distinct compiled program of the item, the gold
+    query's included, is executed once. The item's queries share one read-only
     connection, which is closed when the item returns or raises (see
     ``executor.ItemReader``).
     """

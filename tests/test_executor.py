@@ -604,6 +604,17 @@ class TestOrderSensitivity:
         assert is_order_sensitive("SELECT ?? garbled ORDER BY x") is True
         assert is_order_sensitive("?? (ORDER BY x)") is False
 
+    def test_unterminated_block_comment_runs_to_the_end(self):
+        # SQLite reads a block comment with no closing */ to the end of the input, so this query runs unordered
+        query = "SELECT a FROM t /* ORDER BY a"
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE t (a INTEGER)")
+        conn.execute("INSERT INTO t VALUES (3), (1), (2)")
+        assert conn.execute(query).fetchall() == [(3,), (1,), (2,)]
+        conn.close()
+        assert is_order_sensitive(query) is False
+        assert is_order_sensitive("SELECT a FROM t ORDER BY a /* (") is True
+
     @pytest.mark.parametrize("query", QUOTED_ORDER_BY)
     def test_quoted_text_is_not_a_clause(self, query):
         assert is_order_sensitive(query) is bool(parse_sql(query).order_by)

@@ -1,17 +1,20 @@
 """Stage orchestration: greedy config, verifier repair loop, selector, ablations, executions."""
 
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ablation_suite
-from conftest import RecordingBackend, literal_source, run_sql, sql_reply
+from conftest import RecordingBackend, build_db, literal_source, run_sql, sql_reply
 
 from nl2sqlbench import pipeline
 from nl2sqlbench.context import build_prompt, extract_schema
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 from nl2sqlbench.errors import ConfigError
 from nl2sqlbench.executor import (
+    NOT_A_QUERY,
     STATUS_EMPTY,
     STATUS_OK,
     STATUS_SQL_ERROR,
@@ -443,7 +446,11 @@ class TestPoolEntry:
 
 
 class TestExecutionsPerItem:
-    """Each distinct SQL string of an item, the gold query included, is executed once."""
+    """Each distinct compiled program of an item, the gold query's included, is executed once.
+
+    Strings that differ only in aliases, layout and the like share a program
+    (``ItemReader.program``); a string with no program is executed once.
+    """
 
     @pytest.fixture()
     def executed(self, monkeypatch):
@@ -459,13 +466,18 @@ class TestExecutionsPerItem:
 
     @pytest.fixture()
     def opened(self, monkeypatch):
-        """Every connection opened through ``DatabaseHandle.connect``; each records whether it was closed."""
+        """Every connection opened through ``DatabaseHandle.connect``; each records whether it was closed, and
+        the statements run with its ``execute``: program listings, since queries run on a cursor."""
         connections = []
         connect = DatabaseHandle.connect
 
         class Tracked:
             def __init__(self, conn):
-                self._conn, self.closed = conn, False
+                self._conn, self.closed, self.statements = conn, False, []
+
+            def execute(self, sql, *args):
+                self.statements.append(sql)
+                return self._conn.execute(sql, *args)
 
             def close(self):
                 self.closed = True
@@ -633,3 +645,167 @@ class TestExecutionsPerItem:
         record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, literal_source(gems_db))
         assert record.correct is True
         assert executed == [item.gold_sql]
+
+    # gold, then rewrites of it that keep its compiled program: aliases, JOIN or INNER JOIN, the operands of = swapped,
+    # keyword case, whitespace and comments
+    PAIRS = "SELECT a.name, b.name FROM gems AS a JOIN gems AS b ON a.origin = b.origin WHERE a.id < b.id"
+    PAIR_REWRITES = [
+        "select T1.name, T2.name from gems T1 inner join gems T2 on T2.origin = T1.origin where T1.id < T2.id",
+        "SELECT x.name,\n  y.name -- pair\nFROM gems x JOIN gems y ON y.origin = x.origin /* same */ WHERE x.id < y.id",
+        "SELECT p.name, q.name   FROM gems AS p INNER JOIN gems AS q ON p.origin = q.origin WHERE p.id < q.id",
+    ]
+
+    def _pool_item(self, gold, replies):
+        item = _item(question="Which gems share an origin?", gold=gold)
+        rules = [
+            MockRule(pattern=item.question, trajectory_id=i, reply=sql_reply(sql)) for i, sql in enumerate(replies)
+        ]
+        return item, MockBackend(rules), _cfg(num_candidates=len(replies), temperature=0.8)
+
+    def test_a_pool_of_alias_rewrites_of_gold_executes_gold_alone(self, gems_db, executed):
+        item, backend, cfg = self._pool_item(self.PAIRS, self.PAIR_REWRITES * 2)
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, None)
+        assert executed == [self.PAIRS]
+        assert record.correct is True and all(e.correct for e in record.pool)
+        assert len({e.signature for e in record.pool}) == 1
+
+    def test_k_rewrites_of_one_wrong_query_execute_once(self, gems_db, executed):
+        wrong = [sql.replace("<", ">") for sql in self.PAIR_REWRITES]
+        item, backend, cfg = self._pool_item(self.PAIRS, wrong + wrong[:1])
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, None)
+        assert executed == [self.PAIRS, wrong[0]]
+        assert record.correct is False and not any(e.correct for e in record.pool)
+
+    def test_a_string_that_fails_to_prepare_carries_sqlites_message(self, gems_db, executed):
+        broken = "SELECT T1.nope FROM gems AS T1"
+        rewrite = "select t2.nope from gems t2"
+        item, backend, cfg = self._pool_item(self.PAIRS, [broken, rewrite, broken])
+        record = run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, None)
+        # EXPLAIN fails, so each string is judged by itself and reports SQLite's message with its own alias
+        assert executed == [self.PAIRS, broken, rewrite]
+        assert record.outcome.status == STATUS_SQL_ERROR and record.outcome.error_message == "no such column: T1.nope"
+        assert [e.status for e in record.pool] == [STATUS_SQL_ERROR] * 3
+
+    def test_a_non_query_opens_no_connection_and_runs_no_explain(self, gems_db, executed, opened):
+        gold_outcome = run_sql(gems_db, self.PAIRS, 10.0)
+        opened.clear()
+        non_queries = [None, "", "  ", "-- a comment alone", "PRAGMA table_info(gems)", "EXPLAIN SELECT 1"]
+        with ItemReader(gems_db) as reader:
+            judge = item_judge(reader, self.PAIRS, gold_outcome, False, 10.0)
+            assert [reader.program(sql) for sql in non_queries] == [None] * len(non_queries)
+            verdicts = [judge(sql) for sql in non_queries]
+        assert opened == [] and executed == non_queries
+        assert [v.outcome.error_message for v in verdicts[3:]] == [NOT_A_QUERY] * 3
+        # within an item, whose connection is open for gold, a non-query still lists no program
+        item, backend, cfg = self._pool_item(self.PAIRS, ["PRAGMA table_info(gems)", self.PAIR_REWRITES[0]])
+        run_sql_d1(item, extract_schema(gems_db), cfg, backend, gems_db, None)
+        assert sorted(opened[-1].statements) == sorted("EXPLAIN " + sql for sql in (self.PAIRS, self.PAIR_REWRITES[0]))
+
+
+# a REAL cell that prints as 0.1 to 16 digits, blobs that print alike once cut at their first NUL, and 64-bit
+# integers one apart
+KEYED_DB = [
+    "CREATE TABLE item (id INTEGER PRIMARY KEY, name TEXT, weight REAL, tag BLOB, big INTEGER, kind_id INTEGER)",
+    "CREATE TABLE kind (id INTEGER PRIMARY KEY, label TEXT)",
+    "INSERT INTO item VALUES (1, 'a', 0.10000000000000002, X'0001', 9007199254740993, 1), "
+    "(2, 'b', 0.1, X'0002', 9007199254740992, 2), (3, 'c', 2.5, X'01', 9223372036854775806, 1), "
+    "(4, 'd', NULL, X'02', 9223372036854775807, 3), (5, 'e', 0.2, NULL, -7, 2)",
+    "INSERT INTO kind VALUES (1, 'x'), (2, 'y'), (3, 'z')",
+]
+# queries over KEYED_DB with slots for the rewrites ({a}, {b} aliases, {join}) and for a literal ({lit})
+KEYED_QUERIES = [
+    "SELECT {a}.name, {b}.label FROM item AS {a} {join} kind AS {b} ON {a}.kind_id = {b}.id WHERE {a}.id > 1",
+    "SELECT {b}.label, COUNT(*), SUM({a}.big) FROM item AS {a} {join} kind AS {b} ON {a}.kind_id = {b}.id "
+    "GROUP BY {b}.label",
+    # a join on an unindexed column: its program builds an automatic index with a Bloom filter
+    "SELECT {a}.name, {b}.name FROM item AS {a} {join} item AS {b} ON {a}.kind_id = {b}.kind_id WHERE {a}.id < {b}.id",
+    "SELECT {a}.id FROM item AS {a} WHERE {a}.weight > {lit}",
+    "SELECT {a}.id, {a}.name FROM item AS {a} WHERE {a}.tag = {lit}",
+    "SELECT {a}.name FROM item AS {a} WHERE {a}.big = {lit}",
+    "SELECT {a}.nope FROM item AS {a}",
+]
+# near-misses that must not share a verdict, by query ({lit} is unused by the others)
+KEYED_LITERALS = {
+    3: ["0.1", "0.10000000000000002", "0.2"],
+    4: ["X'0001'", "X'0002'", "X'01'", "X'02'"],
+    5: ["9007199254740993", "9007199254740992", "9223372036854775806", "9223372036854775807"],
+}
+
+
+@st.composite
+def keyed_sql(draw, indexes):
+    """One of KEYED_QUERIES, by an index drawn from ``indexes``, with a drawn literal, as written by a model:
+    aliases, JOIN or INNER JOIN, the operands of = in either order, keyword case, whitespace and comments all vary."""
+    index = draw(st.sampled_from(indexes))
+    a, b = draw(st.sampled_from([("T1", "T2"), ("i", "k"), ("x", "y"), ("it", "kd")]))
+    sql = KEYED_QUERIES[index].format(
+        a=a, b=b, join=draw(st.sampled_from(["JOIN", "INNER JOIN"])),
+        lit=draw(st.sampled_from(KEYED_LITERALS.get(index, [""]))),
+    )
+    if draw(st.booleans()):
+        sql = re.sub(r"ON (\S+) = (\S+)", r"ON \2 = \1", sql)
+    sql = draw(st.sampled_from([str, str.lower, str.upper]))(sql)
+    sql = sql.replace(" ", draw(st.sampled_from([" ", "  ", "\n", " \t"])))
+    return draw(st.sampled_from(["{}", "-- the query\n{}", "{} /* done */", "{};"])).format(sql)
+
+
+@st.composite
+def keyed_item(draw):
+    """A gold query and up to 8 strings, all drawn from one or two of KEYED_QUERIES, so that rewrites and literal
+    near-misses of one query meet in an item."""
+    indexes = draw(st.lists(st.integers(0, len(KEYED_QUERIES) - 1), min_size=1, max_size=2))
+    return draw(keyed_sql(indexes)), draw(st.lists(keyed_sql(indexes), min_size=1, max_size=8))
+
+
+class TestProgramKeys:
+    """Strings judged by one keyed judge get the verdicts they get when judged alone."""
+
+    @pytest.fixture(scope="class")
+    def keyed_db(self, tmp_path_factory):
+        return build_db(tmp_path_factory.mktemp("keyed") / "keyed.sqlite", KEYED_DB)
+
+    @staticmethod
+    def _fields(verdict):
+        outcome = verdict.outcome
+        return (outcome.status, outcome.error_message, outcome.row_count, outcome.column_count,
+                verdict.signature, verdict.correct)
+
+    @settings(max_examples=150, deadline=None)
+    @given(item=keyed_item())
+    # each near-miss pair of KEYED_LITERALS runs on every run, as well as among the drawn items
+    @example(item=(KEYED_QUERIES[3].format(a="T1", lit="0.1"),
+                   [KEYED_QUERIES[3].format(a="x", lit="0.10000000000000002")]))
+    @example(item=(KEYED_QUERIES[4].format(a="T1", lit="X'0001'"), [KEYED_QUERIES[4].format(a="x", lit="X'0002'")]))
+    @example(item=(KEYED_QUERIES[4].format(a="T1", lit="X'01'"), [KEYED_QUERIES[4].format(a="x", lit="X'02'")]))
+    @example(item=(KEYED_QUERIES[5].format(a="T1", lit="9007199254740993"),
+                   [KEYED_QUERIES[5].format(a="x", lit="9007199254740992")]))
+    def test_keyed_verdicts_equal_verdicts_alone(self, keyed_db, item):
+        gold, strings = item
+        gold_outcome = run_sql(keyed_db, gold)
+        with ItemReader(keyed_db) as reader:
+            judge = item_judge(reader, gold, gold_outcome, False, 10.0)
+            keyed = [self._fields(judge(sql)) for sql in strings]
+        # the reference: each string executed by itself on a fresh connection, compared with gold and signed
+        for sql, verdict in zip(strings, keyed):
+            alone = run_sql(keyed_db, sql)
+            correct = gold_outcome.ok and compare_results(alone, gold_outcome, False)
+            expected = (alone.status, alone.error_message, alone.row_count, alone.column_count,
+                        result_signature(alone), correct)
+            assert verdict == expected, sql
+
+    @pytest.mark.parametrize("index, literals", [(3, ("0.1", "0.10000000000000002")), (4, ("X'0001'", "X'0002'"))])
+    def test_literals_listed_alike_are_not_keyed(self, keyed_db, index, literals):
+        query = KEYED_QUERIES[index].format(a="T1", lit="{}")
+        with ItemReader(keyed_db) as reader:
+            assert [reader.program(query.format(lit)) for lit in literals] == [None, None]
+            # the same statements differ in their results
+            judge = item_judge(reader, query.format(literals[0]), run_sql(keyed_db, query.format(literals[0])),
+                               False, 10.0)
+            assert [judge(query.format(lit)).correct for lit in literals] == [True, False]
+
+    def test_a_bloom_filter_blob_is_keyed(self, keyed_db):
+        query = KEYED_QUERIES[2].format(a="T1", b="T2", join="JOIN")
+        with ItemReader(keyed_db) as reader:
+            program = reader.program(query)
+        # a Blob opcode with no P4 operand is a zero-filled buffer of P1 bytes, listed exactly
+        assert program is not None and ("Blob", None) in {(op[1], op[5]) for op in program}
