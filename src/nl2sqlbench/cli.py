@@ -17,7 +17,8 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -45,9 +46,11 @@ SCATTER_HEADER = ("ex_percent", "mean_latency_seconds", "single_pass_latency_sec
 SCATTER_METRICS = ("ex", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
 # with the mock backend and no --workers, a run whose databases are all smaller than this takes one worker:
 # a query on such a database does microseconds of SQLite work, which runs without the GIL, against tens of
-# microseconds of Python, so a second item thread has nothing to overlap and only adds GIL hand-offs.
-# Measured on 2 cores: under 48 KiB a second thread saved at most 9% of eval wall time for 6-31% more
-# CPU; at 48-172 KiB it saved 9-21% on the sql-d1 and maj workloads
+# microseconds of Python, so a second worker has nothing to overlap and only adds GIL hand-offs.
+# Measured on 2 cores, going from 1 worker to 2: under 48 KiB a second worker cost 11-51% more eval wall
+# time and 18-101% more CPU; at 48-152 KiB it saved at most 3% of wall time on the sql-d1 workload and cost
+# 23-36% on the maj one; at 540 KiB it saved 17% on sql-d1. So runs a little over 48 KiB often do better
+# with one worker too
 SMALL_DATABASE_BYTES = 48 * 1024
 
 
@@ -159,6 +162,78 @@ def _load_database(root: Path, retrieval: bool, db_id: str):
     return handle, schema, context_mod.index_literals(context_mod.read_literals(handle, schema))
 
 
+def _eval_tasks(db_root: Path, cfg: PipelineConfig, backend, pending: list, out, records: list) -> list:
+    """eval's tasks in the order they are taken: each pending database's read, then each pending item.
+
+    Every read comes ahead of every item, so an item waits only on a read
+    that a thread has already taken up; a read that fails is raised by its
+    database's items. Records go to ``out`` and onto ``records`` in item
+    order, written by whichever thread completes the next one, so the file
+    streams for --resume while items finish out of order.
+    """
+    load = functools.partial(_load_database, db_root, cfg.use_retriever)
+    databases = {db_id: Future() for db_id in dict.fromkeys(item.db_id for item in pending)}
+    finished: dict[int, EvalRecord] = {}  # records held for an earlier item, by index in pending
+    written = len(records)  # index in records of the first pending item's record
+    lock = threading.Lock()
+
+    def read(db_id):
+        try:
+            databases[db_id].set_result(load(db_id))
+        except BaseException as exc:
+            databases[db_id].set_exception(exc)
+            if not isinstance(exc, Exception):  # an interrupt stops the run at once
+                raise
+
+    def evaluate(index):
+        item = pending[index]
+        db, schema, literals = databases[item.db_id].result()
+        record = run_sql_d1(item, schema, cfg, backend, db, literals)
+        with lock:
+            finished[index] = record
+            while len(records) - written in finished:
+                record = finished.pop(len(records) - written)
+                out.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+                out.flush()
+                records.append(record)
+
+    return [functools.partial(read, db_id) for db_id in databases] + [
+        functools.partial(evaluate, index) for index in range(len(pending))
+    ]
+
+
+def _drain(tasks: list, workers: int) -> None:
+    """Run ``tasks`` in list order on the calling thread and ``workers - 1`` pool threads.
+
+    Once a task raises, no thread takes another. When every thread is done,
+    the exception of the earliest task that raised is raised, as
+    ``Executor.map`` raises it.
+    """
+    queue = iter(enumerate(tasks))
+    lock = threading.Lock()
+    failures: dict[int, BaseException] = {}  # by index in tasks
+
+    def run():
+        index = -1  # an interrupt before the first task is taken is raised first
+        try:
+            while not failures:
+                with lock:
+                    index, task = next(queue, (None, None))
+                if task is None:
+                    return
+                task()
+        except BaseException as exc:  # raised below, once every thread is done
+            failures[index] = exc
+
+    # a pool starts a thread only when a task is submitted, so a one-worker run starts none
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        for _ in range(workers - 1):
+            pool.submit(run)
+        run()
+    if failures:
+        raise failures[min(failures)]
+
+
 def _catalogs(args):
     """db_id -> that database's catalog, each read once: what the two classify modes read.
 
@@ -255,27 +330,14 @@ def cmd_eval(args) -> int:
         sort_keys=True,
     )
 
-    # this run's items whose candidates all failed in transport
-    transport_failures = 0
+    kept = len(records)
     with open(records_path, "a" if resuming else "w", encoding="utf-8") as out:
         if not resuming:
             out.write(header_line + "\n")
         out.flush()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # each database of the pending items is read once; its future is queued ahead of every
-            # item, so an item waits only on a read that a worker has already taken up
-            load = functools.partial(_load_database, Path(args.db_root), cfg.use_retriever)
-            databases = {db_id: pool.submit(load, db_id) for db_id in dict.fromkeys(i.db_id for i in pending)}
-
-            def evaluate(item):
-                db, schema, literals = databases[item.db_id].result()
-                return run_sql_d1(item, schema, cfg, backend, db, literals)
-
-            for record in pool.map(evaluate, pending):
-                transport_failures += bool(record.candidates) and all(c.error for c in record.candidates)
-                out.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-                out.flush()
-                records.append(record)
+        _drain(_eval_tasks(Path(args.db_root), cfg, backend, pending, out, records), workers)
+    # this run's items whose candidates all failed in transport
+    transport_failures = sum(bool(r.candidates) and all(c.error for c in r.candidates) for r in records[kept:])
 
     report = assemble_report(records, strategy=args.track, manifest=manifest)
     _write_report(out_dir, report, digest)
@@ -439,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-retrieval", action="store_true")
     run.add_argument(
         "--workers", type=int, default=None,
-        help="item threads; default min(8, CPUs), or 1 with the mock backend when every database is under "
-        f"{SMALL_DATABASE_BYTES // 1024} KiB",
+        help="item workers: the calling thread and WORKERS-1 pool threads; default min(8, CPUs), or 1 with "
+        f"the mock backend when every database is under {SMALL_DATABASE_BYTES // 1024} KiB",
     )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", required=True)

@@ -6,13 +6,13 @@ model serving engines) and a table-driven mock scripted from a fixture file
 the request body untouched, so engine-specific knobs such as diffusion block
 or window sizes pass through without the harness interpreting them.
 
-Concurrency: eval items run on the CLI's ``--workers`` threads. A remote
-backend owns one bounded pool (``MAX_CONCURRENCY`` threads) that runs all
-of its calls, an item's k trajectories and its verifier repairs alike; the
-pool size is the cap on in-flight requests, and a call that is retrying
-keeps its slot through its backoff. A backend without a pool, the
-mock included, runs an item's trajectories inline in the item's thread, in
-trajectory order.
+Concurrency: eval items run on the CLI's ``--workers`` workers, the calling
+thread and ``--workers`` - 1 pool threads. A remote backend owns one bounded
+pool (``MAX_CONCURRENCY`` threads) that runs all of its calls, an item's k
+trajectories and its verifier repairs alike; the pool size is the cap on
+in-flight requests, and a call that is retrying keeps its slot through its
+backoff. A backend without a pool, the mock included, runs an item's
+trajectories inline in the item's thread, in trajectory order.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_
 from nl2sqlbench import cli, context, gateway
 from nl2sqlbench.cli import main
 from nl2sqlbench.context import render_ddl
-from nl2sqlbench.corpus import DatabaseHandle
+from nl2sqlbench.corpus import DatabaseHandle, load_benchmark
 from nl2sqlbench.executor import NOT_A_QUERY
 from nl2sqlbench.pipeline import PipelineConfig
 
@@ -927,7 +927,7 @@ def two_database_workspace(workspace, gems_items=2, stack_items=2):
 
 
 class TestDatabaseCache:
-    """A run reads each database of its pending items once, on the item pool, ahead of the items."""
+    """A run reads each database of its pending items once, by a task ahead of the items."""
 
     def test_a_slow_database_holds_up_no_other(self, workspace, monkeypatch):
         two_database_workspace(workspace)
@@ -1292,6 +1292,86 @@ class TestWorkers:
             _c1, default = run_eval(workspace, f"{run}_default", *track)
             _c2, two = run_eval(workspace, f"{run}_w2", *track, "--workers", "2")
             self.assert_same_but_workers(default, two, "1", "2")
+
+    @pytest.mark.parametrize(("workers", "most"), [("1", 0), ("3", 2)])
+    def test_the_calling_thread_is_one_of_the_workers(self, workspace, monkeypatch, workers, most):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        code, _out = run_eval(workspace, f"threads{workers}", "--track", "sql-d1", "--k", "3", "--workers", workers)
+        assert code == 0 and len(started) <= most
+
+    def test_records_stream_in_item_order_while_items_finish_out_of_order(self, workspace, monkeypatch):
+        ids = [item.item_id for item in load_benchmark(str(workspace["benchmark"]), "spider")]
+        records_path = workspace["root"] / "order" / "records.jsonl"
+        third_done, waited, held_back, streamed = threading.Event(), [], [], []
+        run_sql_d1 = cli.run_sql_d1
+
+        def lines():
+            return records_path.read_text(encoding="utf-8").splitlines()
+
+        def evaluate(item, *args):
+            index = ids.index(item.item_id)
+            if index == 0:
+                waited.append(third_done.wait(timeout=10))
+                held_back.append(len(lines()))  # items 1 and 2 are done, but wait for item 0
+            record = run_sql_d1(item, *args)
+            if index == 2:
+                third_done.set()
+            if index == len(ids) - 1:
+                # the run is not over until this item returns: a streamed record is on disk before then
+                deadline = time.monotonic() + 10
+                while len(lines()) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                streamed.append(len(lines()) > 1)
+            return record
+
+        monkeypatch.setattr(cli, "run_sql_d1", evaluate)
+        code, _out = run_eval(workspace, "order", "--track", "greedy", "--no-retrieval", "--workers", "3")
+        assert code == 0 and waited == [True] and held_back == [1] and streamed == [True]
+        header, *records = [json.loads(line) for line in lines()]
+        assert header["type"] == "run_header" and [r["item_id"] for r in records] == ids
+
+    def test_records_hold_under_many_workers_and_fast_thread_switches(self, workspace, monkeypatch):
+        items = [{k: v for k, v in item.items() if k != "question_id"}
+                 for item in json.loads(workspace["benchmark"].read_text(encoding="utf-8"))]
+        write_benchmark(workspace["benchmark"], items * 10)
+        track = ("--track", "greedy", "--no-retrieval")
+        evaluated, run_sql_d1 = {}, cli.run_sql_d1
+        monkeypatch.setattr(
+            cli, "run_sql_d1", lambda item, *args: evaluated.setdefault(item.item_id, run_sql_d1(item, *args))
+        )
+        _code, serial = run_eval(workspace, "serial", *track, "--workers", "1")
+        # the items now return at once, so that records complete close together and race to be written
+        monkeypatch.setattr(cli, "run_sql_d1", lambda item, *args: evaluated[item.item_id])
+        done = []
+        runner = threading.Thread(target=lambda: done.append(run_eval(workspace, "stress", *track, "--workers", "8")))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and done[0][0] == 0
+        self.assert_same_but_workers(serial, done[0][1], "1", "8")
+
+    def test_a_failing_item_stops_the_run(self, workspace, monkeypatch, capsys):
+        # item 1's database is missing: its read fails, item 0 is recorded, and no later item runs
+        write_benchmark(workspace["benchmark"], [
+            {"question": f"q{i}", "db_id": "lost" if i == 1 else "gems", "query": "SELECT COUNT(*) FROM gems"}
+            for i in range(5)
+        ])
+        ran = []
+        run_sql_d1 = cli.run_sql_d1
+        monkeypatch.setattr(cli, "run_sql_d1", lambda item, *args: ran.append(item.question) or run_sql_d1(item, *args))
+        with_fallback(workspace, "SELECT 1")
+        code, out = run_eval(workspace, "stopped", "--track", "greedy", "--workers", "1")
+        assert code == 2 and ran == ["q0"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: database 'lost': no file at ")
+        assert len((out / "records.jsonl").read_text(encoding="utf-8").splitlines()) == 2
+        assert not (out / "report.json").exists()
 
 
 class TestBenchSpans:
