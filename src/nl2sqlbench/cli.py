@@ -45,13 +45,12 @@ CSV_HEADER = ("strategy", "k", "metric", "value")
 SCATTER_HEADER = ("ex_percent", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
 SCATTER_METRICS = ("ex", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
 # with the mock backend and no --workers, a run whose databases are all smaller than this takes one worker:
-# a query on such a database does microseconds of SQLite work, which runs without the GIL, against tens of
-# microseconds of Python, so a second worker has nothing to overlap and only adds GIL hand-offs.
-# Measured on 2 cores, going from 1 worker to 2: under 48 KiB a second worker cost 11-51% more eval wall
-# time and 18-101% more CPU; at 48-152 KiB it saved at most 3% of wall time on the sql-d1 workload and cost
-# 23-36% on the maj one; at 540 KiB it saved 17% on sql-d1. So runs a little over 48 KiB often do better
-# with one worker too
-SMALL_DATABASE_BYTES = 48 * 1024
+# a query on such a database does too little SQLite work, which runs without the GIL, against the Python around
+# it for a second worker to overlap, and the GIL hand-offs cost CPU and often wall time. Measured on 2 cores in
+# alternating pairs, going from 1 worker to 2: on the sql-d1 workload a second worker cost 33% more eval wall
+# time at 72 KiB and 0-16% at 124-228 KiB, and saved 8-16% at 304-540 KiB; on the maj one it cost 21-22% at
+# 132-212 KiB. CPU rose 16-60% everywhere. So the threshold sits between 228 and 304 KiB
+SMALL_DATABASE_BYTES = 256 * 1024
 
 
 def _pipeline_config(args) -> PipelineConfig:

@@ -32,8 +32,10 @@ MAX_LITERAL_LENGTH = 200
 GRAM_LENGTH = 4
 # distinct values extract_schema samples per column as DDL annotations
 SAMPLE_VALUES_PER_COLUMN = 5
-# rows of a column extract_schema's bounded probe keeps: see extract_schema
+# rows of a table whose values extract_schema reads once for every column: see extract_schema
 _SAMPLE_PROBE_ROWS = 64 * SAMPLE_VALUES_PER_COLUMN
+# the names of a table's columns that some index holds, in any position
+_INDEXED_COLUMNS = "SELECT i.name FROM pragma_index_list(?) AS l, pragma_index_info(l.name) AS i"
 
 _TEXT_TYPE = re.compile(r"CHAR|TEXT|CLOB|STRING", re.I)
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -119,38 +121,96 @@ def extract_schema(db: DatabaseHandle, descriptions: dict | None = None) -> Sche
     ``descriptions`` optionally maps (table, column) to free-text descriptions
     (see load_descriptions for the BIRD CSV layout). A column's samples are
     its SAMPLE_VALUES_PER_COLUMN smallest distinct non-NULL values in the
-    column's collation, blobs dropped. A bounded probe reads them from the
-    column's _SAMPLE_PROBE_ROWS smallest rows, which hold every row up to the
-    last of them when it finds that many; otherwise the full sort of the
-    column decides. A column whose query fails has none, with a warning.
+    column's collation, blobs dropped: the ones the full sort of the column
+    gives, which keeps the first of collation-equal values in its scan order.
+
+    Most columns are read without that sort. One statement per table reads
+    its first _SAMPLE_PROBE_ROWS + 1 rows once, and returns how many it read
+    and each column's smallest distinct values among them, P. When it read
+    no more than _SAMPLE_PROBE_ROWS rows it read the whole table, and P
+    settles every column. In a longer table a column with a full P runs one
+    pruned scan: its values below P's largest that are not in P, sorted
+    together with P. Every smaller value P missed is among them, and each
+    value of P first occurs inside the prefix, so the full sort keeps that
+    same one. The full sort still runs for a column that an index holds,
+    since the sort may read the column in that index's order; for a column
+    with fewer values in P; and for every column when the prefix statement
+    fails (an SQLite before 3.35 lacks MATERIALIZED). A column whose query
+    fails has none, with a warning.
     """
     conn = _connect(db)
     try:
         schema = _catalog(conn, db, descriptions or {})
         samples: dict = {}
         for table in schema.tables:
-            for col in table.columns:
-                column, source = _quote(col.name), _quote(table.name)
-                try:
-                    rows = conn.execute(
-                        f"SELECT DISTINCT v FROM (SELECT {column} AS v FROM {source} WHERE {column} IS NOT NULL "
-                        "ORDER BY 1 LIMIT ?) ORDER BY 1 LIMIT ?",
-                        (_SAMPLE_PROBE_ROWS, SAMPLE_VALUES_PER_COLUMN),
-                    ).fetchall()
-                    if len(rows) < SAMPLE_VALUES_PER_COLUMN:
-                        rows = conn.execute(
-                            f"SELECT DISTINCT {column} FROM {source} WHERE {column} IS NOT NULL ORDER BY 1 LIMIT ?",
-                            (SAMPLE_VALUES_PER_COLUMN,),
-                        ).fetchall()
-                except sqlite3.Error as exc:
-                    logger.warning("no example values for column %s.%s: %s", table.name, col.name, exc)
-                    continue
-                values = [v for (v,) in rows if not isinstance(v, bytes)]
+            for name, rows in _sample_table(conn, table).items():
+                values = [v for v in rows if not isinstance(v, bytes)]
                 if values:
-                    samples[(table.name, col.name)] = values
+                    samples[(table.name, name)] = values
     finally:
         conn.close()
     return replace(schema, sample_values=samples)
+
+
+def _sample_table(conn: sqlite3.Connection, table: TableInfo) -> dict:
+    """Column name -> the column's samples, blobs kept, read as extract_schema says; a failed column is missing."""
+    source = _quote(table.name)
+    prefix: dict = {}
+    longer = True
+    try:
+        indexed = {name for (name,) in conn.execute(_INDEXED_COLUMNS, (table.name,))}
+        names = [col.name for col in table.columns if col.name not in indexed]
+        if names:
+            rows = conn.execute(_prefix_statement(source, names), (_SAMPLE_PROBE_ROWS + 1,)).fetchall()
+            longer = rows[0][1] > _SAMPLE_PROBE_ROWS
+            prefix = {name: [] for name in names}
+            for i, value in rows[1:]:
+                prefix[names[i]].append(value)
+    except sqlite3.Error:
+        prefix = {}  # every column takes the full sort
+    samples = {}
+    for col in table.columns:
+        column = _quote(col.name)
+        values = prefix.get(col.name)
+        try:
+            if values is None or (longer and len(values) < SAMPLE_VALUES_PER_COLUMN):
+                values = [v for (v,) in conn.execute(
+                    f"SELECT DISTINCT {column} FROM {source} WHERE {column} IS NOT NULL ORDER BY 1 LIMIT ?",
+                    (SAMPLE_VALUES_PER_COLUMN,),
+                )]
+            elif longer:
+                # the prefix's values come sorted, so the last is the largest. Rows equal to another of them stay
+                # out of the distinct pass through a chain of <>, which is NOT IN with the same collation and
+                # affinity but cheaper per row than its lookup
+                unequal = "".join(f" AND {column} <> ?" for _ in values[1:])
+                values = [v for (v,) in conn.execute(
+                    f"SELECT DISTINCT v FROM (SELECT {column} AS v FROM {source} WHERE {column} < ?{unequal} "
+                    f"UNION ALL VALUES {', '.join('(?)' for _ in values)}) ORDER BY 1 LIMIT ?",
+                    (values[-1], *values[:-1], *values, SAMPLE_VALUES_PER_COLUMN),
+                )]
+        except sqlite3.Error as exc:
+            logger.warning("no example values for column %s.%s: %s", table.name, col.name, exc)
+            continue
+        samples[col.name] = values
+    return samples
+
+
+def _prefix_statement(source: str, names: list) -> str:
+    """The prefix read of _sample_table: a row (-1, rows read), then (i, value) for column i's smallest values.
+
+    The CTE's name starts with sqlite_, which no table's name can, so it
+    hides no table the statement reads.
+    """
+    columns = [_quote(name) for name in names]
+    arms = "".join(
+        f" UNION ALL SELECT {i}, v FROM (SELECT DISTINCT {column} AS v FROM sqlite_prefix WHERE {column} IS NOT NULL "
+        f"ORDER BY 1 LIMIT {SAMPLE_VALUES_PER_COLUMN})"
+        for i, column in enumerate(columns)
+    )
+    return (
+        f"WITH sqlite_prefix AS MATERIALIZED (SELECT {', '.join(columns)} FROM {source} LIMIT ?) "
+        "SELECT -1, count(*) FROM sqlite_prefix" + arms
+    )
 
 
 def _connect(db: DatabaseHandle) -> sqlite3.Connection:

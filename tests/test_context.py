@@ -72,14 +72,19 @@ class TestExtractSchema:
         finally:
             conn.close()
 
-    def test_probe_decides_a_high_cardinality_column_alone(self, db_factory, monkeypatch):
-        # 20,000 rows: v is distinct in every row, so its probe finds 5 values; k holds 3 values, so its probe
-        # finds too few and the full sort runs after it
+    def test_statements_per_table_and_column(self, db_factory, monkeypatch):
+        # t has 20,000 rows: v is distinct in every row, so its prefix holds 5 values and the pruned scan runs;
+        # k holds 3 values, so the full sort runs; j and i are in an index, i not at its head, so they are
+        # left out of the prefix and the full sort runs. u is as short as the prefix, which settles it
         db = db_factory(
             [
-                "CREATE TABLE t (v INTEGER, k INTEGER)",
+                "CREATE TABLE t (v INTEGER, k INTEGER, j INTEGER, i INTEGER)",
                 "INSERT INTO t WITH RECURSIVE r(n) AS (SELECT 0 UNION ALL SELECT n + 1 FROM r WHERE n < 19999) "
-                "SELECT 19999 - n, n % 3 FROM r",
+                "SELECT 19999 - n, n % 3, n % 7, n FROM r",
+                "CREATE INDEX t_j_i ON t (j, i)",
+                "CREATE TABLE u (w TEXT)",
+                "INSERT INTO u WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r "
+                f"WHERE n < {context._SAMPLE_PROBE_ROWS}) SELECT 'w' || n FROM r",
             ]
         )
         statements = []
@@ -92,13 +97,45 @@ class TestExtractSchema:
 
         monkeypatch.setattr(DatabaseHandle, "connect", traced)
         schema = extract_schema(db)
-        assert schema.sample_values == {("t", "v"): [0, 1, 2, 3, 4], ("t", "k"): [0, 1, 2]}
-        probe = (
-            'SELECT DISTINCT v FROM (SELECT "{0}" AS v FROM "t" WHERE "{0}" IS NOT NULL '
-            f"ORDER BY 1 LIMIT {context._SAMPLE_PROBE_ROWS}) ORDER BY 1 LIMIT {SAMPLE_VALUES_PER_COLUMN}"
+        assert schema.sample_values == {
+            ("t", "v"): [0, 1, 2, 3, 4],
+            ("t", "k"): [0, 1, 2],
+            ("t", "j"): [0, 1, 2, 3, 4],
+            ("t", "i"): [0, 1, 2, 3, 4],
+            ("u", "w"): ["w1", "w10", "w100", "w101", "w102"],
+        }
+        n = SAMPLE_VALUES_PER_COLUMN
+
+        def prefix(table, *columns):
+            listed = ", ".join(f'"{c}"' for c in columns)
+            arms = "".join(
+                f' UNION ALL SELECT {i}, v FROM (SELECT DISTINCT "{c}" AS v FROM sqlite_prefix WHERE "{c}" IS NOT NULL '
+                f"ORDER BY 1 LIMIT {n})"
+                for i, c in enumerate(columns)
+            )
+            return (
+                f'WITH sqlite_prefix AS MATERIALIZED (SELECT {listed} FROM "{table}" '
+                f"LIMIT {context._SAMPLE_PROBE_ROWS + 1}) SELECT -1, count(*) FROM sqlite_prefix{arms}"
+            )
+
+        def full_sort(column):
+            return f'SELECT DISTINCT "{column}" FROM "t" WHERE "{column}" IS NOT NULL ORDER BY 1 LIMIT {n}'
+
+        # the prefix holds v's values 19999 down to 19679, of which the smallest five are 19679 to 19683
+        held = range(19679, 19684)
+        pruned = (
+            'SELECT DISTINCT v FROM (SELECT "v" AS v FROM "t" WHERE "v" < 19683'
+            + "".join(f' AND "v" <> {v}' for v in held[:-1])
+            + f" UNION ALL VALUES {', '.join(f'({v})' for v in held)}) ORDER BY 1 LIMIT {n}"
         )
-        full_sort = f'SELECT DISTINCT "k" FROM "t" WHERE "k" IS NOT NULL ORDER BY 1 LIMIT {SAMPLE_VALUES_PER_COLUMN}'
-        assert [s for s in statements if "DISTINCT" in s] == [probe.format("v"), probe.format("k"), full_sort]
+        assert [s for s in statements if "DISTINCT" in s] == [
+            prefix("t", "v", "k"),
+            pruned,
+            full_sort("k"),
+            full_sort("j"),
+            full_sort("i"),
+            prefix("u", "w"),
+        ]
 
 
 _DECLARED_TYPES = ("", "INTEGER", "REAL", "TEXT", "NUMERIC", "BLOB")
@@ -113,32 +150,56 @@ _VALUE_GROUP = st.one_of(
 )
 
 
+# a table's row count: as many as the prefix read holds at most, around that bound, or more
+_ROW_COUNTS = st.one_of(
+    st.integers(0, context._SAMPLE_PROBE_ROWS),
+    st.integers(context._SAMPLE_PROBE_ROWS - 2, context._SAMPLE_PROBE_ROWS + 2),
+    st.integers(context._SAMPLE_PROBE_ROWS + 1, 4 * context._SAMPLE_PROBE_ROWS),
+)
+# a DESC index is scanned backwards, so that the last of equal rows comes first
+_INDEX_SUFFIXES = ("", " COLLATE BINARY", " COLLATE NOCASE", " DESC", " COLLATE NOCASE DESC")
+
+
 @st.composite
-def _sampled_table(draw):
-    """DDL and rows of a table whose column c is sampled: runs of value groups, and some distinct filler."""
+def _sampled_column(draw, rows: int, rng: random.Random):
+    """A column's declaration and its ``rows`` values: runs of value groups and distinct filler, then NULLs."""
     declared = draw(st.sampled_from(_DECLARED_TYPES)) + draw(st.sampled_from(("", " COLLATE NOCASE", " COLLATE RTRIM")))
-    # a seeded Random, since hypothesis's own would record a choice per row
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    # runs of up to 400 rows, so that a few small values can fill the probe's 320 rows
+    # runs of up to 400 rows, so that a few small values can fill the prefix's rows
     runs = draw(st.lists(st.tuples(_VALUE_GROUP, st.integers(1, 400)), max_size=6))
-    values = [rng.choice(group) for group, count in runs for _ in range(count)]
-    kind = draw(st.sampled_from((int, lambda n: n + 0.5, str)))
-    values += [kind(n) for n in range(draw(st.sampled_from((0, 0, 0, 3, 400, 1000))))]
+    grouped = [rng.choice(group) for group, count in runs for _ in range(count)]
+    # descending filler, or filler ahead of the runs, puts smaller values after the prefix
+    kind = draw(st.sampled_from((int, lambda n: n + 0.5, str, lambda n: -n)))
+    filler = [kind(n) for n in range(draw(st.sampled_from((0, 0, 3, 400, rows))))]
+    values = draw(st.sampled_from((grouped + filler, filler + grouped)))
     if draw(st.booleans()):
         rng.shuffle(values)
+    return declared, values[:rows] + [None] * (rows - len(values))
+
+
+@st.composite
+def _sampled_table(draw):
+    """DDL and rows of a table of 1-3 sampled columns c0, c1, ..., maybe keyed by id, maybe indexed."""
+    rows = draw(_ROW_COUNTS)
+    # a seeded Random, since hypothesis's own would record a choice per row
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    columns = draw(st.lists(_sampled_column(rows, rng), min_size=1, max_size=3))
+    names = [f"c{i}" for i in range(len(columns))]
+    body = ", ".join(f"{name} {declared}" for name, (declared, _values) in zip(names, columns))
+    table = list(zip(*(values for _declared, values in columns)))
     if draw(st.booleans()):
-        ids = list(range(len(values)))
+        ids = list(range(rows))
         rng.shuffle(ids)
-        statements = [f"CREATE TABLE t (id INTEGER PRIMARY KEY, c {declared}) WITHOUT ROWID"]
-        rows = list(zip(ids, values))
+        statements = [f"CREATE TABLE t (id INTEGER PRIMARY KEY, {body}) WITHOUT ROWID"]
+        table = [(i, *row) for i, row in zip(ids, table)]
+        names.append("id")
     else:
-        statements = [f"CREATE TABLE t (c {declared})"]
-        rows = [(value,) for value in values]
-    # a DESC index is scanned backwards, so that the last of equal rows comes first
-    index = draw(st.sampled_from((None, " COLLATE BINARY", " COLLATE NOCASE", " DESC", " COLLATE NOCASE DESC")))
-    if index is not None:
-        statements.append(f"CREATE INDEX i ON t (c{index})")
-    return statements, rows
+        statements = [f"CREATE TABLE t ({body})"]
+    # indexes of one or two columns, where a column not at an index's head may still be read through it
+    keys = st.lists(st.tuples(st.sampled_from(names), st.sampled_from(_INDEX_SUFFIXES)), min_size=1, max_size=2,
+                    unique_by=lambda key: key[0])
+    for i, key in enumerate(draw(st.one_of(st.just([]), st.lists(keys, min_size=1, max_size=2)))):
+        statements.append(f"CREATE INDEX i{i} ON t ({', '.join(name + suffix for name, suffix in key)})")
+    return statements, table
 
 
 def _full_sort_samples(db: DatabaseHandle) -> dict:
@@ -169,7 +230,7 @@ def _typed(samples: dict) -> dict:
 @settings(max_examples=250, deadline=None)
 @given(_sampled_table())
 def test_samples_are_the_full_sorts(tmp_path_factory, table):
-    """extract_schema's samples, values and types, are the full sort's, whether the probe decides or not."""
+    """extract_schema's samples, values and types, are the full sort's, however each column is read."""
     statements, rows = table
     path = tmp_path_factory.mktemp("sampled") / "t.sqlite"
     conn = sqlite3.connect(path)
