@@ -51,6 +51,9 @@ SCATTER_METRICS = ("ex", "mean_latency_seconds", "single_pass_latency_seconds", 
 # time at 72 KiB and 0-16% at 124-228 KiB, and saved 8-16% at 304-540 KiB; on the maj one it cost 21-22% at
 # 132-212 KiB. CPU rose 16-60% everywhere. So the threshold sits between 228 and 304 KiB
 SMALL_DATABASE_BYTES = 256 * 1024
+# a remote run's default --workers, which is its cap on requests in flight: its threads mostly wait on the
+# network, so the CPU count does not bound it
+REMOTE_WORKERS = 8
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -120,28 +123,28 @@ def _make_backend(args):
         if not args.mock_fixture:
             raise ConfigError("the mock backend needs --mock-fixture")
         return MockBackend.from_file(args.mock_fixture)
-    return RemoteBackend(url=args.backend_url, model=args.backend_model)
+    return RemoteBackend(url=args.backend_url, model=args.backend_model, workers=_worker_count(args))
 
 
-def _worker_count(args, backend, db_ids) -> int:
-    """``--workers``, else its default: ``min(8, os.cpu_count())``, or 1 for a mock run on small databases.
+def _worker_count(args, db_ids=()) -> int:
+    """``--workers``, else its default.
 
-    A mock run takes one worker when every database of ``db_ids`` is smaller
-    than ``SMALL_DATABASE_BYTES``. A missing database counts for nothing
-    here: the first item that needs it reports it.
+    A remote run takes ``REMOTE_WORKERS``, whatever its databases. A mock
+    run takes one worker when every database of ``db_ids`` is smaller than
+    ``SMALL_DATABASE_BYTES``, else ``min(8, os.cpu_count())``. A missing
+    database counts for nothing here: the first item that needs it reports it.
     """
     if args.workers is not None:
         return args.workers
-    cap = min(8, os.cpu_count() or 1)
-    if isinstance(backend, RemoteBackend):
-        return cap
+    if args.backend == "remote":
+        return REMOTE_WORKERS
     largest = 0
     for db_id in db_ids:
         try:
             largest = max(largest, database_path(db_id, args.db_root).stat().st_size)
         except RegistryError:
             pass
-    return 1 if largest < SMALL_DATABASE_BYTES else cap
+    return 1 if largest < SMALL_DATABASE_BYTES else min(8, os.cpu_count() or 1)
 
 
 def _load_database(root: Path, retrieval: bool, db_id: str):
@@ -313,7 +316,7 @@ def cmd_eval(args) -> int:
             records_path.write_text(sanitized, encoding="utf-8")
     done_ids = {record.item_id for record in records}
     pending = [item for item in items if item.item_id not in done_ids]
-    workers = _worker_count(args, backend, {item.db_id for item in pending})
+    workers = _worker_count(args, {item.db_id for item in pending})
     manifest["workers"] = str(workers)
     # the manifest lands on disk before any evaluation starts, and only for a run that goes ahead
     (out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
@@ -334,7 +337,11 @@ def cmd_eval(args) -> int:
         if not resuming:
             out.write(header_line + "\n")
         out.flush()
-        _drain(_eval_tasks(Path(args.db_root), cfg, backend, pending, out, records), workers)
+        try:
+            _drain(_eval_tasks(Path(args.db_root), cfg, backend, pending, out, records), workers)
+        finally:
+            if isinstance(backend, RemoteBackend):
+                backend.session.close()
     # this run's items whose candidates all failed in transport
     transport_failures = sum(bool(r.candidates) and all(c.error for c in r.candidates) for r in records[kept:])
 
@@ -500,8 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-retrieval", action="store_true")
     run.add_argument(
         "--workers", type=int, default=None,
-        help="item workers: the calling thread and WORKERS-1 pool threads; default min(8, CPUs), or 1 with "
-        f"the mock backend when every database is under {SMALL_DATABASE_BYTES // 1024} KiB",
+        help="item workers: the calling thread and WORKERS-1 pool threads; with a remote backend, the cap on "
+        f"requests in flight. Default: {REMOTE_WORKERS} with a remote backend; with the mock one, 1 when every "
+        f"database is under {SMALL_DATABASE_BYTES // 1024} KiB, else min(8, CPUs)",
     )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", required=True)

@@ -227,7 +227,8 @@ def _catalog(conn: sqlite3.Connection, db: DatabaseHandle, descriptions: dict) -
         names = [
             row[0]
             for row in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+                # LIKE's _ matches any character, so it is escaped: a table named sqliteusers is the user's
+                r"SELECT name FROM sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite\_%' ESCAPE '\'"
             )
         ]
         for name in names:

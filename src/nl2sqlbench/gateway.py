@@ -7,12 +7,11 @@ the request body untouched, so engine-specific knobs such as diffusion block
 or window sizes pass through without the harness interpreting them.
 
 Concurrency: eval items run on the CLI's ``--workers`` workers, the calling
-thread and ``--workers`` - 1 pool threads. A remote backend owns one bounded
-pool (``MAX_CONCURRENCY`` threads) that runs all of its calls, an item's k
-trajectories and its verifier repairs alike; the pool size is the cap on
-in-flight requests, and a call that is retrying keeps its slot through its
-backoff. A backend without a pool, the mock included, runs an item's
-trajectories inline in the item's thread, in trajectory order.
+thread and ``--workers`` - 1 pool threads. ``generate`` runs an item's
+trajectories in trajectory order on the thread that calls it, and so does a
+verifier repair, for every backend. So a remote run has at most
+``--workers`` requests in flight, and a call that is retrying holds its
+item's worker through its backoff.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+# unused here: bench/spans.py swaps this name for its context-carrying pool, and its install() raises without it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -34,10 +34,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.8  # sampling default; greedy forces 0
 DEFAULT_MAX_NEW_TOKENS = 2048
-# the remote backend's request timeout, retries after a first failed attempt, and call pool size
+# the remote backend's request timeout, and its retries after a first failed attempt
 REQUEST_TIMEOUT_SECONDS = 120.0
 RETRIES = 2
-MAX_CONCURRENCY = 8
 
 
 @dataclass(frozen=True)
@@ -219,9 +218,9 @@ class MockBackend:
 
 
 class RemoteBackend:
-    """Chat-completions client with retries, jittered backoff, and a call pool that caps requests in flight."""
+    """Chat-completions client with retries and jittered backoff; its session keeps a connection per worker."""
 
-    def __init__(self, url: str | None = None, model: str | None = None):
+    def __init__(self, url: str | None = None, model: str | None = None, workers: int = 1):
         import requests  # only remote runs pay for the import
 
         self.url = url or os.environ.get("BACKEND_URL")
@@ -230,13 +229,9 @@ class RemoteBackend:
         if not self.url:
             raise ConfigError("remote backend needs a URL (flag or BACKEND_URL)")
         self.session = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_CONCURRENCY)
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=workers)
         self.session.mount("http://", adapter)
         self.session.mount("https://", adapter)
-        self._pool = ThreadPoolExecutor(max_workers=MAX_CONCURRENCY)
-
-    def map(self, fn, trajectory_ids):
-        return self._pool.map(fn, trajectory_ids)
 
     # the body fields that build_body sets; a backend parameter may not name one, or the manifest would record a
     # value that the server never saw
@@ -283,7 +278,7 @@ class RemoteBackend:
                 raise
             except Exception as exc:  # noqa: BLE001 - transport errors vary by stack; also 429, 5xx, bad JSON
                 last_error = exc
-            if attempt < RETRIES:  # jittered exponential backoff; the call keeps its pool slot
+            if attempt < RETRIES:  # jittered exponential backoff, on the calling thread
                 time.sleep(2**attempt * random.uniform(0.5, 1.5))
         raise BackendError(f"no usable reply after {RETRIES} retries: {last_error}")
 
@@ -293,8 +288,8 @@ def generate(request: GenerationRequest, backend) -> list[Candidate]:
 
     Per-candidate transport failures become failed candidates (empty text, no
     extracted SQL, error message attached) so the pool length is always
-    num_candidates and the run continues. Trajectories run on the backend's
-    own pool when it has one (``backend.map``), else inline, in order.
+    num_candidates and the run continues. Trajectories run on the calling
+    thread, in trajectory order.
     """
 
     def one(trajectory_id: int) -> Candidate:
@@ -320,4 +315,4 @@ def generate(request: GenerationRequest, backend) -> list[Candidate]:
             tokens_approximate=reply.usage_tokens is None,
         )
 
-    return list(getattr(backend, "map", map)(one, range(request.num_candidates)))
+    return [one(trajectory_id) for trajectory_id in range(request.num_candidates)]

@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import sqlite3
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from nl2sqlbench.context import extract_schema, index_literals, read_literals
 from nl2sqlbench.corpus import BenchmarkItem, DatabaseHandle
 from nl2sqlbench.executor import DEFAULT_TIMEOUT_SECONDS, ExecutionOutcome, ItemReader, execute_sql
-from nl2sqlbench.gateway import MockBackend
+from nl2sqlbench.gateway import GenerationRequest, MockBackend
 
 
 def build_db(path: Path, statements: list[str]) -> DatabaseHandle:
@@ -176,3 +179,71 @@ class RecordingBackend(MockBackend):
 def sql_reply(sql: str) -> str:
     """Wrap SQL the way a well-behaved model reply would."""
     return f"<answer>\n-- reasoning\n```sql\n{sql}\n```\n</answer>"
+
+
+class ChatStub:
+    """A chat-completions server on 127.0.0.1 that answers from a mock backend's rules.
+
+    A request's ``seed`` is taken as its trajectory id, which is what a run
+    under ``--seed 0`` sends. Each call sleeps ``delay`` seconds before it
+    answers. ``calls`` logs each call's (prompt, trajectory id) in arrival
+    order, and ``peak`` is the most calls that were in flight at once.
+    """
+
+    def __init__(self):
+        self.backend = MockBackend()
+        self.delay = 0.0
+        self.calls: list[tuple[str, int]] = []
+        self.peak = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # keep-alive, so the client reuses its connections
+            disable_nagle_algorithm = True  # else the body, written after the headers, waits on a delayed ACK
+
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                data = json.dumps(stub.answer(body)).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}/v1/chat/completions"
+
+    def answer(self, body: dict) -> dict:
+        prompt, trajectory_id = body["messages"][0]["content"], body.get("seed", 0)
+        with self._lock:
+            self.calls.append((prompt, trajectory_id))
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(self.delay)
+            reply = self.backend.complete(GenerationRequest(prompt), trajectory_id)
+        finally:
+            # counted out before the reply is sent, so a client's next call cannot overlap this one here
+            with self._lock:
+                self._in_flight -= 1
+        usage = {} if reply.usage_tokens is None else {"usage": {"completion_tokens": reply.usage_tokens}}
+        return {"choices": [{"message": {"content": reply.text}}], **usage}
+
+
+@pytest.fixture()
+def chat_stub():
+    """A running ``ChatStub``, shut down and closed when the test ends."""
+    stub = ChatStub()
+    thread = threading.Thread(target=stub.server.serve_forever)
+    thread.start()
+    try:
+        yield stub
+    finally:
+        stub.server.shutdown()
+        thread.join()
+        stub.server.server_close()

@@ -24,7 +24,7 @@ from nl2sqlbench.cli import main
 from nl2sqlbench.context import render_ddl
 from nl2sqlbench.corpus import DatabaseHandle, load_benchmark
 from nl2sqlbench.executor import NOT_A_QUERY
-from nl2sqlbench.pipeline import PipelineConfig
+from nl2sqlbench.pipeline import REPAIR_TEMPLATE, PipelineConfig
 
 
 @pytest.fixture()
@@ -1119,6 +1119,20 @@ class TestMockFallback:
         assert backend.complete(request, 0) == gateway.BackendReply("", None, 0.0)
 
 
+@pytest.fixture()
+def remote_backends(monkeypatch):
+    """Each RemoteBackend that eval makes, in order."""
+    made = []
+
+    class Recording(gateway.RemoteBackend):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "RemoteBackend", Recording)
+    return made
+
+
 class TestRemoteManifest:
     """The manifest records a remote backend's URL and model as resolved, flags or environment; never its key."""
 
@@ -1144,9 +1158,20 @@ class TestRemoteManifest:
         assert "mock_fixture = \n" in manifest  # the remote backend reads no fixture
         assert not [p for p in out.iterdir() if b"key-that-is-never-recorded" in p.read_bytes()]
 
-    def test_default_workers_are_the_cpu_cap_whatever_the_database_size(self, remote):
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_default_workers_are_eight_whatever_the_cpus_and_databases(self, remote, monkeypatch, cpus):
+        # the run's threads mostly wait on the network, so its default is not capped by the CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         code, out = remote("workers", "http://a.test/v1/chat/completions")
-        assert code == 0 and recorded_workers(out) == CPU_CAP
+        assert code == 0 and recorded_workers(out) == "8"
+
+    def test_the_session_keeps_a_connection_per_worker(self, remote, remote_backends):
+        for name, extra, workers in (("default", (), 8), ("three", ("--workers", "3"), 3)):
+            code, out = remote(name, "http://a.test/v1/chat/completions", *extra)
+            assert code == 0 and recorded_workers(out) == str(workers)
+            for scheme in ("http://", "https://"):
+                assert remote_backends[-1].session.get_adapter(scheme + "a.test")._pool_maxsize == workers
+        assert len(remote_backends) == 2
 
     def test_another_server_is_another_run(self, remote):
         code, out = remote("a", "http://a.test/v1/chat/completions")
@@ -1157,6 +1182,51 @@ class TestRemoteManifest:
         assert headers[0]["manifest_hash"] != headers[1]["manifest_hash"]
         code, _out = remote("a", "http://b.test/v1/chat/completions", "--resume")
         assert code == 2
+
+
+# the tail of every repair prompt
+REPAIR_REQUEST = REPAIR_TEMPLATE.split("{error}")[1]
+
+
+class TestRemoteStub:
+    """Remote runs against the loopback chat stub, which answers from the workspace's mock fixture."""
+
+    SQL_D1 = ("--track", "sql-d1", "--k", "8", "--seed", "0")
+
+    @pytest.fixture()
+    def stub(self, workspace, chat_stub):
+        chat_stub.backend = gateway.MockBackend.from_file(workspace["fixture"])
+        return chat_stub
+
+    @staticmethod
+    def run_remote(workspace, stub, name, *extra):
+        return run_eval(workspace, name, *extra, "--backend", "remote", "--backend-url", stub.url)
+
+    def test_requests_in_flight_peak_at_the_worker_count(self, workspace, stub, remote_backends):
+        stub.delay = 0.02
+        code, _out = self.run_remote(workspace, stub, "three", *self.SQL_D1, "--workers", "3")
+        assert code == 0
+        # an item's k calls and its repairs run on its worker, one at a time
+        assert any(prompt.endswith(REPAIR_REQUEST) for prompt, _trajectory in stub.calls)
+        assert stub.peak == 3
+        # eval closed the session, and with it the connections it kept
+        backend, = remote_backends
+        assert not backend.session.get_adapter(stub.url).poolmanager.pools
+
+    def test_records_equal_a_mock_run_but_for_latencies(self, workspace, stub):
+        def records(out):
+            lines = [json.loads(line) for line in (out / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+            for record in lines[1:]:  # the header names the backend
+                del record["total_latency_seconds"]
+                for candidate in record["candidates"]:
+                    del candidate["latency_seconds"]
+            return lines[1:]
+
+        code, mock = run_eval(workspace, "mock", *self.SQL_D1, "--workers", "2")
+        assert code == 0
+        code, remote = self.run_remote(workspace, stub, "remote", *self.SQL_D1, "--workers", "2")
+        assert code == 0
+        assert len(records(remote)) == 20 and records(remote) == records(mock)
 
 
 class TestBackendParams:

@@ -48,6 +48,25 @@ class TestExtractSchema:
         schema = extract_schema(db)
         assert schema.tables == ()
 
+    def test_tables_named_like_sqlites_own_are_kept(self, db_factory):
+        # in LIKE, _ matches any character and case is ignored; of these four tables only sqlite_sequence,
+        # which AUTOINCREMENT makes, is SQLite's own
+        db = db_factory([
+            "CREATE TABLE sqliteusers (id INTEGER)",
+            "CREATE TABLE SQLiteStats (n INTEGER)",
+            "CREATE TABLE people (id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT)",
+            "INSERT INTO people (name) VALUES ('Ada')",
+        ])
+        conn = sqlite3.connect(db.path)
+        try:
+            assert "sqlite_sequence" in {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        finally:
+            conn.close()
+        names = ["sqliteusers", "SQLiteStats", "people"]
+        assert [t.name for t in read_catalog(db).tables] == [t.name for t in extract_schema(db).tables] == names
+        ddl = render_ddl(extract_schema(db), {}, 3)
+        assert "CREATE TABLE sqliteusers" in ddl and "CREATE TABLE SQLiteStats" in ddl and "sqlite_sequence" not in ddl
+
     def test_descriptions_attached(self, stack_db):
         schema = extract_schema(stack_db, {("users", "DisplayName"): "the public name"})
         users = next(t for t in schema.tables if t.name == "users")

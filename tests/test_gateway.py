@@ -1,5 +1,6 @@
 """SQL extraction, token accounting, and the scripted/remote backends."""
 
+import functools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from conftest import RecordingBackend, sql_reply
 
-from nl2sqlbench import gateway
+from nl2sqlbench import cli, gateway
 from nl2sqlbench.errors import BackendError, ConfigError
 from nl2sqlbench.gateway import (
     Candidate,
@@ -239,8 +240,7 @@ class TestRemoteRetries:
 
     @pytest.fixture()
     def backend(self, monkeypatch):
-        monkeypatch.setattr(gateway, "MAX_CONCURRENCY", 5)
-        backend = RemoteBackend(url="http://backend.test", model="m")
+        backend = RemoteBackend(url="http://backend.test", model="m", workers=5)
         self.posts, self.sleeps, self.status = [], [], 200
 
         def post(url, **kw):
@@ -345,18 +345,40 @@ class TestRemoteRetries:
 
 
 class TestConcurrency:
-    def test_remote_in_flight_capped_by_its_pool(self, monkeypatch):
-        monkeypatch.setattr(gateway, "MAX_CONCURRENCY", 3)
+    def test_remote_calls_run_in_order_on_the_calling_thread(self, monkeypatch):
+        # an item's k calls, and a verifier repair's one, run on the item's worker: --workers caps requests in flight
         backend = RemoteBackend(url="http://backend.test")
-        lock, full = threading.Lock(), threading.Event()
-        in_flight, peak, callers = [0], [0], set()
+        lock, in_flight, peak, callers = threading.Lock(), [0], [0], set()
 
         def post(url, json, **kw):
             with lock:
                 in_flight[0] += 1
                 peak[0] = max(peak[0], in_flight[0])
                 callers.add(threading.current_thread())
-                if in_flight[0] == 3:
+            with lock:
+                in_flight[0] -= 1
+            return _response(200, sql_reply(f"SELECT {json['seed']}"))
+
+        monkeypatch.setattr(backend.session, "post", post)
+        candidates = generate(GenerationRequest(prompt="p", num_candidates=16, seed=7), backend)
+        assert [c.trajectory_id for c in candidates] == list(range(16))
+        assert [c.extracted_sql for c in candidates] == [f"SELECT {7 + i}" for i in range(16)]
+        candidate, = generate(GenerationRequest(prompt="p", temperature=0.0, seed=7), backend)
+        assert candidate.extracted_sql == "SELECT 7"
+        assert peak[0] == 1 and callers == {threading.current_thread()}
+
+    @staticmethod
+    def _gated_post(backend, monkeypatch, cap):
+        """Stub ``post``: each call waits until ``cap`` are in flight, and records its thread and the peak."""
+        lock, full = threading.Lock(), threading.Event()
+        in_flight, peak, posts = [0], [0], []
+
+        def post(url, json, **kw):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+                posts.append((threading.current_thread(), json["seed"]))
+                if in_flight[0] == cap:
                     full.set()
             full.wait(timeout=2)
             time.sleep(0.005)
@@ -365,23 +387,44 @@ class TestConcurrency:
             return _response(200, sql_reply(f"SELECT {json['seed']}"))
 
         monkeypatch.setattr(backend.session, "post", post)
-        candidates = generate(GenerationRequest(prompt="p", num_candidates=16, seed=7), backend)
+        return peak, posts
+
+    def test_remote_in_flight_capped_by_its_pool(self, monkeypatch):
+        # the pool is eval's: each worker runs one item's k calls in order, so --workers caps requests in flight
+        backend = RemoteBackend(url="http://backend.test", workers=3)
+        peak, posts = self._gated_post(backend, monkeypatch, 3)
+        results, runners = {}, {}
+
+        def item(index):
+            runners[index] = threading.current_thread()
+            results[index] = generate(GenerationRequest(prompt="p", num_candidates=4, seed=10 * index), backend)
+
+        cli._drain([functools.partial(item, index) for index in range(6)], 3)
         assert peak[0] == 3
-        assert [c.trajectory_id for c in candidates] == list(range(16))
-        assert [c.extracted_sql for c in candidates] == [f"SELECT {7 + i}" for i in range(16)]
-        assert threading.current_thread() not in callers
+        assert len({thread for thread, _ in posts}) == 3
+        for index, candidates in results.items():
+            assert [c.extracted_sql for c in candidates] == [f"SELECT {10 * index + i}" for i in range(4)]
+            assert [seed for thread, seed in posts if thread is runners[index]] == [
+                seed for i, thread in runners.items() if thread is runners[index] for seed in range(10 * i, 10 * i + 4)
+            ]
 
     def test_single_remote_call_runs_on_the_pool(self, monkeypatch):
-        # verifier repairs are k=1 generate calls: they too count against the cap
-        monkeypatch.setattr(gateway, "MAX_CONCURRENCY", 2)
-        backend = RemoteBackend(url="http://backend.test")
-        callers = []
-        monkeypatch.setattr(
-            backend.session, "post",
-            lambda url, **kw: callers.append(threading.current_thread()) or _response(200, "SELECT 1"),
-        )
-        assert generate(GenerationRequest(prompt="p", temperature=0.0), backend)[0].extracted_sql == "SELECT 1"
-        assert callers and threading.current_thread() not in callers
+        # verifier repairs are k=1 generate calls: they run on their item's worker and count against the same cap
+        backend = RemoteBackend(url="http://backend.test", workers=2)
+        peak, posts = self._gated_post(backend, monkeypatch, 2)
+        runners, repairs = {}, {}
+
+        def repair(index):
+            runners[index] = threading.current_thread()
+            repairs[index] = generate(GenerationRequest(prompt="p", temperature=0.0, seed=index), backend)
+
+        cli._drain([functools.partial(repair, index) for index in range(4)], 2)
+        assert peak[0] == 2
+        assert {index: [c.extracted_sql for c in pool] for index, pool in repairs.items()} == {
+            index: [f"SELECT {index}"] for index in range(4)
+        }
+        assert sorted(seed for _, seed in posts) == list(range(4))
+        assert all(thread is runners[seed] for thread, seed in posts)
 
     def test_mock_runs_inline_without_threads(self, monkeypatch):
         backend = RecordingBackend([MockRule(pattern="p", trajectory_id=i, reply=f"SELECT {i}") for i in range(8)])
