@@ -30,8 +30,6 @@ from .gateway import MockBackend, RemoteBackend
 from .metrics import assemble_report
 from .pipeline import EvalRecord, PipelineConfig, run_sql_d1
 
-logger = logging.getLogger(__name__)
-
 ABLATION_STAGES = ("a_r", "a_g", "a_v", "a_s")
 # each track's stages: the baselines are the sql-d1 flow with stages switched off
 TRACK_STAGES = {
@@ -277,7 +275,7 @@ def _read_records_file(path: Path, resume: bool = False) -> tuple[dict, list[Eva
                 header = data
             else:
                 raise IngestError(f"{path} line {number}: not a run header")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             if resume and idx == len(lines) - 1:
                 break
             raise IngestError(f"{path} line {number}: not valid JSON: {exc}") from exc
@@ -415,7 +413,8 @@ def cmd_classify_files(args) -> int:
             predictions = {str(p["item_id"]): p["sql"] for p in predictions}
         if not all(sql is None or isinstance(sql, str) for sql in predictions.values()):
             raise TypeError("an SQL value is neither a string nor null")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+    # ValueError: bad JSON or UTF-8; RecursionError: JSON nested too deep
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise IngestError(f"{path}: not a predictions file: {exc!r}") from exc
     items = load_benchmark(args.gold, args.format)
     catalog = _catalogs(args)
@@ -473,7 +472,7 @@ def _parse_backend_params(pairs: list[str]) -> dict:
             raise ConfigError(f"--backend-param cannot set {key!r}: the harness sets that body field itself")
         try:
             parsed = json.loads(value)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
             parsed = value
         # arrays and objects stay text, and so do NaN and ±Infinity, which strict JSON lacks
         scalar = parsed is None or isinstance(parsed, (str, int)) or isinstance(parsed, float) and math.isfinite(parsed)

@@ -79,7 +79,7 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
         raise ConfigError(f"unknown benchmark format {format!r}")
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, bytes that are not UTF-8, or nesting too deep
         raise IngestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise IngestError(f"{path}: expected an array of records")

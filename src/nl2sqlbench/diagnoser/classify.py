@@ -107,47 +107,8 @@ class _Analyzer:
         self.alias_map: dict[str, str | None] = {}  # alias/name -> table (None = derived)
         self.cte_names: set[str] = set()
         self.has_derived = False
-
-    def facts(self) -> QueryFacts:
-        self._collect_sources()
-        f = QueryFacts()
-        f.tables = {
-            t.name.lower()
-            for t in walk(self.ast)
-            if isinstance(t, TableRef) and t.name.lower() not in self.cte_names
-        }
-        for node in walk(self.ast):
-            if isinstance(node, FuncCall):
-                f.functions.add(node.name)
-            elif isinstance(node, Cast):
-                f.functions.add("CAST")
-            elif isinstance(node, sqlast.Join) and node.on is not None:
-                f.join_pairs |= self._equijoin_pairs(node.on)
-            elif isinstance(node, SelectCore):
-                for clause in (node.where, node.having):
-                    if clause is None:
-                        continue
-                    self._predicate_facts(clause, f)
-                if node.where is not None:
-                    f.join_pairs |= self._equijoin_pairs(node.where)
-        outer = self.ast
-        f.has_group_by = any(bool(core.group_by) for core in outer.cores)
-        f.has_order_by = bool(outer.order_by)
-        f.has_limit = outer.limit is not None
-        n_sub = sum(
-            1
-            for n in walk(self.ast)
-            if isinstance(n, (Subquery, SubquerySource, Exists))
-            or (isinstance(n, InExpr) and isinstance(n.values, Select))
-        )
-        n_setops = sum(len(n.ops) for n in walk(self.ast) if isinstance(n, Select))
-        n_ctes = sum(len(n.ctes) for n in walk(self.ast) if isinstance(n, Select))
-        f.shape = (n_sub, n_setops, n_ctes)
-        self._validate_columns(f)
-        return f
-
-    def _collect_sources(self) -> None:
-        for node in walk(self.ast):
+        # the sources come first: a column resolves against every source of the query
+        for node in walk(ast):
             if isinstance(node, Select):
                 for cte in node.ctes:
                     self.cte_names.add(cte.name.lower())
@@ -163,6 +124,43 @@ class _Analyzer:
                 self.has_derived = True
                 if node.alias:
                     self.alias_map[node.alias.lower()] = None
+
+    def facts(self) -> QueryFacts:
+        f = QueryFacts()
+        n_sub = n_setops = n_ctes = 0
+        for node in walk(self.ast):
+            if isinstance(node, TableRef):
+                if node.name.lower() not in self.cte_names:
+                    f.tables.add(node.name.lower())
+            elif isinstance(node, ColumnRef):
+                if not self._resolve(node)[2]:
+                    f.invalid_columns.append(f"{node.table}.{node.column}" if node.table else node.column)
+            elif isinstance(node, FuncCall):
+                f.functions.add(node.name)
+            elif isinstance(node, Cast):
+                f.functions.add("CAST")
+            elif isinstance(node, sqlast.Join) and node.on is not None:
+                f.join_pairs |= self._equijoin_pairs(node.on)
+            elif isinstance(node, SelectCore):
+                for clause in (node.where, node.having):
+                    if clause is None:
+                        continue
+                    self._predicate_facts(clause, f)
+                if node.where is not None:
+                    f.join_pairs |= self._equijoin_pairs(node.where)
+            elif isinstance(node, Select):
+                n_setops += len(node.ops)
+                n_ctes += len(node.ctes)
+            elif isinstance(node, (Subquery, SubquerySource, Exists)) or (
+                isinstance(node, InExpr) and isinstance(node.values, Select)
+            ):
+                n_sub += 1
+        f.shape = (n_sub, n_setops, n_ctes)
+        outer = self.ast
+        f.has_group_by = any(bool(core.group_by) for core in outer.cores)
+        f.has_order_by = bool(outer.order_by)
+        f.has_limit = outer.limit is not None
+        return f
 
     def _resolve(self, ref: ColumnRef) -> tuple[str, str, bool]:
         """Return (table, column, valid); table '' when unresolvable."""
@@ -223,14 +221,6 @@ class _Analyzer:
                     if lt and rt and lt != rt:
                         pairs.add(frozenset((lt, rt)))
         return pairs
-
-    def _validate_columns(self, facts: QueryFacts) -> None:
-        for node in walk(self.ast):
-            if isinstance(node, ColumnRef):
-                table, column, valid = self._resolve(node)
-                if not valid:
-                    shown = f"{node.table}.{node.column}" if node.table else node.column
-                    facts.invalid_columns.append(shown)
 
 
 def _literal_key(node: Literal):

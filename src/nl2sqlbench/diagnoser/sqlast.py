@@ -76,10 +76,13 @@ def tokenize(sql: str) -> list[Token]:
             lowered = text.lower()
             if lowered.startswith("0x"):
                 value = int(text, 16)
-            elif "." in text or "e" in lowered:
-                value = float(text)
+                if value >> 64:
+                    raise SqlParseError(f"hex literal too big: {text}", pos)
             else:
-                value = int(text)
+                digits = text.lstrip("0") or "0"
+                # as in SQLite, an integer literal beyond 64 bits is a REAL
+                exact = "." not in text and "e" not in lowered and len(digits) <= 19 and not int(digits) >> 63
+                value = int(digits) if exact else float(text)
         tokens.append(Token(kind, text, value, pos, end))
         pos = end
     tokens.append(Token("eof", "", None, len(sql), len(sql)))
@@ -270,6 +273,12 @@ class Select(Node):
 
 
 _COMPARISON_OPS = {"=", "==", "!=", "<>", "<", "<=", ">", ">="}
+# the left-associative operators that bind tighter than comparisons, by level, loosest first
+_BINARY_LEVEL = {
+    op: level
+    for level, ops in enumerate((("<<", ">>", "&", "|"), ("+", "-"), ("*", "/", "%"), ("||",)))
+    for op in ops
+}
 _LIKE_OPS = {"LIKE", "GLOB", "MATCH", "REGEXP"}
 
 # SQLite treats these as ordinary identifiers when no clause can start here
@@ -605,24 +614,15 @@ class _Parser:
             return values
         return TableRef(self.ident(), None)
 
-    def _binary_level(self, ops: tuple[str, ...], next_level):
-        left = next_level()
-        while self.at_op(*ops):
-            op = self.advance().text
-            left = Binary(op, left, next_level())
-        return left
-
-    def _parse_bitwise(self):
-        return self._binary_level(("<<", ">>", "&", "|"), self._parse_addsub)
-
-    def _parse_addsub(self):
-        return self._binary_level(("+", "-"), self._parse_muldiv)
-
-    def _parse_muldiv(self):
-        return self._binary_level(("*", "/", "%"), self._parse_concat)
-
-    def _parse_concat(self):
-        return self._binary_level(("||",), self._parse_unary)
+    def _parse_bitwise(self, min_level: int = 0):
+        left = self._parse_unary()
+        while True:
+            tok = self.peek()
+            level = _BINARY_LEVEL.get(tok.text, -1) if tok.kind == "op" else -1
+            if level < min_level:
+                return left
+            self.advance()
+            left = Binary(tok.text, left, self._parse_bitwise(level + 1))
 
     def _parse_unary(self):
         if self.at_op("-", "+", "~"):
@@ -775,27 +775,29 @@ class _Parser:
 
 
 def parse_sql(sql: str) -> Select:
-    """Parse one SELECT statement (optionally CTE-prefixed) into an AST."""
-    return _Parser(sql).parse_statement()
+    """Parse one SELECT statement (optionally CTE-prefixed) into an AST.
 
-
-def iter_children(node):
-    """Yield direct child nodes (lists and when-tuples are flattened)."""
-    for attr in vars(node).values():
-        if isinstance(attr, Node):
-            yield attr
-        elif isinstance(attr, (list, tuple)):
-            for element in attr:
-                if isinstance(element, Node):
-                    yield element
-                elif isinstance(element, tuple):
-                    for sub in element:
-                        if isinstance(sub, Node):
-                            yield sub
+    Nesting deeper than the recursive descent can follow raises SqlParseError.
+    """
+    parser = _Parser(sql)
+    try:
+        return parser.parse_statement()
+    except RecursionError:
+        raise parser.error("nesting too deep") from None
 
 
 def walk(node):
-    """Depth-first pre-order traversal over all nodes."""
-    yield node
-    for child in iter_children(node):
-        yield from walk(child)
+    """Depth-first pre-order traversal over all nodes, on an explicit stack: depth costs no recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = []
+        for attr in vars(node).values():
+            if isinstance(attr, Node):
+                children.append(attr)
+            elif isinstance(attr, (list, tuple)):
+                for element in attr:  # a CASE's whens are (condition, result) tuples
+                    group = element if isinstance(element, tuple) else (element,)
+                    children.extend(sub for sub in group if isinstance(sub, Node))
+        stack.extend(reversed(children))

@@ -191,7 +191,7 @@ class MockBackend:
     def from_file(cls, path) -> "MockBackend":
         try:
             entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError, bytes that are not UTF-8, or nesting too deep
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise ConfigError(f"{path}: mock fixture must be an array of rules")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -33,8 +32,6 @@ from .executor import (
     result_signature,
 )
 from .gateway import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPERATURE, Candidate, GenerationRequest, generate
-
-logger = logging.getLogger(__name__)
 
 REPAIR_TEMPLATE = (
     "Your previous SQL query was:\n```sql\n{sql}\n```\n"

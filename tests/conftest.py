@@ -181,6 +181,27 @@ def sql_reply(sql: str) -> str:
     return f"<answer>\n-- reasoning\n```sql\n{sql}\n```\n</answer>"
 
 
+def pathological_queries(table: str, column: str) -> dict[str, str]:
+    """Deep nesting, long operator chains and oversized literals over one column, by name.
+
+    Each once made classify_error raise. SQLite runs the 80 parentheses, the
+    1,000-term chains and the 5,000-digit integer, and refuses the rest.
+    """
+    chains = {
+        f"{n}_{name}": f"SELECT {column} FROM {table} WHERE " + f" {op} ".join([column] * n)
+        for n in (1000, 3000)
+        for name, op in (("and", "AND"), ("plus", "+"))
+    }
+    return {
+        "80_parens": f"SELECT {'(' * 80}{column}{')' * 80} FROM {table}",
+        "500_parens": f"SELECT {'(' * 500}{column}{')' * 500} FROM {table}",
+        "60_subqueries": f"SELECT {'(SELECT ' * 60}{column}{')' * 60} FROM {table}",
+        **chains,
+        "5000_digit_int": f"SELECT {column} FROM {table} WHERE {column} < {'9' * 5000}",
+        "300_digit_hex": f"SELECT {column} FROM {table} WHERE {column} = 0x{'f' * 300}",
+    }
+
+
 class ChatStub:
     """A chat-completions server on 127.0.0.1 that answers from a mock backend's rules.
 

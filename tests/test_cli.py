@@ -17,7 +17,7 @@ import pytest
 import requests
 
 import ablation_suite
-from conftest import build_db, dump_benchmark, sql_reply, write_benchmark, GEMS_DB, STACK_DB
+from conftest import build_db, dump_benchmark, pathological_queries, sql_reply, write_benchmark, GEMS_DB, STACK_DB
 
 from nl2sqlbench import cli, context, gateway
 from nl2sqlbench.cli import main
@@ -490,6 +490,40 @@ class TestMalformedInputFiles:
             code, _ = run_eval(workspace, "not_utf8", "--track", "greedy", "--no-retrieval", "--resume")
         self._assert_rejected(code, capsys, records)
 
+    @pytest.mark.parametrize("reader", ["benchmark", "fixture", "predictions", "classify", "report", "eval_resume"])
+    def test_json_nested_too_deep(self, workspace, tmp_path, capsys, reader):
+        # json.loads raises RecursionError here, which is not a ValueError
+        deep = "[" * 100_000
+        _code, run = run_eval(workspace, "deep", "--track", "greedy", "--no-retrieval")
+        out = workspace["root"] / "out"
+        db_root = ["--db-root", str(workspace["db_root"])]
+        if reader == "predictions":
+            path = tmp_path / "preds.json"
+            path.write_text(deep, encoding="utf-8")
+            gold = ["--gold", str(workspace["benchmark"]), "--format", "spider"]
+            argv = ["classify", "--pred", str(path), *gold, *db_root]
+        elif reader in ("benchmark", "fixture"):
+            path = workspace[reader]
+            path.write_text(deep, encoding="utf-8")
+            argv = eval_argv(workspace, out, "--track", "greedy")
+        else:
+            path = run / "records.jsonl"
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("\n".join(lines[:2] + [deep] + lines[3:]) + "\n", encoding="utf-8")
+            argv = {
+                "classify": ["classify", "--records", str(path), *db_root],
+                "report": ["report", "--records", str(path), "--out", str(out)],
+                "eval_resume": eval_argv(workspace, run, "--track", "greedy", "--no-retrieval", "--resume"),
+            }[reader]
+        before = _files(run)
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {path}") and captured.err.count("\n") == 1, captured.err
+        assert "recursion depth" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists() and _files(run) == before
+
     @staticmethod
     def _classify(workspace, tmp_path, predictions: str):
         pred = tmp_path / "preds.json"
@@ -768,6 +802,31 @@ class TestClassify:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert all("category" in json.loads(l) for l in lines)
+
+
+class TestPathologicalPredictions:
+    def test_classify_labels_every_incorrect_record(self, workspace, tmp_path):
+        # deep nesting, long chains and oversized literals, one reply each; every one is wrong
+        queries = pathological_queries("gems", "carat")
+        gold = "SELECT COUNT(*) FROM gems"
+        bench = write_benchmark(
+            tmp_path / "pathological.json", [{"question": f"<{n}>", "db_id": "gems", "query": gold} for n in queries]
+        )
+        workspace["fixture"].write_text(
+            json.dumps([{"pattern": f"<{n}>", "reply": sql_reply(sql)} for n, sql in queries.items()]), encoding="utf-8"
+        )
+        workspace["benchmark"] = bench
+        code, out = run_eval(workspace, "pathological", "--track", "greedy", "--no-retrieval")
+        assert code == 0
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()[1:]]
+        assert sorted(r["final_sql"] for r in records) == sorted(queries.values())
+        code = main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])])
+        assert code == 0
+        labels = [json.loads(line) for line in (out / "labels.jsonl").read_text().splitlines()[1:]]
+        assert [l["item_id"] for l in labels] == [r["item_id"] for r in records if not r["correct"]]
+        assert len(labels) == len(queries)
+        unparseable = sorted(l["rationale"].split(" (at")[0] for l in labels if l["rationale"].startswith("unparse"))
+        assert unparseable == ["unparseable: hex literal too big: 0x" + "f" * 300, "unparseable: nesting too deep"]
 
 
 class TestReport:
@@ -1238,12 +1297,14 @@ class TestBackendParams:
     }
 
     def test_request_body(self):
-        params = cli._parse_backend_params(self.ARGS + ["ids=[1, 2]", "limit=NaN", "huge=1e999"])
+        deep = "[" * 100_000  # json.loads raises RecursionError on it, not ValueError
+        params = cli._parse_backend_params(self.ARGS + ["ids=[1, 2]", "limit=NaN", "huge=1e999", f"deep={deep}"])
         body = gateway.RemoteBackend(url="http://backend.test").build_body(
             gateway.GenerationRequest(prompt="p", backend_params=params), 0
         )
-        # an array, NaN and an overflowing number are not JSON scalars, so they are sent as their text
-        assert {key: body[key] for key in params} == {**self.PARSED, "ids": "[1, 2]", "limit": "NaN", "huge": "1e999"}
+        # arrays, NaN and an overflowing number are not JSON scalars, so they are sent as their text
+        texts = {"ids": "[1, 2]", "limit": "NaN", "huge": "1e999", "deep": deep}
+        assert {key: body[key] for key in params} == {**self.PARSED, **texts}
         assert type(body["steps"]) is int and type(body["threshold"]) is float
 
     def test_the_harness_body_fields_are_the_refused_keys(self):

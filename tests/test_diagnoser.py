@@ -1,10 +1,10 @@
 """Error-taxonomy classification rules and their invariants."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from case_studies import CASES, EXPECTED_DISTRIBUTION
-from conftest import run_sql
+from conftest import pathological_queries, run_sql
 
 from nl2sqlbench.context import extract_schema
 from nl2sqlbench.diagnoser import (
@@ -193,6 +193,51 @@ class TestInvariants:
         label = classify_error(self._POOL[i], self._POOL[j], schemas["stack"])
         assert CATEGORY_BY_SUBTYPE[label.subtype] == label.category
         assert label.rationale
+
+
+_GOLD = "SELECT Id FROM users WHERE Reputation > 100"
+_PATHOLOGICAL = pathological_queries("users", "Reputation")
+
+# nested parentheses or scalar subqueries, AND/OR/+ chains, and decimal or hex literals, each 1 to thousands long
+_DEEP = st.builds(
+    lambda opener, n: opener * n + "Reputation" + ")" * n, st.sampled_from(["(", "(SELECT "]), st.integers(1, 150)
+)
+_CHAIN = st.builds(
+    lambda op, n: op.join(["Reputation"] * n), st.sampled_from([" AND ", " OR ", " + "]), st.integers(1, 3000)
+)
+_DECIMAL = st.builds(
+    lambda lead, fill, n: lead + fill * (n - 1), st.sampled_from("123456789"), st.sampled_from("0123456789"),
+    st.integers(1, 6000),
+)
+_HEX = st.builds(
+    lambda lead, fill, n: "0x" + lead + fill * (n - 1), st.sampled_from("123456789abcdef"),
+    st.sampled_from("0123456789abcdefABCDEF"), st.integers(1, 400),
+)
+
+
+class TestTotality:
+    """classify_error labels any text: deep nesting, long chains and oversized literals cost a label, not a raise."""
+
+    @pytest.mark.parametrize("name", list(_PATHOLOGICAL))
+    def test_each_reproduction_gets_a_label(self, schemas, name):
+        sql = _PATHOLOGICAL[name]
+        label = classify_error(sql, _GOLD, schemas["stack"])
+        assert CATEGORY_BY_SUBTYPE[label.subtype] == label.category
+        if name in ("500_parens", "300_digit_hex"):
+            reason = "nesting too deep" if name == "500_parens" else "hex literal too big: 0xfff"
+            assert label.subtype == "structural_error" and label.rationale.startswith(f"unparseable: {reason}")
+        else:
+            assert not label.rationale.startswith("unparseable")
+        assert classify_error(_GOLD, sql, schemas["stack"]).category in CATEGORIES
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_DEEP, _CHAIN, _DECIMAL, _HEX), st.booleans(), st.booleans())
+    def test_pathological_sql_gets_a_label(self, schemas, expr, in_where, as_gold):
+        sql = f"SELECT Id FROM users WHERE {expr}" if in_where else f"SELECT {expr} FROM users"
+        pred, gold = (_GOLD, sql) if as_gold else (sql, _GOLD)
+        label = classify_error(pred, gold, schemas["stack"])
+        assert isinstance(label, ErrorLabel)
+        assert CATEGORY_BY_SUBTYPE[label.subtype] == label.category and label.rationale
 
 
 def _error_distribution(records, schemas):

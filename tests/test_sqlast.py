@@ -16,6 +16,8 @@ from nl2sqlbench.diagnoser.sqlast import (
     Star,
     Subquery,
     TableRef,
+    Unary,
+    tokenize,
 )
 from nl2sqlbench.errors import SqlParseError
 
@@ -200,3 +202,47 @@ class TestParseErrors:
     def test_not_a_select(self):
         with pytest.raises(SqlParseError):
             parse_sql("INSERT INTO t VALUES (1)")
+
+    def test_nesting_too_deep(self):
+        with pytest.raises(SqlParseError, match="nesting too deep"):
+            parse_sql("SELECT " + "(" * 500 + "1" + ")" * 500)
+
+    def test_hex_literal_over_64_bits(self):
+        with pytest.raises(SqlParseError, match="hex literal too big: 0x10000000000000000") as excinfo:
+            parse_sql("SELECT 1 FROM t WHERE a = 0x10000000000000000")
+        assert excinfo.value.position == 26
+
+
+class TestDepth:
+    def test_walk_does_not_recurse(self):
+        node = Literal(1, "1")
+        for _ in range(20_000):
+            node = Unary("-", node)
+        assert sum(1 for _ in walk(node)) == 20_001
+
+    def test_long_chains_and_deep_parentheses_parse(self):
+        chain = parse_sql("SELECT " + " + ".join(["a"] * 3000)).cores[0].columns[0].expr
+        assert sum(isinstance(n, Binary) for n in walk(chain)) == 2999
+        assert parse_sql("SELECT " + "(" * 80 + "1" + ")" * 80) == parse_sql("SELECT 1")
+
+
+class TestNumberLiterals:
+    """Number literals read as SQLite reads them: an integer beyond 64 bits is a REAL, a hex one an error."""
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("9223372036854775807", 9223372036854775807),
+            ("9223372036854775808", 9223372036854775808.0),
+            ("0" * 5000 + "7", 7),
+            ("9" * 5000, float("inf")),
+            ("0xFFFFFFFFFFFFFFFF", 2**64 - 1),
+            ("0x" + "0" * 300 + "1", 1),
+            ("1e3", 1000.0),
+        ],
+        ids=["int64_max", "past_int64", "leading_zeros", "5000_digits", "hex_64_bits", "hex_leading_zeros", "real"],
+    )
+    def test_value(self, text, value):
+        token = tokenize(text)[0]
+        assert token.text == text
+        assert token.value == value and type(token.value) is type(value)
