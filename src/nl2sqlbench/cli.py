@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -23,7 +22,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import context as context_mod
-from .corpus import database_path, load_benchmark, load_database
+from .corpus import load_benchmark, load_database
 from .diagnoser import classify_error, count_labels
 from .errors import ConfigError, IngestError, MetricError, RegistryError, SchemaError
 from .gateway import MockBackend, RemoteBackend
@@ -42,13 +41,6 @@ CSV_HEADER = ("strategy", "k", "metric", "value")
 # scatter.csv columns after the strategy, and the report.csv metric each one takes its value from
 SCATTER_HEADER = ("ex_percent", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
 SCATTER_METRICS = ("ex", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
-# with the mock backend and no --workers, a run whose databases are all smaller than this takes one worker:
-# a query on such a database does too little SQLite work, which runs without the GIL, against the Python around
-# it for a second worker to overlap, and the GIL hand-offs cost CPU and often wall time. Measured on 2 cores in
-# alternating pairs, going from 1 worker to 2: on the sql-d1 workload a second worker cost 33% more eval wall
-# time at 72 KiB and 0-16% at 124-228 KiB, and saved 8-16% at 304-540 KiB; on the maj one it cost 21-22% at
-# 132-212 KiB. CPU rose 16-60% everywhere. So the threshold sits between 228 and 304 KiB
-SMALL_DATABASE_BYTES = 256 * 1024
 # a remote run's default --workers, which is its cap on requests in flight: its threads mostly wait on the
 # network, so the CPU count does not bound it
 REMOTE_WORKERS = 8
@@ -80,9 +72,9 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _manifest(args, cfg: PipelineConfig, backend) -> dict:
+def _manifest(args, cfg: PipelineConfig, backend, workers: int) -> dict:
     # the backend as resolved: a remote one's URL and model from flags or environment, never its API key,
-    # and a mock one's fixture; cmd_eval adds ``workers`` once it has resolved the count
+    # and a mock one's fixture
     remote = isinstance(backend, RemoteBackend)
     return {
         "benchmark": str(Path(args.benchmark)),
@@ -93,6 +85,7 @@ def _manifest(args, cfg: PipelineConfig, backend) -> dict:
         "backend_url": backend.url if remote else "",
         "backend_model": (backend.model or "") if remote else "",
         "mock_fixture": "" if remote else str(Path(args.mock_fixture)),
+        "workers": str(workers),
         **{f.name: _manifest_value(getattr(cfg, f.name)) for f in fields(PipelineConfig)},
     }
 
@@ -115,34 +108,13 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(manifest_text(keyed).encode()).hexdigest()[:16]
 
 
-def _make_backend(args):
+def _make_backend(args, workers: int):
     if args.backend == "mock":
         # a mock backend with no rules replies empty to every prompt: a run of it would only read EX 0
         if not args.mock_fixture:
             raise ConfigError("the mock backend needs --mock-fixture")
         return MockBackend.from_file(args.mock_fixture)
-    return RemoteBackend(url=args.backend_url, model=args.backend_model, workers=_worker_count(args))
-
-
-def _worker_count(args, db_ids=()) -> int:
-    """``--workers``, else its default.
-
-    A remote run takes ``REMOTE_WORKERS``, whatever its databases. A mock
-    run takes one worker when every database of ``db_ids`` is smaller than
-    ``SMALL_DATABASE_BYTES``, else ``min(8, os.cpu_count())``. A missing
-    database counts for nothing here: the first item that needs it reports it.
-    """
-    if args.workers is not None:
-        return args.workers
-    if args.backend == "remote":
-        return REMOTE_WORKERS
-    largest = 0
-    for db_id in db_ids:
-        try:
-            largest = max(largest, database_path(db_id, args.db_root).stat().st_size)
-        except RegistryError:
-            pass
-    return 1 if largest < SMALL_DATABASE_BYTES else min(8, os.cpu_count() or 1)
+    return RemoteBackend(url=args.backend_url, model=args.backend_model, workers=workers)
 
 
 def _load_database(root: Path, retrieval: bool, db_id: str):
@@ -288,13 +260,15 @@ def _read_records_file(path: Path, resume: bool = False) -> tuple[dict, list[Eva
 
 
 def cmd_eval(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    # a mock run's items are CPU-bound, so a second worker mostly adds GIL hand-offs; a remote run's mostly wait
+    workers = args.workers if args.workers is not None else REMOTE_WORKERS if args.backend == "remote" else 1
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     # bad inputs end the run here, before it writes anything
     cfg = _pipeline_config(args)
     items = load_benchmark(args.benchmark, args.format)
-    backend = _make_backend(args)
-    manifest = _manifest(args, cfg, backend)
+    backend = _make_backend(args, workers)
+    manifest = _manifest(args, cfg, backend, workers)
     digest = manifest_hash(manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,8 +288,6 @@ def cmd_eval(args) -> int:
             records_path.write_text(sanitized, encoding="utf-8")
     done_ids = {record.item_id for record in records}
     pending = [item for item in items if item.item_id not in done_ids]
-    workers = _worker_count(args, {item.db_id for item in pending})
-    manifest["workers"] = str(workers)
     # the manifest lands on disk before any evaluation starts, and only for a run that goes ahead
     (out_dir / "manifest.txt").write_text(manifest_text(manifest), encoding="utf-8")
     header_line = json.dumps(
@@ -507,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--workers", type=int, default=None,
         help="item workers: the calling thread and WORKERS-1 pool threads; with a remote backend, the cap on "
-        f"requests in flight. Default: {REMOTE_WORKERS} with a remote backend; with the mock one, 1 when every "
-        f"database is under {SMALL_DATABASE_BYTES // 1024} KiB, else min(8, CPUs)",
+        f"requests in flight. Default: {REMOTE_WORKERS} with a remote backend, 1 with the mock one",
     )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", required=True)

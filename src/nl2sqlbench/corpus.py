@@ -15,9 +15,6 @@ logger = logging.getLogger(__name__)
 
 DIFFICULTIES = ("simple", "moderate", "challenging", "unlabeled")
 
-_SPIDER_FIELDS = ("question", "db_id", "query")
-_BIRD_FIELDS = ("question", "evidence", "db_id", "SQL")
-
 
 @dataclass(frozen=True)
 class BenchmarkItem:
@@ -85,12 +82,15 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
         raise IngestError(f"{path}: expected an array of records")
     if not raw:
         raise IngestError(f"{path}: no records")
+    # the format's gold SQL, evidence and difficulty fields; a Spider record has neither of the last two,
+    # and a field of None reads as absent
+    gold, evidence, difficulty = ("SQL", "evidence", "difficulty") if format == "bird" else ("query", None, None)
+    required = [field for field in ("question", evidence, "db_id", gold) if field]
     items: list[BenchmarkItem] = []
     seen: set[str] = set()
     for idx, record in enumerate(raw):
         if not isinstance(record, dict):
             raise IngestError(f"record {idx}: not an object")
-        required = _BIRD_FIELDS if format == "bird" else _SPIDER_FIELDS
         for field in required:
             if field not in record:
                 raise IngestError(f"record {idx}: missing field {field!r}")
@@ -98,46 +98,30 @@ def load_benchmark(path, format: str) -> list[BenchmarkItem]:
         if item_id in seen:
             raise IngestError(f"record {idx}: duplicate item_id {item_id!r}")
         seen.add(item_id)
-        if format == "bird":
-            item = BenchmarkItem(
-                item_id=item_id,
-                question=str(record["question"]),
-                db_id=str(record["db_id"]),
-                gold_sql=str(record["SQL"]),
-                evidence=str(record["evidence"]),
-                difficulty=_normalize_difficulty(record.get("difficulty"), item_id),
-            )
-        else:
-            item = BenchmarkItem(
-                item_id=item_id,
-                question=str(record["question"]),
-                db_id=str(record["db_id"]),
-                gold_sql=str(record["query"]),
-            )
-        items.append(item)
+        items.append(BenchmarkItem(
+            item_id=item_id,
+            question=str(record["question"]),
+            db_id=str(record["db_id"]),
+            gold_sql=str(record[gold]),
+            evidence=str(record[evidence]) if evidence else None,
+            difficulty=_normalize_difficulty(record.get(difficulty), item_id),
+        ))
     return items
 
 
-def database_path(db_id: str, root) -> Path:
-    """root/<db_id>/<db_id>.sqlite, or root/<db_id>.sqlite when the first does not exist.
+def load_database(db_id: str, root) -> DatabaseHandle:
+    """Register root/<db_id>/<db_id>.sqlite, or root/<db_id>.sqlite when the first does not exist.
 
-    Raises RegistryError naming both paths when neither is a file.
+    Raises RegistryError naming both paths when neither is a file. Nothing is
+    opened here: a file that is not a database fails its first read
+    (``context.read_catalog`` or ``context.extract_schema``).
     """
     root = Path(root)
     nested, flat = root / db_id / f"{db_id}.sqlite", root / f"{db_id}.sqlite"
     path = nested if nested.is_file() else flat
     if not path.is_file():
         raise RegistryError(f"database {db_id!r}: no file at {nested} or {flat}")
-    return path
-
-
-def load_database(db_id: str, root) -> DatabaseHandle:
-    """Register the database's file (``database_path``).
-
-    Nothing is opened here: a file that is not a database fails its first read
-    (``context.read_catalog`` or ``context.extract_schema``).
-    """
-    return DatabaseHandle(db_id=db_id, path=database_path(db_id, root))
+    return DatabaseHandle(db_id=db_id, path=path)
 
 
 def stratify(items) -> dict[str, list]:

@@ -78,6 +78,8 @@ def tokenize(sql: str) -> list[Token]:
                 value = int(text, 16)
                 if value >> 64:
                     raise SqlParseError(f"hex literal too big: {text}", pos)
+                # as in SQLite, a hex literal is a 64-bit two's-complement integer
+                value -= value >> 63 << 64
             else:
                 digits = text.lstrip("0") or "0"
                 # as in SQLite, an integer literal beyond 64 bits is a REAL

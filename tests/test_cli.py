@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -911,7 +912,7 @@ class TestBackendFailure:
             def complete(self, request, trajectory_id):
                 raise BackendError("connection refused")
 
-        monkeypatch.setattr(cli_mod, "_make_backend", lambda config: Exploding())
+        monkeypatch.setattr(cli_mod, "_make_backend", lambda config, workers: Exploding())
         code, out = run_eval(workspace, "down", "--track", "greedy", "--no-retrieval")
         assert code == 3
         lines = (out / "records.jsonl").read_text().splitlines()
@@ -1372,9 +1373,6 @@ def recorded_workers(out: Path) -> str:
     return re.search(r"^workers = (.*)$", (out / "manifest.txt").read_text(encoding="utf-8"), re.M).group(1)
 
 
-CPU_CAP = str(min(8, os.cpu_count() or 1))
-
-
 class TestWorkers:
     @staticmethod
     def assert_same_but_workers(one: Path, other: Path, workers: str, other_workers: str):
@@ -1395,28 +1393,21 @@ class TestWorkers:
             _c2, parallel = run_eval(workspace, f"{run}_w4", *track, "--workers", "4")
             self.assert_same_but_workers(serial, parallel, "1", "4")
 
-    def test_small_databases_take_one_worker_by_default(self, workspace):
+    def test_a_large_database_takes_one_worker_by_default(self, workspace):
+        # grow the file past 256 KiB with free pages, leaving its tables as they are
+        path = workspace["db_root"] / "gems" / "gems.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript("CREATE TABLE padding (b BLOB); INSERT INTO padding VALUES (zeroblob(300 * 1024)); "
+                           "DROP TABLE padding")
+        conn.close()
+        assert path.stat().st_size > 256 * 1024
         code, out = run_eval(workspace, "default", "--track", "greedy")
         assert code == 0 and recorded_workers(out) == "1"
 
-    def test_a_database_at_the_threshold_takes_the_cpu_cap(self, workspace, monkeypatch):
-        size = (workspace["db_root"] / "gems" / "gems.sqlite").stat().st_size
-        monkeypatch.setattr(cli, "SMALL_DATABASE_BYTES", size + 1)
-        code, under = run_eval(workspace, "under", "--track", "greedy")
-        assert code == 0 and recorded_workers(under) == "1"
-        monkeypatch.setattr(cli, "SMALL_DATABASE_BYTES", size)
-        code, at = run_eval(workspace, "at", "--track", "greedy")
-        assert code == 0 and recorded_workers(at) == CPU_CAP
-        # only the pending items' databases count: with none pending, a resume takes one worker
-        code, _out = run_eval(workspace, "at", "--track", "greedy", "--resume")
-        assert code == 0 and recorded_workers(at) == "1"
-
-    def test_an_explicit_worker_count_wins(self, workspace, monkeypatch):
-        code, out = run_eval(workspace, "three", "--track", "greedy", "--workers", "3")
-        assert code == 0 and recorded_workers(out) == "3"
-        monkeypatch.setattr(cli, "SMALL_DATABASE_BYTES", 0)
-        code, out = run_eval(workspace, "one", "--track", "greedy", "--workers", "1")
-        assert code == 0 and recorded_workers(out) == "1"
+    def test_an_explicit_worker_count_wins(self, workspace):
+        for workers in ("3", "1"):
+            code, out = run_eval(workspace, f"w{workers}", "--track", "greedy", "--workers", workers)
+            assert code == 0 and recorded_workers(out) == workers
 
     def test_default_eval_matches_two_workers(self, workspace):
         for run, track in (

@@ -1,5 +1,7 @@
 """Parser structure checks and the render/reparse round-trip corpus."""
 
+import sqlite3
+
 import pytest
 
 from sql_render import render_sql
@@ -227,7 +229,10 @@ class TestDepth:
 
 
 class TestNumberLiterals:
-    """Number literals read as SQLite reads them: an integer beyond 64 bits is a REAL, a hex one an error."""
+    """Number literals read as SQLite reads them.
+
+    An integer beyond 64 bits is a REAL. A hex one is a 64-bit two's-complement integer, and an error beyond 64 bits.
+    """
 
     @pytest.mark.parametrize(
         "text, value",
@@ -236,13 +241,18 @@ class TestNumberLiterals:
             ("9223372036854775808", 9223372036854775808.0),
             ("0" * 5000 + "7", 7),
             ("9" * 5000, float("inf")),
-            ("0xFFFFFFFFFFFFFFFF", 2**64 - 1),
+            ("0xFFFFFFFFFFFFFFFF", -1),
+            ("0x8000000000000000", -(2**63)),
+            ("0x7FFFFFFFFFFFFFFF", 2**63 - 1),
             ("0x" + "0" * 300 + "1", 1),
             ("1e3", 1000.0),
         ],
-        ids=["int64_max", "past_int64", "leading_zeros", "5000_digits", "hex_64_bits", "hex_leading_zeros", "real"],
+        ids=["int64_max", "past_int64", "leading_zeros", "5000_digits", "hex_64_bits", "hex_bit_63",
+             "hex_int64_max", "hex_leading_zeros", "real"],
     )
     def test_value(self, text, value):
         token = tokenize(text)[0]
         assert token.text == text
         assert token.value == value and type(token.value) is type(value)
+        # SQLite reads the literal as the same value
+        assert sqlite3.connect(":memory:").execute(f"SELECT {text}").fetchone()[0] == value
