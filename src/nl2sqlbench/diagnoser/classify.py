@@ -107,6 +107,7 @@ class _Analyzer:
         self.alias_map: dict[str, str | None] = {}  # alias/name -> table (None = derived)
         self.cte_names: set[str] = set()
         self.has_derived = False
+        self.resolved: dict[tuple[str | None, str], tuple[str, str, bool]] = {}  # (qualifier, column) -> _resolve
         # the sources come first: a column resolves against every source of the query
         for node in walk(ast):
             if isinstance(node, Select):
@@ -163,7 +164,17 @@ class _Analyzer:
         return f
 
     def _resolve(self, ref: ColumnRef) -> tuple[str, str, bool]:
-        """Return (table, column, valid); table '' when unresolvable."""
+        """Return (table, column, valid); table '' when unresolvable.
+
+        The sources are fixed once the constructor has read them, so each spelling resolves once.
+        """
+        key = (ref.table, ref.column)
+        resolved = self.resolved.get(key)
+        if resolved is None:
+            resolved = self.resolved[key] = self._resolve_uncached(ref)
+        return resolved
+
+    def _resolve_uncached(self, ref: ColumnRef) -> tuple[str, str, bool]:
         column = ref.column.lower()
         if column in _IMPLICIT_COLUMNS:
             return ("", column, True)
@@ -224,10 +235,16 @@ class _Analyzer:
 
 
 def _literal_key(node: Literal):
+    # as in SQLite, an integer and a real are equal when their values are (1 = 1.0), integers
+    # past 2^53 stay distinct, and a blob never equals a text. A number is keyed as a float
+    # where that is exact, so the labels' rationales spell it as before.
     if node.value is None:
         return ("null",)
     if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-        return ("num", float(node.value))
+        number = float(node.value)
+        return ("num", number if number == node.value else node.value)
+    if isinstance(node.value, bytes):
+        return ("blob", node.value)
     return ("str", str(node.value))
 
 

@@ -6,14 +6,18 @@ subqueries. Constructs outside the subset (window functions, FILTER clauses)
 are captured as opaque expression nodes instead of failing; genuinely
 malformed input raises SqlParseError with a character position.
 
-AST nodes are dataclasses that compare structurally, so two parses of
-equivalent text can be checked with plain ==.
+AST nodes are plain classes whose ``__init__`` sets each field, in order, as
+an instance attribute. ``Node`` compares them structurally (same class, equal
+fields), so two parses of equivalent text can be checked with plain ==; nodes
+are unhashable and repr as ``Literal(value=1, text='1')``. Tokens are named
+tuples. Neither is a dataclass: every process imports this module, and the
+decorator generates each class's methods at import.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import SqlParseError
 
@@ -22,20 +26,21 @@ from ..errors import SqlParseError
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<space>\s+|--[^\n]*|/\*.*?\*/)
+      (?P<space>\s+|--[^\n]*|/\*(?:.*?\*/|.+\Z))
     | (?P<string>'(?:[^']|'')*')
     | (?P<qname>"(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\])
     | (?P<number>0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    | (?P<blob>[xX]'[^']*')
     | (?P<name>[A-Za-z_][A-Za-z0-9_$]*)
     | (?P<op><<|>>|<=|>=|==|!=|<>|\|\||[-+*/%&|<>=(),.;~])
     """,
     re.VERBOSE | re.DOTALL,
 )
+_HEX_DIGIT_PAIRS = re.compile(r"(?:[0-9a-fA-F]{2})*")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # string | qname | number | name | op | eof
+class Token(NamedTuple):
+    kind: str  # string | qname | number | blob | name | op | eof
     text: str
     value: object
     pos: int
@@ -72,6 +77,12 @@ def tokenize(sql: str) -> list[Token]:
             value = text[1:-1].replace("''", "'")
         elif kind == "qname":
             value = _unquote_ident(text)
+        elif kind == "blob":
+            digits = text[2:-1]
+            if not _HEX_DIGIT_PAIRS.fullmatch(digits):
+                # as in SQLite, an odd digit count or a non-hex digit is an unrecognized token
+                raise SqlParseError(f"unrecognized token: {text}", pos)
+            value = bytes.fromhex(digits)
         elif kind == "number":
             lowered = text.lower()
             if lowered.startswith("0x"):
@@ -110,168 +121,204 @@ RESERVED = frozenset(
 class Node:
     """Base for all AST nodes; ``walk`` visits every field that holds a node."""
 
+    __hash__ = None
 
-@dataclass(eq=True)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
 class Literal(Node):
-    value: object  # int | float | str | None
-    text: str | None = None  # raw source text for numbers / keyword literals
+    def __init__(self, value: object, text: str | None = None):
+        self.value = value  # int | float | str | bytes | None
+        self.text = text  # raw source text for numbers, blobs and keyword literals
 
 
-@dataclass(eq=True)
 class ColumnRef(Node):
-    table: str | None
-    column: str
+    def __init__(self, table: str | None, column: str):
+        self.table = table
+        self.column = column
 
 
-@dataclass(eq=True)
 class Star(Node):
-    table: str | None = None
+    def __init__(self, table: str | None = None):
+        self.table = table
 
 
-@dataclass(eq=True)
 class FuncCall(Node):
-    name: str
-    args: list = field(default_factory=list)
-    distinct: bool = False
+    def __init__(self, name: str, args: list | None = None, distinct: bool = False):
+        self.name = name
+        self.args = [] if args is None else args
+        self.distinct = distinct
 
 
-@dataclass(eq=True)
 class Cast(Node):
-    expr: object
-    type_name: str
+    def __init__(self, expr: object, type_name: str):
+        self.expr = expr
+        self.type_name = type_name
 
 
-@dataclass(eq=True)
 class Case(Node):
-    operand: object | None
-    whens: list  # list of (condition, result) tuples
-    else_: object | None
+    def __init__(self, operand: object | None, whens: list, else_: object | None):
+        self.operand = operand
+        self.whens = whens  # list of (condition, result) tuples
+        self.else_ = else_
 
 
-@dataclass(eq=True)
 class Unary(Node):
-    op: str
-    operand: object
+    def __init__(self, op: str, operand: object):
+        self.op = op
+        self.operand = operand
 
 
-@dataclass(eq=True)
 class Binary(Node):
-    op: str
-    left: object
-    right: object
+    def __init__(self, op: str, left: object, right: object):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(eq=True)
 class Between(Node):
-    expr: object
-    low: object
-    high: object
-    negated: bool = False
+    def __init__(self, expr: object, low: object, high: object, negated: bool = False):
+        self.expr = expr
+        self.low = low
+        self.high = high
+        self.negated = negated
 
 
-@dataclass(eq=True)
 class InExpr(Node):
-    expr: object
-    values: object  # list of exprs, Select, or TableRef
-    negated: bool = False
+    def __init__(self, expr: object, values: object, negated: bool = False):
+        self.expr = expr
+        self.values = values  # list of exprs, Select, or TableRef
+        self.negated = negated
 
 
-@dataclass(eq=True)
 class LikeExpr(Node):
-    op: str  # LIKE | GLOB | MATCH | REGEXP
-    expr: object
-    pattern: object
-    escape: object | None = None
-    negated: bool = False
+    def __init__(self, op: str, expr: object, pattern: object, escape: object | None = None, negated: bool = False):
+        self.op = op  # LIKE | GLOB | MATCH | REGEXP
+        self.expr = expr
+        self.pattern = pattern
+        self.escape = escape
+        self.negated = negated
 
 
-@dataclass(eq=True)
 class Exists(Node):
-    select: object
+    def __init__(self, select: object):
+        self.select = select
 
 
-@dataclass(eq=True)
 class Subquery(Node):
-    select: object
+    def __init__(self, select: object):
+        self.select = select
 
 
-@dataclass(eq=True)
 class Collate(Node):
-    expr: object
-    collation: str
+    def __init__(self, expr: object, collation: str):
+        self.expr = expr
+        self.collation = collation
 
 
-@dataclass(eq=True)
 class Tuple_(Node):
-    items: list
+    def __init__(self, items: list):
+        self.items = items
 
 
-@dataclass(eq=True)
 class OpaqueExpr(Node):
-    text: str
+    def __init__(self, text: str):
+        self.text = text
 
 
-@dataclass(eq=True)
 class ResultColumn(Node):
-    expr: object
-    alias: str | None = None
+    def __init__(self, expr: object, alias: str | None = None):
+        self.expr = expr
+        self.alias = alias
 
 
-@dataclass(eq=True)
 class TableRef(Node):
-    name: str
-    alias: str | None = None
+    def __init__(self, name: str, alias: str | None = None):
+        self.name = name
+        self.alias = alias
 
 
-@dataclass(eq=True)
 class SubquerySource(Node):
-    select: object
-    alias: str | None = None
+    def __init__(self, select: object, alias: str | None = None):
+        self.select = select
+        self.alias = alias
 
 
-@dataclass(eq=True)
 class Join(Node):
-    left: object
-    right: object
-    kind: str  # INNER | LEFT | RIGHT | FULL | CROSS
-    natural: bool = False
-    on: object | None = None
-    using: list | None = None
+    def __init__(
+        self,
+        left: object,
+        right: object,
+        kind: str,
+        natural: bool = False,
+        on: object | None = None,
+        using: list | None = None,
+    ):
+        self.left = left
+        self.right = right
+        self.kind = kind  # INNER | LEFT | RIGHT | FULL | CROSS
+        self.natural = natural
+        self.on = on
+        self.using = using
 
 
-@dataclass(eq=True)
 class OrderingTerm(Node):
-    expr: object
-    direction: str | None = None  # ASC | DESC
-    nulls: str | None = None  # FIRST | LAST
+    def __init__(self, expr: object, direction: str | None = None, nulls: str | None = None):
+        self.expr = expr
+        self.direction = direction  # ASC | DESC
+        self.nulls = nulls  # FIRST | LAST
 
 
-@dataclass(eq=True)
 class SelectCore(Node):
-    distinct: bool
-    columns: list
-    source: object | None
-    where: object | None
-    group_by: list
-    having: object | None
+    def __init__(
+        self,
+        distinct: bool,
+        columns: list,
+        source: object | None,
+        where: object | None,
+        group_by: list,
+        having: object | None,
+    ):
+        self.distinct = distinct
+        self.columns = columns
+        self.source = source
+        self.where = where
+        self.group_by = group_by
+        self.having = having
 
 
-@dataclass(eq=True)
 class Cte(Node):
-    name: str
-    columns: list
-    select: object
+    def __init__(self, name: str, columns: list, select: object):
+        self.name = name
+        self.columns = columns
+        self.select = select
 
 
-@dataclass(eq=True)
 class Select(Node):
-    ctes: list
-    recursive: bool
-    cores: list
-    ops: list  # compound operators between cores: UNION | UNION ALL | INTERSECT | EXCEPT
-    order_by: list
-    limit: object | None = None
-    offset: object | None = None
+    def __init__(
+        self,
+        ctes: list,
+        recursive: bool,
+        cores: list,
+        ops: list,
+        order_by: list,
+        limit: object | None = None,
+        offset: object | None = None,
+    ):
+        self.ctes = ctes
+        self.recursive = recursive
+        self.cores = cores
+        self.ops = ops  # compound operators between cores: UNION | UNION ALL | INTERSECT | EXCEPT
+        self.order_by = order_by
+        self.limit = limit
+        self.offset = offset
 
 
 _COMPARISON_OPS = {"=", "==", "!=", "<>", "<", "<=", ">", ">="}
@@ -643,7 +690,7 @@ class _Parser:
         if tok.kind == "string":
             self.advance()
             return Literal(tok.value)
-        if tok.kind == "number":
+        if tok.kind in ("number", "blob"):
             self.advance()
             return Literal(tok.value, tok.text)
         if tok.kind == "qname":

@@ -1,5 +1,7 @@
 """Error-taxonomy classification rules and their invariants."""
 
+import sqlite3
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,10 @@ from nl2sqlbench.diagnoser import (
     ErrorLabel,
     classify_error,
     count_labels,
+    parse_sql,
+    schema_column_map,
 )
+from nl2sqlbench.diagnoser import classify
 from nl2sqlbench.executor import compare_results, is_order_sensitive
 
 
@@ -104,6 +109,23 @@ class TestRules:
         label = classify_error(pred, gold, schemas["stack"])
         assert label.subtype == "value_mismatch"
 
+    @pytest.mark.parametrize(
+        "pred_literal, gold_literal, sqlite_equal",
+        [
+            ("9007199254740993", "9007199254740992", 0),  # one float apart: past 2^53 only the exact values differ
+            ("1.0", "1", 1),
+            ("X'41'", "'A'", 0),
+        ],
+        ids=["past_2_53", "int_and_real", "blob_and_text"],
+    )
+    def test_literals_differ_where_sqlite_compares_them_unequal(self, schemas, pred_literal, gold_literal, sqlite_equal):
+        pred = f"SELECT Id FROM users WHERE Reputation = {pred_literal}"
+        gold = f"SELECT Id FROM users WHERE Reputation = {gold_literal}"
+        equal, = sqlite3.connect(":memory:").execute(f"SELECT {pred_literal} = {gold_literal}").fetchone()
+        assert equal == sqlite_equal
+        label = classify_error(pred, gold, schemas["stack"])
+        assert (label.category == "Value") == (not equal)
+
     def test_missing_aggregate(self, schemas):
         pred = "SELECT Score FROM comments"
         gold = "SELECT SUM(Score) FROM comments"
@@ -176,6 +198,25 @@ class TestInvariants:
         gold = CASES[0][3]
         labels = {classify_error(v, gold, schemas["stack"]) for v in variants}
         assert len({(l.category, l.subtype) for l in labels}) == 1
+
+    def test_each_column_spelling_resolves_once(self, schemas, monkeypatch):
+        sql = (
+            "SELECT c.Score FROM comments c JOIN users u ON c.UserId = u.Id "
+            "WHERE c.UserId = u.Id AND Score > 1 AND Score < 60 HAVING COUNT(Score) > 2"
+        )
+        resolved = []
+        resolve = classify._Analyzer._resolve_uncached
+
+        def counting(analyzer, ref):
+            resolved.append((ref.table, ref.column))
+            return resolve(analyzer, ref)
+
+        monkeypatch.setattr(classify._Analyzer, "_resolve_uncached", counting)
+        facts = classify._Analyzer(parse_sql(sql), schema_column_map(schemas["stack"])).facts()
+        assert len(resolved) == len(set(resolved))
+        assert set(resolved) == {(None, "Score"), ("c", "Score"), ("c", "UserId"), ("u", "Id")}
+        assert facts.join_pairs == {frozenset(("comments", "users"))}
+        assert facts.predicate_columns == {("comments", "score"), ("comments", "userid"), ("users", "id")}
 
     _POOL = [
         "SELECT Id FROM users",

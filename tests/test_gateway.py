@@ -343,6 +343,18 @@ class TestRemoteRetries:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 
+    def test_the_sql_parser_defines_no_dataclass(self):
+        # every process imports the parser, and a dataclass generates its methods' code at import
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import dataclasses; from nl2sqlbench.diagnoser import sqlast; "
+            "found = sorted(name for name, value in vars(sqlast).items() if dataclasses.is_dataclass(value)); "
+            "assert not found, found"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+
 
 class TestConcurrency:
     def test_remote_calls_run_in_order_on_the_calling_thread(self, monkeypatch):

@@ -11,6 +11,7 @@ from nl2sqlbench.diagnoser.sqlast import (
     Binary,
     Cast,
     ColumnRef,
+    Exists,
     FuncCall,
     Literal,
     OpaqueExpr,
@@ -187,6 +188,35 @@ class TestStructure:
         assert ast.order_by and ast.limit is not None
 
 
+class TestNodes:
+    def test_nodes_of_different_classes_with_equal_fields_are_unequal(self):
+        select = parse_sql("SELECT 1")
+        assert Exists(select) != Subquery(select)
+        assert Exists(select) == Exists(parse_sql("SELECT 1"))
+
+    def test_nodes_are_unhashable(self):
+        for node in (Literal(1, "1"), ColumnRef(None, "a"), parse_sql("SELECT a FROM t")):
+            with pytest.raises(TypeError):
+                hash(node)
+
+    def test_repr_names_each_field(self):
+        assert repr(Literal(1, "1")) == "Literal(value=1, text='1')"
+        assert repr(FuncCall("COUNT")) == "FuncCall(name='COUNT', args=[], distinct=False)"
+
+    def test_each_call_gets_its_own_default_args(self):
+        first, second = FuncCall("COUNT"), FuncCall("COUNT")
+        first.args.append(Star())
+        assert second.args == []
+
+    def test_token_is_immutable_and_hashable(self):
+        token = tokenize("select")[0]
+        assert (token.kind, token.text, token.upper, token.pos, token.end) == ("name", "select", "SELECT", 0, 6)
+        assert tokenize("'select'")[0].upper == ""
+        with pytest.raises(AttributeError):
+            token.kind = "op"
+        assert hash(token) == hash(tokenize("select")[0])
+
+
 class TestParseErrors:
     def test_syntax_error_carries_position(self):
         with pytest.raises(SqlParseError) as excinfo:
@@ -256,3 +286,36 @@ class TestNumberLiterals:
         assert token.value == value and type(token.value) is type(value)
         # SQLite reads the literal as the same value
         assert sqlite3.connect(":memory:").execute(f"SELECT {text}").fetchone()[0] == value
+
+
+class TestBlobsAndComments:
+    """Blob literals and a trailing unterminated block comment read as SQLite reads them."""
+
+    @pytest.mark.parametrize("text, value", [("X'ABCD'", b"\xab\xcd"), ("x'aBcD'", b"\xab\xcd"), ("X''", b"")])
+    def test_blob_value(self, text, value):
+        token = tokenize(text)[0]
+        assert (token.kind, token.text, token.value) == ("blob", text, value)
+        assert parse_sql(f"SELECT {text}").cores[0].columns[0].expr == Literal(value, text)
+        # EXPLAIN of a blob literal fails only in decoding the listing, so run the SELECT
+        assert sqlite3.connect(":memory:").execute(f"SELECT {text}").fetchone()[0] == value
+
+    @pytest.mark.parametrize("text", ["X'ABC'", "X'GG'", "x'AB CD'"])
+    def test_malformed_blob_is_an_unrecognized_token(self, text):
+        with pytest.raises(SqlParseError, match="unrecognized token") as excinfo:
+            parse_sql(f"SELECT {text}")
+        assert excinfo.value.position == 7
+        with pytest.raises(sqlite3.OperationalError, match="unrecognized token"):
+            sqlite3.connect(":memory:").execute(f"SELECT {text}")
+
+    @pytest.mark.parametrize("tail", ["/* to the end", "/*\n", "/**", "/* one */ /* two"])
+    def test_unterminated_block_comment_runs_to_the_end(self, tail):
+        sql = f"SELECT 1 {tail}"
+        assert parse_sql(sql) == parse_sql("SELECT 1")
+        sqlite3.connect(":memory:").execute(f"EXPLAIN {sql}")
+
+    def test_a_bare_trailing_comment_opener_is_an_error(self):
+        # SQLite reads "/*" with nothing after it as the operators / and *
+        with pytest.raises(SqlParseError):
+            parse_sql("SELECT 1 /*")
+        with pytest.raises(sqlite3.OperationalError):
+            sqlite3.connect(":memory:").execute("SELECT 1 /*")
