@@ -107,7 +107,6 @@ class _Analyzer:
         self.alias_map: dict[str, str | None] = {}  # alias/name -> table (None = derived)
         self.cte_names: set[str] = set()
         self.has_derived = False
-        self.resolved: dict[tuple[str | None, str], tuple[str, str, bool]] = {}  # (qualifier, column) -> _resolve
         # the sources come first: a column resolves against every source of the query
         for node in walk(ast):
             if isinstance(node, Select):
@@ -164,17 +163,7 @@ class _Analyzer:
         return f
 
     def _resolve(self, ref: ColumnRef) -> tuple[str, str, bool]:
-        """Return (table, column, valid); table '' when unresolvable.
-
-        The sources are fixed once the constructor has read them, so each spelling resolves once.
-        """
-        key = (ref.table, ref.column)
-        resolved = self.resolved.get(key)
-        if resolved is None:
-            resolved = self.resolved[key] = self._resolve_uncached(ref)
-        return resolved
-
-    def _resolve_uncached(self, ref: ColumnRef) -> tuple[str, str, bool]:
+        """Return (table, column, valid); table '' when unresolvable."""
         column = ref.column.lower()
         if column in _IMPLICIT_COLUMNS:
             return ("", column, True)

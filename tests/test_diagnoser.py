@@ -16,10 +16,7 @@ from nl2sqlbench.diagnoser import (
     ErrorLabel,
     classify_error,
     count_labels,
-    parse_sql,
-    schema_column_map,
 )
-from nl2sqlbench.diagnoser import classify
 from nl2sqlbench.executor import compare_results, is_order_sensitive
 
 
@@ -198,25 +195,6 @@ class TestInvariants:
         gold = CASES[0][3]
         labels = {classify_error(v, gold, schemas["stack"]) for v in variants}
         assert len({(l.category, l.subtype) for l in labels}) == 1
-
-    def test_each_column_spelling_resolves_once(self, schemas, monkeypatch):
-        sql = (
-            "SELECT c.Score FROM comments c JOIN users u ON c.UserId = u.Id "
-            "WHERE c.UserId = u.Id AND Score > 1 AND Score < 60 HAVING COUNT(Score) > 2"
-        )
-        resolved = []
-        resolve = classify._Analyzer._resolve_uncached
-
-        def counting(analyzer, ref):
-            resolved.append((ref.table, ref.column))
-            return resolve(analyzer, ref)
-
-        monkeypatch.setattr(classify._Analyzer, "_resolve_uncached", counting)
-        facts = classify._Analyzer(parse_sql(sql), schema_column_map(schemas["stack"])).facts()
-        assert len(resolved) == len(set(resolved))
-        assert set(resolved) == {(None, "Score"), ("c", "Score"), ("c", "UserId"), ("u", "Id")}
-        assert facts.join_pairs == {frozenset(("comments", "users"))}
-        assert facts.predicate_columns == {("comments", "score"), ("comments", "userid"), ("users", "id")}
 
     _POOL = [
         "SELECT Id FROM users",

@@ -343,6 +343,8 @@ class TestRemoteRetries:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 
+
+class TestImportCost:
     def test_the_sql_parser_defines_no_dataclass(self):
         # every process imports the parser, and a dataclass generates its methods' code at import
         src = Path(__file__).resolve().parents[1] / "src"
