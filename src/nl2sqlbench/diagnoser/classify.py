@@ -10,7 +10,7 @@ Unparseable or absent predictions short-circuit to a structural label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SqlParseError
 from . import sqlast
@@ -85,24 +85,10 @@ def schema_column_map(schema) -> dict[str, set[str]]:
     }
 
 
-@dataclass
-class QueryFacts:
-    tables: set = field(default_factory=set)
-    join_pairs: set = field(default_factory=set)
-    predicate_columns: set = field(default_factory=set)
-    operators: set = field(default_factory=set)
-    predicate_literals: set = field(default_factory=set)
-    functions: set = field(default_factory=set)
-    invalid_columns: list = field(default_factory=list)
-    has_group_by: bool = False
-    has_order_by: bool = False
-    has_limit: bool = False
-    shape: tuple = (0, 0, 0)  # subqueries, set operations, CTEs
+class _Facts:
+    """What the rules compare of one parsed query; the constructor collects it."""
 
-
-class _Analyzer:
     def __init__(self, ast: Select, schema_map: dict[str, set[str]]):
-        self.ast = ast
         self.schema_map = schema_map
         self.alias_map: dict[str, str | None] = {}  # alias/name -> table (None = derived)
         self.cte_names: set[str] = set()
@@ -125,29 +111,33 @@ class _Analyzer:
                 if node.alias:
                     self.alias_map[node.alias.lower()] = None
 
-    def facts(self) -> QueryFacts:
-        f = QueryFacts()
+        self.tables: set[str] = set()
+        self.join_pairs: set[frozenset] = set()
+        self.predicate_columns: set[tuple[str, str]] = set()
+        self.operators: set[str] = set()
+        self.predicate_literals: set[tuple] = set()
+        self.functions: set[str] = set()
+        self.invalid_columns: list[str] = []
         n_sub = n_setops = n_ctes = 0
-        for node in walk(self.ast):
+        for node in walk(ast):
             if isinstance(node, TableRef):
                 if node.name.lower() not in self.cte_names:
-                    f.tables.add(node.name.lower())
+                    self.tables.add(node.name.lower())
             elif isinstance(node, ColumnRef):
                 if not self._resolve(node)[2]:
-                    f.invalid_columns.append(f"{node.table}.{node.column}" if node.table else node.column)
+                    self.invalid_columns.append(f"{node.table}.{node.column}" if node.table else node.column)
             elif isinstance(node, FuncCall):
-                f.functions.add(node.name)
+                self.functions.add(node.name)
             elif isinstance(node, Cast):
-                f.functions.add("CAST")
+                self.functions.add("CAST")
             elif isinstance(node, sqlast.Join) and node.on is not None:
-                f.join_pairs |= self._equijoin_pairs(node.on)
+                self.join_pairs |= self._equijoin_pairs(node.on)
             elif isinstance(node, SelectCore):
                 for clause in (node.where, node.having):
-                    if clause is None:
-                        continue
-                    self._predicate_facts(clause, f)
+                    if clause is not None:
+                        self._predicate_facts(clause)
                 if node.where is not None:
-                    f.join_pairs |= self._equijoin_pairs(node.where)
+                    self.join_pairs |= self._equijoin_pairs(node.where)
             elif isinstance(node, Select):
                 n_setops += len(node.ops)
                 n_ctes += len(node.ctes)
@@ -155,12 +145,10 @@ class _Analyzer:
                 isinstance(node, InExpr) and isinstance(node.values, Select)
             ):
                 n_sub += 1
-        f.shape = (n_sub, n_setops, n_ctes)
-        outer = self.ast
-        f.has_group_by = any(bool(core.group_by) for core in outer.cores)
-        f.has_order_by = bool(outer.order_by)
-        f.has_limit = outer.limit is not None
-        return f
+        self.shape = (n_sub, n_setops, n_ctes)  # subqueries, set operations, CTEs
+        self.has_group_by = any(bool(core.group_by) for core in ast.cores)
+        self.has_order_by = bool(ast.order_by)
+        self.has_limit = ast.limit is not None
 
     def _resolve(self, ref: ColumnRef) -> tuple[str, str, bool]:
         """Return (table, column, valid); table '' when unresolvable."""
@@ -190,26 +178,26 @@ class _Analyzer:
             return ("", column, True)
         return ("", column, False)
 
-    def _predicate_facts(self, clause, facts: QueryFacts) -> None:
+    def _predicate_facts(self, clause) -> None:
         for node in walk(clause):
             if isinstance(node, ColumnRef):
                 table, column, _valid = self._resolve(node)
-                facts.predicate_columns.add((table, column))
+                self.predicate_columns.add((table, column))
             elif isinstance(node, Binary):
                 if node.op in _OPERATOR_CLASS:
-                    facts.operators.add(_OPERATOR_CLASS[node.op])
+                    self.operators.add(_OPERATOR_CLASS[node.op])
                 elif node.op in ("AND", "OR"):
-                    facts.operators.add(node.op.lower())
+                    self.operators.add(node.op.lower())
             elif isinstance(node, Unary) and node.op == "NOT":
-                facts.operators.add("not")
+                self.operators.add("not")
             elif isinstance(node, InExpr):
-                facts.operators.add("in")
+                self.operators.add("in")
             elif isinstance(node, LikeExpr):
-                facts.operators.add("like")
+                self.operators.add("like")
             elif isinstance(node, Between):
-                facts.operators.add("between")
+                self.operators.add("between")
             elif isinstance(node, Literal):
-                facts.predicate_literals.add(_literal_key(node))
+                self.predicate_literals.add(_literal_key(node))
 
     def _equijoin_pairs(self, expr) -> set:
         pairs = set()
@@ -260,8 +248,8 @@ def classify_error(pred_sql, gold_sql, schema) -> ErrorLabel:
         return _label("structural_error", f"gold query unparseable: {exc}")
 
     schema_map = schema_column_map(schema)
-    pred = _Analyzer(pred_ast, schema_map).facts()
-    gold = _Analyzer(gold_ast, schema_map).facts()
+    pred = _Facts(pred_ast, schema_map)
+    gold = _Facts(gold_ast, schema_map)
 
     extra_tables = pred.tables - gold.tables
     if extra_tables:

@@ -6,12 +6,14 @@ subqueries. Constructs outside the subset (window functions, FILTER clauses)
 are captured as opaque expression nodes instead of failing; genuinely
 malformed input raises SqlParseError with a character position.
 
-AST nodes are plain classes whose ``__init__`` sets each field, in order, as
-an instance attribute. ``Node`` compares them structurally (same class, equal
-fields), so two parses of equivalent text can be checked with plain ==; nodes
-are unhashable and repr as ``Literal(value=1, text='1')``. Tokens are named
-tuples. Neither is a dataclass: every process imports this module, and the
-decorator generates each class's methods at import.
+AST nodes are plain classes. Each lists its field names, in order, in
+``_fields`` and the values of its trailing optional fields in ``_defaults``;
+``Node.__init__`` binds positional arguments to them as instance attributes.
+``Node`` compares nodes structurally (same class, equal fields), so two parses
+of equivalent text can be checked with plain ==; nodes are unhashable and repr
+as ``Literal(value=1, text='1')``. Tokens are named tuples. Neither is a
+dataclass: every process imports this module, and the decorator generates each
+class's methods at import.
 """
 
 from __future__ import annotations
@@ -122,6 +124,18 @@ class Node:
     """Base for all AST nodes; ``walk`` visits every field that holds a node."""
 
     __hash__ = None
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args):
+        fields = self._fields
+        if len(args) != len(fields):  # the fast path skips this: every field given
+            if not len(fields) - len(self._defaults) <= len(args) < len(fields):
+                optional = len(self._defaults)
+                raise TypeError(f"{type(self).__name__} takes {len(fields)} arguments ({optional} optional), got {len(args)}")
+            args += self._defaults[len(args) - len(fields):]
+        for name, value in zip(fields, args):
+            setattr(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -134,191 +148,108 @@ class Node:
 
 
 class Literal(Node):
-    def __init__(self, value: object, text: str | None = None):
-        self.value = value  # int | float | str | bytes | None
-        self.text = text  # raw source text for numbers, blobs and keyword literals
+    # value: int | float | str | bytes | None; text: raw source text for numbers, blobs and keyword literals
+    _fields, _defaults = ("value", "text"), (None,)
 
 
 class ColumnRef(Node):
-    def __init__(self, table: str | None, column: str):
-        self.table = table
-        self.column = column
+    _fields = ("table", "column")
 
 
 class Star(Node):
-    def __init__(self, table: str | None = None):
-        self.table = table
+    _fields, _defaults = ("table",), (None,)
 
 
 class FuncCall(Node):
+    _fields = ("name", "args", "distinct")
+
     def __init__(self, name: str, args: list | None = None, distinct: bool = False):
-        self.name = name
-        self.args = [] if args is None else args
-        self.distinct = distinct
+        super().__init__(name, [] if args is None else args, distinct)
 
 
 class Cast(Node):
-    def __init__(self, expr: object, type_name: str):
-        self.expr = expr
-        self.type_name = type_name
+    _fields = ("expr", "type_name")
 
 
 class Case(Node):
-    def __init__(self, operand: object | None, whens: list, else_: object | None):
-        self.operand = operand
-        self.whens = whens  # list of (condition, result) tuples
-        self.else_ = else_
+    _fields = ("operand", "whens", "else_")  # whens: list of (condition, result) tuples
 
 
 class Unary(Node):
-    def __init__(self, op: str, operand: object):
-        self.op = op
-        self.operand = operand
+    _fields = ("op", "operand")
 
 
 class Binary(Node):
-    def __init__(self, op: str, left: object, right: object):
-        self.op = op
-        self.left = left
-        self.right = right
+    _fields = ("op", "left", "right")
 
 
 class Between(Node):
-    def __init__(self, expr: object, low: object, high: object, negated: bool = False):
-        self.expr = expr
-        self.low = low
-        self.high = high
-        self.negated = negated
+    _fields, _defaults = ("expr", "low", "high", "negated"), (False,)
 
 
 class InExpr(Node):
-    def __init__(self, expr: object, values: object, negated: bool = False):
-        self.expr = expr
-        self.values = values  # list of exprs, Select, or TableRef
-        self.negated = negated
+    # values: list of exprs, Select, or TableRef
+    _fields, _defaults = ("expr", "values", "negated"), (False,)
 
 
 class LikeExpr(Node):
-    def __init__(self, op: str, expr: object, pattern: object, escape: object | None = None, negated: bool = False):
-        self.op = op  # LIKE | GLOB | MATCH | REGEXP
-        self.expr = expr
-        self.pattern = pattern
-        self.escape = escape
-        self.negated = negated
+    # op: LIKE | GLOB | MATCH | REGEXP
+    _fields, _defaults = ("op", "expr", "pattern", "escape", "negated"), (None, False)
 
 
 class Exists(Node):
-    def __init__(self, select: object):
-        self.select = select
+    _fields = ("select",)
 
 
 class Subquery(Node):
-    def __init__(self, select: object):
-        self.select = select
+    _fields = ("select",)
 
 
 class Collate(Node):
-    def __init__(self, expr: object, collation: str):
-        self.expr = expr
-        self.collation = collation
+    _fields = ("expr", "collation")
 
 
 class Tuple_(Node):
-    def __init__(self, items: list):
-        self.items = items
+    _fields = ("items",)
 
 
 class OpaqueExpr(Node):
-    def __init__(self, text: str):
-        self.text = text
+    _fields = ("text",)
 
 
 class ResultColumn(Node):
-    def __init__(self, expr: object, alias: str | None = None):
-        self.expr = expr
-        self.alias = alias
+    _fields, _defaults = ("expr", "alias"), (None,)
 
 
 class TableRef(Node):
-    def __init__(self, name: str, alias: str | None = None):
-        self.name = name
-        self.alias = alias
+    _fields, _defaults = ("name", "alias"), (None,)
 
 
 class SubquerySource(Node):
-    def __init__(self, select: object, alias: str | None = None):
-        self.select = select
-        self.alias = alias
+    _fields, _defaults = ("select", "alias"), (None,)
 
 
 class Join(Node):
-    def __init__(
-        self,
-        left: object,
-        right: object,
-        kind: str,
-        natural: bool = False,
-        on: object | None = None,
-        using: list | None = None,
-    ):
-        self.left = left
-        self.right = right
-        self.kind = kind  # INNER | LEFT | RIGHT | FULL | CROSS
-        self.natural = natural
-        self.on = on
-        self.using = using
+    # kind: INNER | LEFT | RIGHT | FULL | CROSS
+    _fields, _defaults = ("left", "right", "kind", "natural", "on", "using"), (False, None, None)
 
 
 class OrderingTerm(Node):
-    def __init__(self, expr: object, direction: str | None = None, nulls: str | None = None):
-        self.expr = expr
-        self.direction = direction  # ASC | DESC
-        self.nulls = nulls  # FIRST | LAST
+    # direction: ASC | DESC; nulls: FIRST | LAST
+    _fields, _defaults = ("expr", "direction", "nulls"), (None, None)
 
 
 class SelectCore(Node):
-    def __init__(
-        self,
-        distinct: bool,
-        columns: list,
-        source: object | None,
-        where: object | None,
-        group_by: list,
-        having: object | None,
-    ):
-        self.distinct = distinct
-        self.columns = columns
-        self.source = source
-        self.where = where
-        self.group_by = group_by
-        self.having = having
+    _fields = ("distinct", "columns", "source", "where", "group_by", "having")
 
 
 class Cte(Node):
-    def __init__(self, name: str, columns: list, select: object):
-        self.name = name
-        self.columns = columns
-        self.select = select
+    _fields = ("name", "columns", "select")
 
 
 class Select(Node):
-    def __init__(
-        self,
-        ctes: list,
-        recursive: bool,
-        cores: list,
-        ops: list,
-        order_by: list,
-        limit: object | None = None,
-        offset: object | None = None,
-    ):
-        self.ctes = ctes
-        self.recursive = recursive
-        self.cores = cores
-        self.ops = ops  # compound operators between cores: UNION | UNION ALL | INTERSECT | EXCEPT
-        self.order_by = order_by
-        self.limit = limit
-        self.offset = offset
+    # ops: compound operators between cores: UNION | UNION ALL | INTERSECT | EXCEPT
+    _fields, _defaults = ("ctes", "recursive", "cores", "ops", "order_by", "limit", "offset"), (None, None)
 
 
 _COMPARISON_OPS = {"=", "==", "!=", "<>", "<", "<=", ">", ">="}
@@ -333,19 +264,21 @@ _LIKE_OPS = {"LIKE", "GLOB", "MATCH", "REGEXP"}
 # SQLite treats these as ordinary identifiers when no clause can start here
 _USABLE_AS_COLUMN = frozenset({"LEFT", "RIGHT", "FULL", "CROSS", "NATURAL", "MATCH", "GLOB", "LIKE", "REGEXP", "FIRST", "LAST"})
 _NOT_A_COLUMN = RESERVED - _USABLE_AS_COLUMN
+# SQLite reads INDEXED after a name as a clause, not an implicit alias
+_NOT_AN_ALIAS = RESERVED | {"INDEXED"}
 
 
 class _Parser:
     def __init__(self, sql: str):
         self.sql = sql
         self.tokens = tokenize(sql)
+        self.tokens += self.tokens[-1:] * 2  # peek looks up to two tokens past the end
         self.index = 0
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        i = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.index + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.index]
@@ -403,7 +336,7 @@ class _Parser:
         if tok.kind == "qname":
             self.advance()
             return str(tok.value)
-        if tok.kind == "name" and tok.upper not in RESERVED:
+        if tok.kind == "name" and tok.upper not in _NOT_AN_ALIAS:
             self.advance()
             return tok.text
         return None
@@ -563,6 +496,13 @@ class _Parser:
         if self.accept_op("."):
             name = self.ident()  # drop schema qualifier
         alias = self._maybe_alias()
+        # drop the planner hint: INDEXED BY index | NOT INDEXED
+        if self.accept_kw("INDEXED"):
+            self.expect_kw("BY")
+            self.ident()
+        elif self.at_kw("NOT") and self.peek(1).upper == "INDEXED":
+            self.advance()
+            self.advance()
         return TableRef(name, alias)
 
     def _parse_ordering_term(self) -> OrderingTerm:
@@ -614,6 +554,9 @@ class _Parser:
             if self.at_kw("IS"):
                 self.advance()
                 negated = self.accept_kw("NOT")
+                if self.accept_kw("DISTINCT"):  # as in SQLite: IS DISTINCT FROM is IS NOT, IS NOT DISTINCT FROM is IS
+                    self.expect_kw("FROM")
+                    negated = not negated
                 right = self._parse_bitwise()
                 left = Binary("IS NOT" if negated else "IS", left, right)
                 continue

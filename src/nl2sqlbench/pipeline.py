@@ -109,8 +109,8 @@ class EvalRecord:
         """
         data = _field_values(self)
         data.update(
-            outcome=_outcome_dict(self.outcome),
-            gold_outcome=_outcome_dict(self.gold_outcome),
+            outcome=_field_values(self.outcome, skip="rows"),
+            gold_outcome=_field_values(self.gold_outcome, skip="rows"),
             candidates=[_field_values(c) for c in self.candidates],
             pool=[_field_values(e) for e in self.pool],
             per_stage_trace=[list(entry) for entry in self.per_stage_trace],
@@ -121,9 +121,9 @@ class EvalRecord:
     def from_dict(cls, data: dict) -> "EvalRecord":
         """Inverse of ``to_dict``; absent optional keys take the field defaults, unknown keys are ignored."""
         record = _known_fields(cls, data)
+        for key in ("outcome", "gold_outcome"):  # rows are never stored: even a record that carries them reads None
+            record[key] = ExecutionOutcome(**{**_known_fields(ExecutionOutcome, data[key]), "rows": None})
         record.update(
-            outcome=_outcome_from_dict(data["outcome"]),
-            gold_outcome=_outcome_from_dict(data["gold_outcome"]),
             candidates=[Candidate(**_known_fields(Candidate, c)) for c in data["candidates"]],
             pool=[PoolEntry(**_known_fields(PoolEntry, e)) for e in data.get("pool", [])],
             per_stage_trace=[tuple(entry) for entry in data["per_stage_trace"]],
@@ -131,32 +131,13 @@ class EvalRecord:
         return cls(**record)
 
 
-def _field_values(obj) -> dict:
-    """A dataclass instance's fields by name; values are not copied (``asdict`` deep-copies)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+def _field_values(obj, skip: str = "") -> dict:
+    """A dataclass instance's fields by name, but ``skip``; values are not copied (``asdict`` deep-copies)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != skip}
 
 
 def _known_fields(cls, data: dict) -> dict:
     return {f.name: data[f.name] for f in fields(cls) if f.name in data}
-
-
-def _outcome_dict(outcome: ExecutionOutcome) -> dict:
-    return {
-        "status": outcome.status,
-        "column_count": outcome.column_count,
-        "row_count": outcome.row_count,
-        "error_message": outcome.error_message,
-    }
-
-
-def _outcome_from_dict(data: dict) -> ExecutionOutcome:
-    return ExecutionOutcome(
-        status=data["status"],
-        rows=None,
-        column_count=data["column_count"],
-        error_message=data["error_message"],
-        row_count=data.get("row_count"),
-    )
 
 
 def _prompt_hash(prompt: str) -> str:

@@ -388,18 +388,21 @@ class TestResume:
 
 
 def _break_second_record(records_path: Path, defect: str) -> None:
-    """Damage the second record line (file line 3): drop a required key, or cut it short."""
+    """Damage the second record line (file line 3): drop a required key of it or its outcome, or cut it short."""
     lines = records_path.read_text().splitlines()
-    if defect == "missing_key":
-        record = json.loads(lines[2])
-        del record["item_id"]
-        lines[2] = json.dumps(record, sort_keys=True)
-    else:
+    if defect == "invalid_json":
         lines[2] = lines[2][: len(lines[2]) // 2]
+    else:
+        record = json.loads(lines[2])
+        if defect == "missing_key":
+            del record["item_id"]
+        else:
+            del record["outcome"]["status"]
+        lines[2] = json.dumps(record, sort_keys=True)
     records_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-BAD_LINE = pytest.mark.parametrize("defect", ["missing_key", "invalid_json"])
+BAD_LINE = pytest.mark.parametrize("defect", ["missing_key", "missing_outcome_key", "invalid_json"])
 
 
 class TestBadRecordLines:
@@ -411,7 +414,8 @@ class TestBadRecordLines:
         _break_second_record(out / "records.jsonl", defect)
         code = main(["report", "--records", str(out / "records.jsonl"), "--out", str(out / "rep")])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {out / 'records.jsonl'} line 3: ")
+        expected = "not valid JSON" if defect == "invalid_json" else "not a record"
+        assert capsys.readouterr().err.startswith(f"error: {out / 'records.jsonl'} line 3: {expected}: ")
 
     @BAD_LINE
     def test_classify(self, workspace, capsys, defect):

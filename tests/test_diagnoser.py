@@ -1,6 +1,7 @@
 """Error-taxonomy classification rules and their invariants."""
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,7 +119,8 @@ class TestRules:
     def test_literals_differ_where_sqlite_compares_them_unequal(self, schemas, pred_literal, gold_literal, sqlite_equal):
         pred = f"SELECT Id FROM users WHERE Reputation = {pred_literal}"
         gold = f"SELECT Id FROM users WHERE Reputation = {gold_literal}"
-        equal, = sqlite3.connect(":memory:").execute(f"SELECT {pred_literal} = {gold_literal}").fetchone()
+        with closing(sqlite3.connect(":memory:")) as conn:
+            equal, = conn.execute(f"SELECT {pred_literal} = {gold_literal}").fetchone()
         assert equal == sqlite_equal
         label = classify_error(pred, gold, schemas["stack"])
         assert (label.category == "Value") == (not equal)

@@ -435,6 +435,19 @@ class TestRecordSerialization:
         del data["pool"]
         assert EvalRecord.from_dict(data).pool == []
 
+    def test_rows_are_dropped_on_write_and_read_back_as_none(self, gems_db):
+        backend = MockBackend([MockRule(pattern="", reply=sql_reply("SELECT name FROM gems"))])
+        record = run_sql_d1(_item(), extract_schema(gems_db), _cfg(), backend, gems_db, literal_source(gems_db))
+        data = record.to_dict()
+        assert set(data["outcome"]) == {"status", "column_count", "row_count", "error_message"}
+        row_count = data["outcome"]["row_count"]
+        assert row_count > 0
+        data["outcome"]["rows"] = [["crafted"]]
+        back = EvalRecord.from_dict(data)
+        assert (back.outcome.rows, back.outcome.row_count) == (None, row_count)
+        del data["outcome"]["rows"]
+        assert back.to_dict() == data
+
 
 class TestPoolEntry:
     def test_failure_cluster_marking(self, gems_db):

@@ -1,18 +1,22 @@
 """Parser structure checks and the render/reparse round-trip corpus."""
 
+import dataclasses
 import sqlite3
+from contextlib import closing
 
 import pytest
 
 from sql_render import render_sql
 
-from nl2sqlbench.diagnoser import parse_sql, walk
+from nl2sqlbench import diagnoser
+from nl2sqlbench.diagnoser import classify, parse_sql, sqlast, walk
 from nl2sqlbench.diagnoser.sqlast import (
     Binary,
     Cast,
     ColumnRef,
     Exists,
     FuncCall,
+    LikeExpr,
     Literal,
     OpaqueExpr,
     Select,
@@ -124,6 +128,12 @@ def _generated_queries() -> list[str]:
 CORPUS = BASE_QUERIES + CASE_QUERIES + _generated_queries()
 
 
+def _sqlite(sql: str) -> list:
+    """Rows of ``sql`` run by SQLite on an empty in-memory database, which is closed after."""
+    with closing(sqlite3.connect(":memory:")) as conn:
+        return conn.execute(sql).fetchall()
+
+
 class TestRoundTrip:
     def test_corpus_is_big_enough(self):
         assert len(CORPUS) >= 200
@@ -217,6 +227,92 @@ class TestNodes:
         assert hash(token) == hash(tokenize("select")[0])
 
 
+class TestNodeFields:
+    def test_each_node_holds_its_fields_in_order(self):
+        for query in CORPUS:
+            for node in walk(parse_sql(query)):
+                assert tuple(vars(node)) == type(node)._fields, (query, node)
+
+    def test_left_out_trailing_fields_take_their_defaults(self):
+        like = LikeExpr("LIKE", ColumnRef(None, "a"), Literal("x%"))
+        assert (like.escape, like.negated) == (None, False)
+        assert tuple(vars(like)) == LikeExpr._fields
+        assert Select([], False, [], [], []) == Select([], False, [], [], [], None, None)
+
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (Binary, ("+", 1)),
+            (Binary, ("+", 1, 2, 3)),
+            (LikeExpr, ("LIKE", 1)),
+            (Literal, ()),
+            (Literal, (1, "1", None)),
+            (FuncCall, ()),
+            (FuncCall, ("COUNT", [], False, None)),
+        ],
+        ids=["binary_short", "binary_long", "like_no_pattern", "literal_empty", "literal_long", "func_empty",
+             "func_long"],
+    )
+    def test_a_wrong_argument_count_is_a_type_error_naming_the_class(self, cls, args):
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args)
+
+
+class TestImportCost:
+    def test_the_diagnoser_defines_no_dataclass_but_error_label(self):
+        # every process imports the diagnoser, and a dataclass generates its methods' code at import
+        found = {
+            name
+            for module in (diagnoser, sqlast, classify)
+            for name, value in vars(module).items()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+        }
+        assert found == {"ErrorLabel"}
+
+
+class TestSqliteSyntax:
+    """Syntax that SQLite accepts and the parser reads as SQLite does: each case prepares and round-trips."""
+
+    @pytest.mark.parametrize(
+        "sql, same_as",
+        [
+            ("SELECT a FROM t WHERE a IS DISTINCT FROM b", "SELECT a FROM t WHERE a IS NOT b"),
+            ("SELECT a FROM t WHERE a IS NOT DISTINCT FROM b + 1", "SELECT a FROM t WHERE a IS b + 1"),
+            ("SELECT a FROM t INDEXED BY ia", "SELECT a FROM t"),
+            ("SELECT x.a FROM main.t AS x INDEXED BY ia WHERE x.a = 1", "SELECT x.a FROM t AS x WHERE x.a = 1"),
+            ("SELECT x.a FROM t x NOT INDEXED JOIN u ON x.a = u.a", "SELECT x.a FROM t x JOIN u ON x.a = u.a"),
+            ("SELECT b FROM t NOT INDEXED, u", "SELECT b FROM t, u"),
+        ],
+        ids=["is_distinct_from", "is_not_distinct_from", "indexed_by", "alias_indexed_by", "alias_not_indexed",
+             "not_indexed"],
+    )
+    def test_parses_as_sqlite_reads_it(self, sql, same_as):
+        if "DISTINCT FROM" in sql and sqlite3.sqlite_version_info < (3, 39):
+            pytest.skip("IS DISTINCT FROM needs SQLite 3.39")
+        ast = parse_sql(sql)
+        assert ast == parse_sql(same_as)
+        assert parse_sql(render_sql(ast)) == ast
+        with closing(sqlite3.connect(":memory:")) as conn:
+            conn.executescript(
+                "CREATE TABLE t(a, b); CREATE INDEX ia ON t(a); CREATE TABLE u(a);"
+                "INSERT INTO t VALUES (1, 1), (1, NULL), (NULL, NULL), (2, 1), (1, '1'), (2, 3);"
+                "INSERT INTO u VALUES (1), (NULL);"
+            )
+            conn.execute(f"EXPLAIN {sql}")
+            # SQLite reads both spellings the same way
+            assert sorted(conn.execute(sql), key=repr) == sorted(conn.execute(same_as), key=repr)
+
+    def test_indexed_is_not_an_implicit_alias(self):
+        # SQLite reads it as the start of INDEXED BY in both alias slots
+        for sql in ("SELECT a FROM t indexed", "SELECT a indexed FROM t"):
+            with pytest.raises(SqlParseError):
+                parse_sql(sql)
+            with closing(sqlite3.connect(":memory:")) as conn:
+                conn.execute("CREATE TABLE t(a)")
+                with pytest.raises(sqlite3.OperationalError):
+                    conn.execute(sql)
+
+
 class TestParseErrors:
     def test_syntax_error_carries_position(self):
         with pytest.raises(SqlParseError) as excinfo:
@@ -285,7 +381,7 @@ class TestNumberLiterals:
         assert token.text == text
         assert token.value == value and type(token.value) is type(value)
         # SQLite reads the literal as the same value
-        assert sqlite3.connect(":memory:").execute(f"SELECT {text}").fetchone()[0] == value
+        assert _sqlite(f"SELECT {text}") == [(value,)]
 
 
 class TestBlobsAndComments:
@@ -297,7 +393,7 @@ class TestBlobsAndComments:
         assert (token.kind, token.text, token.value) == ("blob", text, value)
         assert parse_sql(f"SELECT {text}").cores[0].columns[0].expr == Literal(value, text)
         # EXPLAIN of a blob literal fails only in decoding the listing, so run the SELECT
-        assert sqlite3.connect(":memory:").execute(f"SELECT {text}").fetchone()[0] == value
+        assert _sqlite(f"SELECT {text}") == [(value,)]
 
     @pytest.mark.parametrize("text", ["X'ABC'", "X'GG'", "x'AB CD'"])
     def test_malformed_blob_is_an_unrecognized_token(self, text):
@@ -305,17 +401,17 @@ class TestBlobsAndComments:
             parse_sql(f"SELECT {text}")
         assert excinfo.value.position == 7
         with pytest.raises(sqlite3.OperationalError, match="unrecognized token"):
-            sqlite3.connect(":memory:").execute(f"SELECT {text}")
+            _sqlite(f"SELECT {text}")
 
     @pytest.mark.parametrize("tail", ["/* to the end", "/*\n", "/**", "/* one */ /* two"])
     def test_unterminated_block_comment_runs_to_the_end(self, tail):
         sql = f"SELECT 1 {tail}"
         assert parse_sql(sql) == parse_sql("SELECT 1")
-        sqlite3.connect(":memory:").execute(f"EXPLAIN {sql}")
+        _sqlite(f"EXPLAIN {sql}")
 
     def test_a_bare_trailing_comment_opener_is_an_error(self):
         # SQLite reads "/*" with nothing after it as the operators / and *
         with pytest.raises(SqlParseError):
             parse_sql("SELECT 1 /*")
         with pytest.raises(sqlite3.OperationalError):
-            sqlite3.connect(":memory:").execute("SELECT 1 /*")
+            _sqlite("SELECT 1 /*")
