@@ -23,10 +23,10 @@ from pathlib import Path
 
 from . import context as context_mod
 from .corpus import load_benchmark, load_database
-from .diagnoser import classify_error, count_labels
+from .diagnoser import classify_error
 from .errors import ConfigError, IngestError, MetricError, RegistryError, SchemaError
 from .gateway import MockBackend, RemoteBackend
-from .metrics import assemble_report
+from .metrics import assemble_report, merged_rows
 from .pipeline import EvalRecord, PipelineConfig, run_sql_d1
 
 ABLATION_STAGES = ("a_r", "a_g", "a_v", "a_s")
@@ -37,10 +37,6 @@ TRACK_STAGES = {
     "maj": ("a_r", "a_g", "a_s"),
     "sql-d1": ABLATION_STAGES,
 }
-CSV_HEADER = ("strategy", "k", "metric", "value")
-# scatter.csv columns after the strategy, and the report.csv metric each one takes its value from
-SCATTER_HEADER = ("ex_percent", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
-SCATTER_METRICS = ("ex", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
 # a remote run's default --workers, which is its cap on requests in flight: its threads mostly wait on the
 # network, so the CPU count does not bound it
 REMOTE_WORKERS = 8
@@ -331,16 +327,14 @@ def _write_report(out_dir: Path, report, digest: str) -> None:
     (out_dir / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    _write_csv(out_dir / "report.csv", digest, CSV_HEADER, report.to_csv_rows())
+    _write_csv(out_dir / "report.csv", digest, report.to_csv_rows())
 
 
-def _write_csv(path: Path, digest: str, header: tuple, rows) -> None:
+def _write_csv(path: Path, digest: str, rows) -> None:
     """A CSV file whose first line names the manifest hash(es) of the runs it came from."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(f"# manifest {digest}\n")
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(handle).writerows(rows)
 
 
 def _label_line(item_id: str, label) -> str:
@@ -367,12 +361,9 @@ def cmd_classify(args) -> int:
     labels_path.write_text("\n".join([header_line] + lines) + "\n", encoding="utf-8")
 
     # the report comes from the records read, as eval's does, so report.json and report.csv agree with them
-    distribution = count_labels(labels)
-    report = assemble_report(
-        records, strategy=header["strategy"], manifest=header["manifest"], error_distribution=distribution
-    )
+    report = assemble_report(records, strategy=header["strategy"], manifest=header["manifest"], labels=labels)
     _write_report(out_dir, report, header["manifest_hash"])
-    print("error distribution: " + json.dumps(distribution, sort_keys=True))
+    print("error distribution: " + json.dumps(report.error_distribution, sort_keys=True))
     return 0
 
 
@@ -414,16 +405,9 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     hashes = ",".join(sorted({h for h, _ in runs}))
-
-    # every row ends with its run's manifest hash, so that two runs of one track stay apart
-    curves, scatter = [], []
-    for digest, report in runs:
-        rows = report.to_csv_rows()
-        curves += [(*row, digest) for row in rows if row[2] in ("pass_at_k", "maj_at_k")]
-        values = {metric: value for _strategy, _k, metric, value in rows}
-        scatter.append((report.strategy, *(values[m] for m in SCATTER_METRICS), digest))
-    _write_csv(out_dir / "curves.csv", hashes, (*CSV_HEADER, "manifest"), curves)
-    _write_csv(out_dir / "scatter.csv", hashes, ("strategy", *SCATTER_HEADER, "manifest"), scatter)
+    curves, scatter = merged_rows(runs)
+    _write_csv(out_dir / "curves.csv", hashes, curves)
+    _write_csv(out_dir / "scatter.csv", hashes, scatter)
     print(f"wrote curves.csv and scatter.csv for {len(runs)} run(s)")
     return 0
 

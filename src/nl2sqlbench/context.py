@@ -39,6 +39,23 @@ _INDEXED_COLUMNS = "SELECT i.name FROM pragma_index_list(?) AS l, pragma_index_i
 
 _TEXT_TYPE = re.compile(r"CHAR|TEXT|CLOB|STRING", re.I)
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# the 147 keywords of SQLite's keyword documentation (lang_keywords.html). The DDL quotes a name that is one of
+# them, in any case, whether or not the linked SQLite reads it unquoted (3.40.1 rejects 59 of them as a table
+# name), so that a prompt does not depend on the SQLite version
+SQLITE_KEYWORDS = frozenset(
+    """
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH AUTOINCREMENT BEFORE BEGIN BETWEEN BY
+    CASCADE CASE CAST CHECK COLLATE COLUMN COMMIT CONFLICT CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE
+    CURRENT_TIME CURRENT_TIMESTAMP DATABASE DEFAULT DEFERRABLE DEFERRED DELETE DESC DETACH DISTINCT DO DROP
+    EACH ELSE END ESCAPE EXCEPT EXCLUDE EXCLUSIVE EXISTS EXPLAIN FAIL FILTER FIRST FOLLOWING FOR FOREIGN FROM
+    FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE IMMEDIATE IN INDEX INDEXED INITIALLY INNER INSERT
+    INSTEAD INTERSECT INTO IS ISNULL JOIN KEY LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING
+    NOTNULL NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN PRAGMA PRECEDING PRIMARY QUERY
+    RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX RELEASE RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK
+    ROW ROWS SAVEPOINT SELECT SET TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION TRIGGER UNBOUNDED UNION
+    UNIQUE UPDATE USING VACUUM VALUES VIEW VIRTUAL WHEN WHERE WINDOW WITH WITHOUT
+    """.split()
+)
 
 PROMPT_TEMPLATE = """You are a data science expert. Below, you are provided with a database schema and a natural language question. Your task is to understand the schema and generate a valid SQL query to answer the question.
 
@@ -289,8 +306,8 @@ def _quote(name: str) -> str:
 
 
 def _ddl_ident(name: str) -> str:
-    # BIRD-style identifiers with spaces/punctuation are backtick-quoted
-    if _PLAIN_IDENT.match(name):
+    # keywords, and BIRD-style identifiers with spaces/punctuation, are backtick-quoted
+    if _PLAIN_IDENT.match(name) and name.upper() not in SQLITE_KEYWORDS:
         return name
     return "`" + name.replace("`", "``") + "`"
 

@@ -14,6 +14,10 @@ from .errors import ConfigError, IngestError, RegistryError
 logger = logging.getLogger(__name__)
 
 DIFFICULTIES = ("simple", "moderate", "challenging", "unlabeled")
+# bytes in one string, blob or row on every connection (SQLITE_LIMIT_LENGTH; SQLite's default is 10^9). A value
+# past it fails its statement with "string or blob too big", so one reply cannot make SQLite hold gigabytes.
+# The benchmark's gold cells are under 100 bytes, and the tests read a 300 KiB blob at most
+MAX_VALUE_BYTES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -47,11 +51,13 @@ class DatabaseHandle:
         An item's queries share one (``executor.ItemReader``); each set-up
         read opens its own.
         The path is percent-encoded, so a ``#``, ``?`` or ``%`` in it names the
-        file rather than ending or escaping the URI.
+        file rather than ending or escaping the URI. No string or blob on it
+        exceeds MAX_VALUE_BYTES.
         """
         uri = f"file:{quote(str(self.path))}?mode=ro"
         conn = sqlite3.connect(uri, uri=True)
         conn.execute("PRAGMA query_only = ON")
+        conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, MAX_VALUE_BYTES)
         return conn
 
 

@@ -6,7 +6,6 @@ from .classify import (
     SUBTYPES_BY_CATEGORY,
     ErrorLabel,
     classify_error,
-    count_labels,
     schema_column_map,
 )
 from .sqlast import parse_sql, walk
@@ -17,7 +16,6 @@ __all__ = [
     "SUBTYPES_BY_CATEGORY",
     "ErrorLabel",
     "classify_error",
-    "count_labels",
     "schema_column_map",
     "parse_sql",
     "walk",

@@ -146,7 +146,7 @@ class _Facts:
             ):
                 n_sub += 1
         self.shape = (n_sub, n_setops, n_ctes)  # subqueries, set operations, CTEs
-        self.has_group_by = any(bool(core.group_by) for core in ast.cores)
+        self.has_group_by = any(isinstance(core, SelectCore) and core.group_by for core in ast.cores)
         self.has_order_by = bool(ast.order_by)
         self.has_limit = ast.limit is not None
 
@@ -309,11 +309,3 @@ def classify_error(pred_sql, gold_sql, schema) -> ErrorLabel:
             f"nesting shape differs (subqueries/set-ops/CTEs): {pred.shape} vs {gold.shape}",
         )
     return _label("structural_error", "incorrect result with no structural divergence found by rules")
-
-
-def count_labels(labels) -> dict[str, int]:
-    """Aggregate precomputed labels into the category histogram."""
-    counts = {category: 0 for category in CATEGORIES}
-    for label in labels:
-        counts[label.category] += 1
-    return counts

@@ -1,10 +1,11 @@
 """Tokenizer and parser for the SQLite SELECT dialect subset.
 
-Covers SELECT cores with joins, WHERE/GROUP BY/HAVING, set operations, CTEs,
-scalar and aggregate functions, CASE, CAST, IN/LIKE/BETWEEN/EXISTS, and
-subqueries. Constructs outside the subset (window functions, FILTER clauses)
-are captured as opaque expression nodes instead of failing; genuinely
-malformed input raises SqlParseError with a character position.
+Covers SELECT cores with joins, WHERE/GROUP BY/HAVING, VALUES lists, set
+operations, CTEs, scalar and aggregate functions, CASE, CAST,
+IN/LIKE/BETWEEN/EXISTS, and subqueries. Constructs outside the subset (window
+functions, FILTER clauses) are captured as opaque expression nodes instead of
+failing; genuinely malformed input raises SqlParseError with a character
+position.
 
 AST nodes are plain classes. Each lists its field names, in order, in
 ``_fields`` and the values of its trailing optional fields in ``_defaults``;
@@ -243,6 +244,11 @@ class SelectCore(Node):
     _fields = ("distinct", "columns", "source", "where", "group_by", "having")
 
 
+class Values(Node):
+    # VALUES (...), (...): a core of one tuple of expressions per row
+    _fields = ("rows",)
+
+
 class Cte(Node):
     _fields = ("name", "columns", "select")
 
@@ -368,13 +374,16 @@ class _Parser:
             ops.append(word)
             cores.append(self._parse_core())
         order_by: list = []
+        limit = offset = None
+        # SQLite's grammar puts ORDER BY and LIMIT in a SELECT core, so neither follows a last core of VALUES
+        if isinstance(cores[-1], Values):
+            return Select(ctes, recursive, cores, ops, order_by, limit, offset)
         if self.accept_kw("ORDER"):
             self.expect_kw("BY")
             while True:
                 order_by.append(self._parse_ordering_term())
                 if not self.accept_op(","):
                     break
-        limit = offset = None
         if self.accept_kw("LIMIT"):
             first = self.parse_expr()
             if self.accept_kw("OFFSET"):
@@ -400,7 +409,18 @@ class _Parser:
         self.expect_op(")")
         return Cte(name, columns, select)
 
-    def _parse_core(self) -> SelectCore:
+    def _parse_core(self) -> SelectCore | Values:
+        if self.accept_kw("VALUES"):
+            rows = []
+            while True:
+                self.expect_op("(")
+                row = [self.parse_expr()]
+                while self.accept_op(","):
+                    row.append(self.parse_expr())
+                self.expect_op(")")
+                rows.append(tuple(row))
+                if not self.accept_op(","):
+                    return Values(rows)
         self.expect_kw("SELECT")
         distinct = False
         if self.accept_kw("DISTINCT"):
@@ -484,7 +504,7 @@ class _Parser:
 
     def _parse_source(self):
         if self.accept_op("("):
-            if self.at_kw("SELECT", "WITH"):
+            if self.at_kw("SELECT", "WITH", "VALUES"):
                 select = self.parse_select()
                 self.expect_op(")")
                 alias = self._maybe_alias()
@@ -593,7 +613,7 @@ class _Parser:
 
     def _parse_in_values(self):
         if self.accept_op("("):
-            if self.at_kw("SELECT", "WITH"):
+            if self.at_kw("SELECT", "WITH", "VALUES"):
                 select = self.parse_select()
                 self.expect_op(")")
                 return select
@@ -640,7 +660,7 @@ class _Parser:
             return self._parse_column_ref()
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            if self.at_kw("SELECT", "WITH"):
+            if self.at_kw("SELECT", "WITH", "VALUES"):
                 select = self.parse_select()
                 self.expect_op(")")
                 return Subquery(select)

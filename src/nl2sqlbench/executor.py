@@ -385,12 +385,7 @@ def _canonical_form(rows: list[tuple]) -> tuple[str, Iterator[tuple], tuple[str,
     """
     if not rows or not rows[0]:
         return "()", repeat((), len(rows)), ()
-    # zip(*rows) holds an iterator per row while it transposes, which past one chunk of rows costs more memory
-    # than one itemgetter pass per column; below that, it is the cheaper call
-    if len(rows) <= _FORMAT_CHUNK_ROWS:
-        columns = zip(*rows)
-    else:
-        columns = (tuple(map(itemgetter(i), rows)) for i in range(len(rows[0])))
+    columns = (tuple(map(itemgetter(i), rows)) for i in range(len(rows[0])))
     fields, values, cell_fields = zip(*map(_column_form, columns))
     return _row_template(fields), zip(*values), None if None in cell_fields else cell_fields
 

@@ -12,9 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import stratify
-from .diagnoser import CATEGORIES
+from .diagnoser import CATEGORIES, ErrorLabel
 from .errors import MetricError
 from .pipeline import EvalRecord, select_winner
+
+CSV_HEADER = ("strategy", "k", "metric", "value")
+# scatter.csv columns after the strategy, and the report.csv metric each one takes its value from
+SCATTER_HEADER = ("ex_percent", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
+SCATTER_METRICS = ("ex", "mean_latency_seconds", "single_pass_latency_seconds", "mean_tokens")
 
 
 def pct(fraction: float) -> float:
@@ -109,7 +114,7 @@ class EvalReport:
     mean_tokens: float
     single_pass_latency_seconds: float
     tokens_approximate: bool
-    error_distribution: dict[str, int]
+    error_distribution: dict[str, int] | None  # labels per category; None for a run not yet classified
     manifest: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -134,13 +139,13 @@ class EvalReport:
             "single_pass_latency_seconds": round(self.single_pass_latency_seconds, 6),
             "mean_tokens": round(self.mean_tokens, 3),
             "tokens_approximate": self.tokens_approximate,
-            "error_distribution": {c: self.error_distribution.get(c, 0) for c in CATEGORIES},
+            "error_distribution": self.error_distribution,
             "manifest": self.manifest,
         }
 
     def to_csv_rows(self) -> list[tuple[str, str, str, str]]:
-        """Plot-ready rows: (strategy, k, metric, value)."""
-        rows = [(self.strategy, "", "ex", f"{100.0 * self.ex_overall:.1f}")]
+        """report.csv's plot-ready rows, its header first: (strategy, k, metric, value)."""
+        rows = [CSV_HEADER, (self.strategy, "", "ex", f"{100.0 * self.ex_overall:.1f}")]
         for name, bucket in self.ex_by_difficulty.items():
             rows.append((self.strategy, "", f"ex_{name}", f"{100.0 * bucket['ex']:.1f}"))
         for k in sorted(self.pass_at_k_curve):
@@ -150,8 +155,8 @@ class EvalReport:
         rows.append((self.strategy, "", "mean_latency_seconds", f"{self.mean_latency_seconds:.3f}"))
         rows.append((self.strategy, "", "single_pass_latency_seconds", f"{self.single_pass_latency_seconds:.3f}"))
         rows.append((self.strategy, "", "mean_tokens", f"{self.mean_tokens:.1f}"))
-        for category in CATEGORIES:
-            rows.append((self.strategy, "", f"errors_{category}", str(self.error_distribution.get(category, 0))))
+        for category, count in (self.error_distribution or {}).items():
+            rows.append((self.strategy, "", f"errors_{category}", str(count)))
         return rows
 
 
@@ -159,12 +164,12 @@ def assemble_report(
     records: list[EvalRecord],
     strategy: str,
     manifest: dict | None = None,
-    error_distribution: dict[str, int] | None = None,
+    labels: list[ErrorLabel] | None = None,
 ) -> EvalReport:
     """Aggregate a run's records into the full report.
 
-    The error distribution is zero-filled until a classification pass
-    supplies real counts.
+    The error distribution counts ``labels``, those of the run's incorrect
+    records, per category; without them nothing was counted, and it is None.
     """
     if not records:
         raise MetricError("cannot assemble a report from zero records")
@@ -187,7 +192,11 @@ def assemble_report(
             pass_curve[k] = pass_at_k_over_records(records, k)
             maj_curve[k] = majority_accuracy(records, k)
     latency, tokens = efficiency_stats(records)
-    distribution = error_distribution or {c: 0 for c in CATEGORIES}
+    distribution = None
+    if labels is not None:
+        distribution = dict.fromkeys(CATEGORIES, 0)
+        for label in labels:
+            distribution[label.category] += 1
     return EvalReport(
         strategy=strategy,
         n_items=len(records),
@@ -200,6 +209,20 @@ def assemble_report(
         mean_tokens=tokens,
         single_pass_latency_seconds=single_pass_latency(records),
         tokens_approximate=any(c.tokens_approximate for r in records for c in r.candidates),
-        error_distribution={c: distribution.get(c, 0) for c in CATEGORIES},
+        error_distribution=distribution,
         manifest=manifest or {},
     )
+
+
+def merged_rows(runs: list[tuple[str, EvalReport]]) -> tuple[list[tuple], list[tuple]]:
+    """curves.csv's and scatter.csv's rows, headers first, of runs given as (manifest hash, report).
+
+    Every row ends with its run's manifest hash, so that two runs of one track stay apart.
+    """
+    curves, scatter = [(*CSV_HEADER, "manifest")], [("strategy", *SCATTER_HEADER, "manifest")]
+    for digest, report in runs:
+        rows = report.to_csv_rows()[1:]
+        curves += [(*row, digest) for row in rows if row[2] in ("pass_at_k", "maj_at_k")]
+        values = {metric: value for _strategy, _k, metric, value in rows}
+        scatter.append((report.strategy, *(values[m] for m in SCATTER_METRICS), digest))
+    return curves, scatter

@@ -32,6 +32,7 @@ from nl2sqlbench.diagnoser.sqlast import (
     TableRef,
     Tuple_,
     Unary,
+    Values,
 )
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -179,7 +180,9 @@ def _render_source(source) -> str:
     raise TypeError(f"cannot render source {type(source).__name__}")
 
 
-def _render_core(core: SelectCore) -> str:
+def _render_core(core: SelectCore | Values) -> str:
+    if isinstance(core, Values):
+        return "VALUES " + ", ".join("(" + ", ".join(render_expr(e) for e in row) + ")" for row in core.rows)
     parts = ["SELECT"]
     if core.distinct:
         parts.append("DISTINCT")

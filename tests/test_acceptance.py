@@ -26,7 +26,7 @@ from test_pipeline import SELECTOR_FIXTURE, _evaluate_pool, _no_gold_judge, _poo
 from nl2sqlbench.cli import main
 from nl2sqlbench.context import build_prompt, extract_schema
 from nl2sqlbench.corpus import BenchmarkItem
-from nl2sqlbench.diagnoser import classify_error, count_labels
+from nl2sqlbench.diagnoser import classify_error
 from nl2sqlbench.executor import (
     STATUS_SQL_ERROR,
     compare_results,
@@ -161,7 +161,7 @@ def test_c06_error_taxonomy_golden_set(stack_db, schools_db, f1_db):
         if label.category == category:
             correct += 1
     assert correct == 5
-    assert count_labels(labels) == EXPECTED_DISTRIBUTION
+    assert assemble_report([make_record()], "greedy", labels=labels).error_distribution == EXPECTED_DISTRIBUTION
 
 
 def test_c07_sql_extraction_suite():

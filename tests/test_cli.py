@@ -24,6 +24,7 @@ from nl2sqlbench import cli, context, gateway
 from nl2sqlbench.cli import main
 from nl2sqlbench.context import render_ddl
 from nl2sqlbench.corpus import DatabaseHandle, load_benchmark
+from nl2sqlbench.diagnoser import CATEGORIES
 from nl2sqlbench.executor import NOT_A_QUERY
 from nl2sqlbench.pipeline import REPAIR_TEMPLATE, PipelineConfig
 
@@ -730,13 +731,21 @@ class TestClassify:
         assert sum(report["error_distribution"].values()) == 12
 
     def test_report_csv_carries_the_error_distribution(self, workspace):
+        # eval has labelled nothing, so its report holds no histogram; classify's holds the counts of its labels
         _code, out = run_eval(workspace, "cls_csv", "--track", "greedy", "--no-retrieval")
+
+        def reported():
+            lines = (out / "report.csv").read_text().splitlines()[2:]
+            rows = {metric: value for _s, _k, metric, value in (line.split(",") for line in lines)}
+            errors = {metric.removeprefix("errors_"): int(v) for metric, v in rows.items() if metric.startswith("errors_")}
+            return json.loads((out / "report.json").read_text())["error_distribution"], errors
+
+        assert reported() == (None, {})
         assert main(["classify", "--records", str(out / "records.jsonl"), "--db-root", str(workspace["db_root"])]) == 0
-        distribution = json.loads((out / "report.json").read_text())["error_distribution"]
-        lines = (out / "report.csv").read_text().splitlines()[2:]
-        rows = {metric: value for _s, _k, metric, value in (line.split(",") for line in lines)}
-        assert {c: int(rows[f"errors_{c}"]) for c in distribution} == distribution
-        assert sum(distribution.values()) == 12
+        labels = [json.loads(l)["category"] for l in (out / "labels.jsonl").read_text().splitlines()[1:]]
+        counted = {category: labels.count(category) for category in CATEGORIES}
+        assert reported() == (counted, counted)
+        assert sum(counted.values()) == 12
 
     def test_report_in_another_directory_comes_from_the_records_read(self, workspace):
         # classify --out into another run's directory replaces that run's report with one from the records read

@@ -5,6 +5,7 @@ import importlib
 import random
 import re
 import sqlite3
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -398,6 +399,25 @@ class TestRenderDdl:
             "  FOREIGN KEY (customer_id) REFERENCES customer(id)\n"
             ");"
         )
+
+    def test_keyword_names_are_quoted(self, tmp_path):
+        # a table and a column named by each keyword, in lower and title case, with keys: SQLite runs the DDL and
+        # reads it back as the catalog. No descriptions or examples: their comment comes after the separating comma
+        assert len(context.SQLITE_KEYWORDS) == 147
+        tables, previous = [], None
+        for keyword in sorted(context.SQLITE_KEYWORDS):
+            column = keyword.title()
+            keys = ((column, *previous),) if previous else ()
+            tables.append(context.TableInfo(keyword.lower(), (context.ColumnInfo(column, "INTEGER"),), (column,), keys))
+            previous = (keyword.lower(), column)
+        schema = context.SchemaContext(db_id="keywords", tables=tuple(tables))
+        ddl = render_ddl(schema, {}, 0)
+        assert "CREATE TABLE `order` (\n  `Order` INTEGER,\n  PRIMARY KEY (`Order`)," in ddl
+        path = tmp_path / "keywords.sqlite"
+        with closing(sqlite3.connect(":memory:")) as conn, closing(sqlite3.connect(path)) as copy:
+            conn.executescript(ddl)
+            conn.backup(copy)
+        assert read_catalog(DatabaseHandle("keywords", path)) == schema
 
     def test_empty_schema_is_an_error(self, db_factory):
         db = db_factory([])

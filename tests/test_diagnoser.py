@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from case_studies import CASES, EXPECTED_DISTRIBUTION
 from conftest import pathological_queries, run_sql
+from test_metrics import make_record
 
 from nl2sqlbench.context import extract_schema
 from nl2sqlbench.diagnoser import (
@@ -16,9 +17,9 @@ from nl2sqlbench.diagnoser import (
     SUBTYPES_BY_CATEGORY,
     ErrorLabel,
     classify_error,
-    count_labels,
 )
 from nl2sqlbench.executor import compare_results, is_order_sensitive
+from nl2sqlbench.metrics import assemble_report
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ class TestCaseStudies:
         labels = [
             classify_error(pred, gold, schemas[db]) for db, _q, pred, gold, _c, _s in CASES
         ]
-        assert count_labels(labels) == EXPECTED_DISTRIBUTION
+        assert assemble_report([make_record()], "greedy", labels=labels).error_distribution == EXPECTED_DISTRIBUTION
 
     def test_case4_rationale_notes_missing_condition(self, schemas):
         db_name, _q, pred_sql, gold_sql, _c, _s = CASES[3]
@@ -124,6 +125,11 @@ class TestRules:
         assert equal == sqlite_equal
         label = classify_error(pred, gold, schemas["stack"])
         assert (label.category == "Value") == (not equal)
+
+    def test_values_prediction_gets_a_rule_label(self, schemas):
+        # a bare VALUES parses, so the rules compare it with gold: it reads none of gold's tables
+        label = classify_error("VALUES (1), (2)", "SELECT Id FROM users", schemas["stack"])
+        assert (label.subtype, label.rationale) == ("table_missing", "required tables absent: users")
 
     def test_missing_aggregate(self, schemas):
         pred = "SELECT Score FROM comments"
@@ -262,10 +268,9 @@ class TestTotality:
 
 
 def _error_distribution(records, schemas):
-    """The classify command's loop: label every incorrect record, then count the labels."""
-    return count_labels(
-        classify_error(r.final_sql, r.gold_sql, schemas[r.db_id]) for r in records if not r.correct
-    )
+    """The classify command's loop: label every incorrect record, then let the report count the labels."""
+    labels = [classify_error(r.final_sql, r.gold_sql, schemas[r.db_id]) for r in records if not r.correct]
+    return assemble_report([make_record()], "greedy", labels=labels).error_distribution
 
 
 class TestErrorDistribution:

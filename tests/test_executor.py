@@ -6,14 +6,18 @@ pairing, against the implementation's canonical-sort approach.
 """
 
 import hashlib
+import json
 import math
+import os
 import random
 import sqlite3
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -224,6 +228,29 @@ class TestExecuteSql:
         )
         assert outcome.status == STATUS_SQL_ERROR
         assert "District" in outcome.error_message
+
+    def test_long_values_are_bounded(self, misc_db):
+        # SQLite's default would build these 300 MB values (about 600 MB of peak RSS for the blob); past
+        # MAX_VALUE_BYTES the blob fails at once, and printf returns NULL. Run apart, so the peak RSS is theirs
+        code = (
+            "import json, resource, sys; from pathlib import Path\n"
+            "from nl2sqlbench.corpus import DatabaseHandle\n"
+            "from nl2sqlbench.executor import ItemReader, execute_sql\n"
+            "with ItemReader(DatabaseHandle('misc', Path(sys.argv[1]))) as reader:\n"
+            "    outcomes = [execute_sql(reader, sql) for sql in sys.argv[2:]]\n"
+            "rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == 'darwin' else 1)\n"
+            "print(json.dumps([[o.status, o.rows, o.error_message] for o in outcomes] + [rss_kib]))\n"
+        )
+        queries = ["SELECT randomblob(300000000)", "SELECT printf('%.*c', 300000000, 'x')"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(misc_db.path), *queries], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        blob, text, rss_kib = json.loads(result.stdout)
+        assert blob == [STATUS_SQL_ERROR, None, "string or blob too big"]
+        assert text == [STATUS_OK, [[None]], None]
+        assert rss_kib < 100 * 1024
 
     def test_runaway_query_times_out(self, misc_db):
         # it streams rows until its limit, staying far under the row cap

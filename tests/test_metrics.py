@@ -9,6 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from nl2sqlbench.diagnoser import ErrorLabel
 from nl2sqlbench.errors import MetricError
 from nl2sqlbench.executor import STATUS_OK, STATUS_SQL_ERROR, ExecutionOutcome
 from nl2sqlbench.gateway import Candidate
@@ -207,11 +208,19 @@ class TestAssembleReport:
         csv_rows = report.to_csv_rows()
         assert ("maj", "", "ex", "58.7") in csv_rows
 
-    def test_error_distribution_zero_filled(self):
-        report = assemble_report([make_record()], "greedy")
-        assert report.to_json_dict()["error_distribution"] == {
-            "Table": 0, "Value": 0, "Condition": 0, "Function": 0, "Others": 0,
-        }
+    def test_error_distribution_counts_the_labels(self):
+        # unclassified, the report holds no histogram at all; classified, every category is counted, zeros included
+        unlabelled = assemble_report([make_record()], "greedy")
+        assert unlabelled.to_json_dict()["error_distribution"] is None
+        assert not [row for row in unlabelled.to_csv_rows() if row[2].startswith("errors_")]
+        labels = [ErrorLabel("Value", "value_mismatch", "r"), ErrorLabel("Table", "table_missing", "r")] * 2
+        labelled = assemble_report([make_record()], "greedy", labels=labels)
+        counts = {"Table": 2, "Value": 2, "Condition": 0, "Function": 0, "Others": 0}
+        assert labelled.to_json_dict()["error_distribution"] == counts
+        assert [row[2:] for row in labelled.to_csv_rows() if row[2].startswith("errors_")] == [
+            (f"errors_{category}", str(count)) for category, count in counts.items()
+        ]
+        assert assemble_report([make_record()], "greedy", labels=[]).error_distribution == dict.fromkeys(counts, 0)
 
     def test_curves_non_decreasing_and_bounded(self):
         rng = random.Random(11)

@@ -24,6 +24,7 @@ from nl2sqlbench.diagnoser.sqlast import (
     Subquery,
     TableRef,
     Unary,
+    Values,
     tokenize,
 )
 from nl2sqlbench.errors import SqlParseError
@@ -301,6 +302,37 @@ class TestSqliteSyntax:
             conn.execute(f"EXPLAIN {sql}")
             # SQLite reads both spellings the same way
             assert sorted(conn.execute(sql), key=repr) == sorted(conn.execute(same_as), key=repr)
+
+    @pytest.mark.parametrize(
+        "sql, rows",
+        [
+            ("VALUES (1, 'a'), (2, 'b')", [(1, "a"), (2, "b")]),
+            ("SELECT a, b FROM t UNION ALL VALUES (1, 2), (3, 4)", [(1, 2), (3, 4)]),
+            ("VALUES (1) EXCEPT SELECT a FROM u ORDER BY 1 LIMIT 1", [(1,)]),
+            ("WITH v(n) AS (VALUES (1), (2)) SELECT n FROM v LIMIT 1", [(1,), (2,)]),
+            ("SELECT * FROM (VALUES (1, 2)) AS x WHERE x.column1 IN (VALUES (1), (NULL)) AND (VALUES (0)) = 0",
+             [(1, 2)]),
+        ],
+        ids=["statement", "compound_arm", "first_arm", "cte_body", "subqueries"],
+    )
+    def test_values_parses_as_sqlite_reads_it(self, sql, rows):
+        ast = parse_sql(sql)
+        first = next(node for node in walk(ast) if isinstance(node, Values))
+        assert [tuple(cell.value for cell in row) for row in first.rows] == rows
+        assert parse_sql(render_sql(ast)) == ast
+        with closing(sqlite3.connect(":memory:")) as conn:
+            conn.executescript("CREATE TABLE t(a, b); CREATE TABLE u(a);")
+            conn.execute(f"EXPLAIN {sql}")
+
+    def test_no_order_by_or_limit_after_a_last_values(self):
+        # in SQLite's grammar both belong to a SELECT core
+        for sql in ("VALUES (1), (2) ORDER BY 1", "SELECT a FROM t UNION VALUES (1) LIMIT 1"):
+            with pytest.raises(SqlParseError, match="trailing input"):
+                parse_sql(sql)
+            with closing(sqlite3.connect(":memory:")) as conn:
+                conn.execute("CREATE TABLE t(a)")
+                with pytest.raises(sqlite3.OperationalError, match="syntax error"):
+                    conn.execute(sql)
 
     def test_indexed_is_not_an_implicit_alias(self):
         # SQLite reads it as the start of INDEXED BY in both alias slots
